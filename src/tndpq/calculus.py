@@ -23,6 +23,7 @@ from .errors import (
     ProvenanceMismatch,
     ShapeMismatch,
     SideConditionUnproved,
+    TndpqError,
     UnknownCondition,
     ZeroDenominator,
 )
@@ -39,7 +40,6 @@ from .syntax import (
     Pair,
     Prod,
     Snd,
-    Value,
     ValueAttribution,
     VariableTerm,
     print_judgment,
@@ -48,7 +48,7 @@ from .syntax import (
     reduce_projections,
     same_sigma,
 )
-from .systems import AppliedSystem, Estimator, TrainingSet, conditional_distribution
+from .systems import AppliedSystem, conditional_distribution, independent
 
 _TOL = 1e-9
 
@@ -164,10 +164,6 @@ def _extension(judgment: Judgment, base_sigma) -> ValueAttribution:
 def _require(condition: bool, rule: RuleId, message: str) -> None:
     if not condition:
         raise ShapeMismatch(f"{rule.value}: {message}")
-
-
-def _attribution_term(va: ValueAttribution) -> VariableTerm:
-    return Atom(va.variable)
 
 
 def _as_atom(term: VariableTerm, rule: RuleId) -> Atom:
@@ -603,8 +599,8 @@ def check_derivation(
     """Re-verify every node of a derivation tree.
 
     `sources` optionally maps training-set ids to (TrainingSet, Estimator)
-    pairs for recomputing leaf probabilities.  Violations are collected, not
-    raised.
+    pairs for recomputing leaf probabilities and recorded independence
+    verdicts.  Violations are collected, not raised.
     """
     report = CheckReport()
     tags = set()
@@ -656,5 +652,32 @@ def _check_node(node, schema, sources, report, path, tags):
         elif abs(expected.probability - actual.probability) > _TOL:
             report.add(path, "FormulaViolation",
                        f"probability {actual.probability!r}, formula gives {expected.probability!r}")
+        _retest_independence(node, sources, report, path)
     for index, premise in enumerate(node.premises):
         _check_node(premise, schema, sources, report, f"{path}.{index}", tags)
+
+
+def _retest_independence(node, sources, report, path):
+    """Re-run a recorded independence test against the node's source.
+
+    Asserted independence carries no verdict and is taken as given.
+    """
+    if not (sources and node.provenance and node.provenance[0] in sources):
+        return
+    ts, est = sources[node.provenance[0]]
+    for fact in node.side_conditions:
+        if fact.get("kind") != "independent" or "verdict" not in fact:
+            continue
+        t, u = fact["t"], fact["u"]
+        try:
+            verdict, witness = independent(ts, est, node.conclusion.antecedent, t, u)
+        except TndpqError as exc:
+            report.add(path, type(exc).__name__, str(exc))
+            continue
+        if verdict != fact["verdict"]:
+            report.add(
+                path,
+                "SideConditionUnproved",
+                f"recorded independence verdict {fact['verdict']!r} for {t!r}, {u!r}; "
+                f"the source gives {verdict!r} (max deviation {witness['max_deviation']:.3g})",
+            )

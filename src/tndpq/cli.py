@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import TndpqError, UnknownCondition
 from .calculus import Derivation, RuleId, at_query, apply_rule, check_derivation
-from .construction import Plan, PlanStep, construct, deconstruct, verify_preservation
+from .construction import Plan, PlanStep, verify_preservation
 from .exclusivity import exclusive, oracle_exclusive
 from .syntax import (
     Atom,
@@ -48,7 +48,11 @@ def _parse_estimator(spec: str) -> Estimator:
     if spec == "freq":
         return Estimator("freq", "freq")
     if spec.startswith("laplace:"):
-        return Estimator(spec, "laplace", float(spec.split(":", 1)[1]))
+        try:
+            smoothing = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise TndpqError(f"bad smoothing in estimator spec {spec!r}") from None
+        return Estimator(spec, "laplace", smoothing)
     if spec == "laplace":
         return Estimator("laplace", "laplace")
     raise TndpqError(f"unknown estimator spec {spec!r}, expected freq or laplace:<a>")
@@ -64,7 +68,10 @@ def _parse_kind(spec: str) -> trust.TrustKind:
     if name in ("et", "wt", "at"):
         if not m:
             raise TndpqError(f"{name} needs a prefix length, e.g. {name}:2")
-        return trust.TrustKind(name.upper(), int(m))
+        try:
+            return trust.TrustKind(name.upper(), int(m))
+        except ValueError as exc:
+            raise TndpqError(f"bad trust kind {spec!r}: {exc}") from None
     raise TndpqError(f"unknown trust kind {spec!r}")
 
 
@@ -80,7 +87,8 @@ def _kind_label(kind: trust.TrustKind) -> str:
 # Leaves:             `id = ATQUERY [attrlist |>] variable : atom`
 # The two double-line rules accept an optional `@backward` marker after the
 # rule name.  Side assertions: `independent t u` (verified on the data
-# source) or `assume-independent t u` (taken on faith).
+# source under the premises' context) or `assume-independent t u` (taken
+# on faith).
 
 
 class ScriptStep:
@@ -136,7 +144,7 @@ def parse_script(text: str, schema: AttributeSchema) -> list[ScriptStep]:
     return steps
 
 
-def _side_evidence(step: ScriptStep, source):
+def _side_evidence(step: ScriptStep, source, sigma):
     if not step.side_text:
         return ()
     tokens = step.side_text.split()
@@ -151,7 +159,7 @@ def _side_evidence(step: ScriptStep, source):
     if not isinstance(source, tuple):
         raise TndpqError(f"step {step.id}: cannot verify independence without a training table")
     ts, est = source
-    verdict, witness = independent(ts, est, (), t, u)
+    verdict, witness = independent(ts, est, sigma, t, u)
     return ({"kind": "independent", "t": t, "u": u, "verdict": verdict, **witness},)
 
 
@@ -178,7 +186,8 @@ def run_script(steps, sources, schema) -> dict[str, Derivation]:
             premises = [env[p] for p in step.operands]
         except KeyError as exc:
             raise TndpqError(f"step {step.id}: unknown premise {exc}") from None
-        side = _side_evidence(step, sources[0] if sources else None)
+        sigma = premises[0].conclusion.antecedent if premises else ()
+        side = _side_evidence(step, sources[0] if sources else None, sigma)
         env[step.id] = apply_rule(
             step.rule, premises, schema, side=side, direction=step.direction
         )

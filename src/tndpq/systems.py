@@ -19,8 +19,8 @@ from .errors import (
 )
 from .exclusivity import star_normalize
 from .syntax import (
+    AtomVal,
     AttributeSchema,
-    Value,
     ValueAttribution,
     parse_attribution_list,
     print_attribution_list,
@@ -31,14 +31,39 @@ _SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """An immutable table of fully observed rows over the schema."""
+    """An immutable table of fully observed rows over the schema.
+
+    Counting goes through a row-bitset index: for each variable, one int
+    per atom whose bit i is set when row i holds that atom.  A column is
+    indexed at the first query that touches it and cached; the cache is
+    not part of the table's value.
+    """
 
     id: str
     schema: AttributeSchema
     rows: tuple[dict, ...]
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def column_masks(self, variable: str) -> tuple[int, ...]:
+        """Row bitsets of `variable`, one per atom in the schema's order."""
+        masks = self._masks.get(variable)
+        if masks is None:
+            atoms = self.schema.atoms(variable)
+            try:
+                column = [row[variable] for row in reversed(self.rows)]
+            except KeyError:
+                raise SchemaMismatch(f"training table {self.id!r} has no column {variable!r}") from None
+            masks = tuple(
+                int("0" + "".join(["1" if cell == atom else "0" for cell in column]), 2)
+                for atom in atoms
+            )
+            if sum(mask.bit_count() for mask in masks) != len(column):
+                raise SchemaMismatch(f"column {variable!r} holds a value that is not one of its atoms")
+            self._masks[variable] = masks
+        return masks
 
 
 @dataclass(frozen=True)
@@ -126,17 +151,17 @@ def load_training_set(path, schema: AttributeSchema, id: str | None = None) -> T
     return TrainingSet(name, schema, tuple(rows))
 
 
-def _row_satisfies(row: dict, attribution: ValueAttribution, schema: AttributeSchema) -> bool:
-    # set-theoretic reading: the row's atom must lie in the value's star set
-    atoms = schema.atoms(attribution.variable)
-    index = atoms.index(row[attribution.variable]) + 1
-    return index in star_normalize(attribution.value, schema).indices
-
-
-def restrict_rows(ts: TrainingSet, sigma) -> tuple[dict, ...]:
-    return tuple(
-        row for row in ts.rows if all(_row_satisfies(row, va, ts.schema) for va in sigma)
-    )
+def _select(ts: TrainingSet, sigma) -> int:
+    # set-theoretic reading: a row satisfies an attribution when its atom
+    # lies in the value's star set, and σ when it satisfies every attribution
+    selected = (1 << len(ts.rows)) - 1
+    for va in sigma:
+        masks = ts.column_masks(va.variable)
+        chosen = 0
+        for index in star_normalize(va.value, ts.schema).indices:
+            chosen |= masks[index - 1]
+        selected &= chosen
+    return selected
 
 
 def conditional_distribution(
@@ -149,18 +174,16 @@ def conditional_distribution(
     for va in sigma:
         va.validate(ts.schema)
     atoms = ts.schema.atoms(target)
-    rows = restrict_rows(ts, sigma)
-    counts = {atom: 0 for atom in atoms}
-    for row in rows:
-        counts[row[target]] += 1
+    selected = _select(ts, sigma)
+    counts = [(selected & mask).bit_count() for mask in ts.column_masks(target)]
+    support = selected.bit_count()
     if est.kind == "freq":
-        if not rows:
+        if not support:
             raise EmptySupport(f"no training row satisfies {print_attribution_list(sigma) or 'the empty context'}")
-        total = len(rows)
-        dist = tuple((atom, counts[atom] / total) for atom in atoms)
+        dist = tuple((atom, count / support) for atom, count in zip(atoms, counts))
     else:
-        total = len(rows) + est.smoothing * len(atoms)
-        dist = tuple((atom, (counts[atom] + est.smoothing) / total) for atom in atoms)
+        total = support + est.smoothing * len(atoms)
+        dist = tuple((atom, (count + est.smoothing) / total) for atom, count in zip(atoms, counts))
     return AppliedSystem(ts.id, est.id, sigma, target, dist)
 
 
@@ -176,7 +199,7 @@ def independent(
     base = conditional_distribution(ts, est, sigma, u)
     worst = (0.0, None, None)
     for tau in ts.schema.atoms(t):
-        extended = sigma + (ValueAttribution(t, _atom_value(tau)),)
+        extended = sigma + (ValueAttribution(t, AtomVal(tau)),)
         given = conditional_distribution(ts, est, extended, u)
         for upsilon in ts.schema.atoms(u):
             deviation = abs(given.probability(upsilon) - base.probability(upsilon))
@@ -184,12 +207,6 @@ def independent(
                 worst = (deviation, tau, upsilon)
     verdict = worst[0] <= tol
     return verdict, {"max_deviation": worst[0], "t_atom": worst[1], "u_atom": worst[2]}
-
-
-def _atom_value(name: str) -> Value:
-    from .syntax import AtomVal
-
-    return AtomVal(name)
 
 
 def save_applied_system(system: AppliedSystem, path) -> None:

@@ -339,3 +339,22 @@ def test_check_provenance_mixing():
     hacked = dataclasses.replace(tree, premises=(d1, d2))
     report = check_derivation(hacked, SCHEMA)
     assert any(kind == "ProvenanceMismatch" for _, kind, _ in report.violations)
+
+
+def _indep_tree(rows, evidence):
+    ts = TrainingSet("T", SCHEMA, tuple(rows))
+    source = (ts, FREQ)
+    premises = [at_query(source, (), "Y", "u"), at_query(source, (), "X", "a")]
+    tree = apply_rule(RuleId.ProdIIndep, premises, SCHEMA, side=[{"kind": "independent", "t": "X", "u": "Y", **evidence}])
+    return check_derivation(tree, SCHEMA, sources={"T": source})
+
+
+def test_check_retests_recorded_independence():
+    # X=a exactly when Y=u: the recorded verdict is refuted by the table
+    moving = [{"X": x, "Y": y, "Z": "m"} for x, y in (("a", "u"), ("a", "u"), ("b", "v"), ("c", "v"))]
+    report = _indep_tree(moving, {"verdict": True})
+    assert [(path, kind) for path, kind, _ in report.violations] == [("root", "SideConditionUnproved")]
+    # asserted independence carries no verdict to re-test
+    assert _indep_tree(moving, {"asserted": True}).ok
+    product = [{"X": x, "Y": y, "Z": "m"} for x in ("a", "b", "c") for y in ("u", "v")]
+    assert _indep_tree(product, {"verdict": True}).ok

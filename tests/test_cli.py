@@ -1,5 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tndpq.cli import main
@@ -174,3 +179,73 @@ def test_selftest(capsys):
     assert out[0] == "SEED\t3"
     assert out[-1] == "VERDICT selftest true"
     assert sum(1 for line in out if line.startswith("PASS\t")) == 3
+
+
+@pytest.fixture
+def xyz_files(tmp_path):
+    """A schema declaring Z, and a table in which, given Z=p, X and Y are
+    independent while they are dependent marginally and given Z=q."""
+    schema = tmp_path / "xyz.txt"
+    schema.write_text("X = a | b\nY = u | v\nZ = p | q\n")
+    rows = ["a,u,p", "a,v,p", "b,u,p", "b,v,p", "a,u,q", "a,u,q", "b,v,q", "b,v,q"]
+    data = tmp_path / "xyz.csv"
+    data.write_text("X,Y,Z\n" + "\n".join(rows) + "\n")
+    return str(schema), str(data)
+
+
+def test_learn_missing_column_exits_2(xyz_files, tmp_path, capsys):
+    schema, _ = xyz_files
+    data = tmp_path / "xy.csv"
+    data.write_text("X,Y\na,u\nb,v\n")
+    for extra in (["--target", "Y", "--sigma", "Z:p"], ["--target", "Z"]):
+        assert main(["learn", schema, str(data), *extra]) == 2
+        assert "no column 'Z'" in capsys.readouterr().err
+
+
+def _run_cli(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from tndpq.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("learn", ["--estimator", "laplace:abc"]),
+        ("learn", ["--estimator", "laplace:"]),
+        ("compare", ["--kind", "et:x"]),
+        ("compare", ["--kind", "wt:1.5"]),
+        ("compare", ["--kind", "at:"]),
+    ],
+)
+def test_bad_spec_exits_2_without_traceback(schema_file, csv_file, tmp_path, command, option):
+    if command == "learn":
+        argv = ["learn", schema_file, csv_file, "--target", "Chickenpox", *option]
+    else:
+        system = str(tmp_path / "orig.sys")
+        assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "-o", system]) == 0
+        argv = ["compare", schema_file, system, system, *option]
+    result = _run_cli(*argv)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error:")
+
+
+def test_derive_tests_independence_under_the_premises_context(xyz_files, tmp_path, capsys):
+    schema, data = xyz_files
+    script = tmp_path / "indep.txt"
+    for context, code in (("Z : p |> ", 0), ("Z : q |> ", 2), ("", 2)):
+        script.write_text(
+            f"y = ATQUERY {context}Y : u\n"
+            f"x = ATQUERY {context}X : a\n"
+            "xy = ProdIIndep y x | independent X Y\n"
+        )
+        assert main(["derive", schema, data, "--script", str(script), "--check"]) == code, context
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.strip().splitlines()[-2:] == ["xy\tZ:p |> <X,Y> : a*u @ 0.25", "CHECK\tok"]
+        else:
+            assert "independence evidence for 'X', 'Y' is negative" in err

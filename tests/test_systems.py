@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from tndpq import systems
 from tndpq.errors import EmptySupport, InvariantViolation, ParseError, SchemaMismatch
-from tndpq.syntax import AttributeSchema, parse_attribution_list
+from tndpq.syntax import AtomVal, AttributeSchema, Neg, Or, ValueAttribution, parse_attribution_list
 from tndpq.systems import (
     AppliedSystem,
     Estimator,
@@ -151,3 +152,128 @@ def test_applied_system_validation(tmp_path):
     path.write_text("system T A\nsigma\n")
     with pytest.raises(ParseError):
         load_applied_system(path, SCHEMA)
+
+
+def test_missing_column_is_schema_mismatch(tmp_path):
+    schema = AttributeSchema.of([("a", ("x", "y")), ("b", ("u", "v")), ("c", ("p", "q"))])
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\nx,u\ny,v\n")
+    ts = load_training_set(path, schema)
+    with pytest.raises(SchemaMismatch, match="no column 'c'"):
+        conditional_distribution(ts, FREQ, parse_attribution_list("c:p", schema), "a")
+    with pytest.raises(SchemaMismatch, match="no column 'c'"):
+        conditional_distribution(ts, FREQ, (), "c")
+
+
+def test_cell_outside_the_atoms_is_schema_mismatch():
+    ts = _ts([{"a": "x", "b": "u"}, {"a": "w", "b": "u"}])
+    with pytest.raises(SchemaMismatch, match="'a'"):
+        conditional_distribution(ts, FREQ, (), "a")
+
+
+WIDE = AttributeSchema.of(
+    [("a", ("x", "y", "z")), ("b", ("u", "v")), ("c", ("p", "q", "r", "s")), ("d", ("m", "n", "o"))]
+)
+
+
+def _random_table(rng, n):
+    rows = [{name: rng.choice(atoms) for name, atoms in WIDE.variables} for _ in range(n)]
+    return TrainingSet(f"R{n}", WIDE, tuple(rows))
+
+
+def _random_value(rng, atoms, depth=2):
+    if depth == 0 or rng.random() < 0.4:
+        return AtomVal(rng.choice(atoms))
+    if rng.random() < 0.5:
+        return Neg(_random_value(rng, atoms, depth - 1))
+    return Or(_random_value(rng, atoms, depth - 1), _random_value(rng, atoms, depth - 1))
+
+
+def _star(value, atoms):
+    """The atoms in which a deterministic one-variable value holds."""
+    if isinstance(value, AtomVal):
+        return {value.name}
+    if isinstance(value, Neg):
+        return set(atoms) - _star(value.inner, atoms)
+    return _star(value.left, atoms) | _star(value.right, atoms)
+
+
+def _naive_distribution(ts, est, sigma, target):
+    """Row-by-row counting; None where the frequency estimator has no support."""
+    rows = [
+        row for row in ts.rows
+        if all(row[va.variable] in _star(va.value, ts.schema.atoms(va.variable)) for va in sigma)
+    ]
+    atoms = ts.schema.atoms(target)
+    counts = [sum(1 for row in rows if row[target] == atom) for atom in atoms]
+    if est.kind == "freq":
+        if not rows:
+            return None
+        return tuple((atom, count / len(rows)) for atom, count in zip(atoms, counts))
+    total = len(rows) + est.smoothing * len(atoms)
+    return tuple((atom, (count + est.smoothing) / total) for atom, count in zip(atoms, counts))
+
+
+def _naive_independent(ts, est, sigma, t, u):
+    base = _naive_distribution(ts, est, sigma, u)
+    if base is None:
+        return None
+    worst = (0.0, None, None)
+    for tau in ts.schema.atoms(t):
+        given = _naive_distribution(ts, est, sigma + (ValueAttribution(t, AtomVal(tau)),), u)
+        if given is None:
+            return None
+        for (upsilon, p), (_, q) in zip(given, base):
+            if abs(p - q) > worst[0]:
+                worst = (abs(p - q), tau, upsilon)
+    return worst[0] <= 1e-9, {"max_deviation": worst[0], "t_atom": worst[1], "u_atom": worst[2]}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EmptySupport:
+        return None
+
+
+def test_index_matches_row_counting():
+    rng = random.Random(11)
+    estimators = (FREQ, Estimator("L", "laplace", 0.5))
+    names = [name for name, _ in WIDE.variables]
+    for trial in range(150):
+        ts = _random_table(rng, rng.choice((0, 1, 7, 64, 65, 200)))
+        for est in estimators:
+            target, t, *rest = rng.sample(names, len(names))
+            context = tuple(
+                ValueAttribution(name, _random_value(rng, WIDE.atoms(name)))
+                for name in rest[: rng.randint(0, 2)]
+            )
+            sigma = context + ((ValueAttribution(t, _random_value(rng, WIDE.atoms(t))),) if rng.random() < 0.5 else ())
+            got = _outcome(lambda: conditional_distribution(ts, est, sigma, target).distribution)
+            assert got == _naive_distribution(ts, est, sigma, target), (trial, sigma)
+            got = _outcome(lambda: independent(ts, est, context, t, target))
+            assert got == _naive_independent(ts, est, context, t, target), (trial, context)
+
+
+@pytest.mark.parametrize("n", [3, 3000])
+def test_one_star_normalize_per_attribution(monkeypatch, n):
+    real = systems.star_normalize
+    calls = []
+
+    def counting(value, schema):
+        calls.append(value)
+        return real(value, schema)
+
+    monkeypatch.setattr(systems, "star_normalize", counting)
+    ts = _random_table(random.Random(n), n)
+    context = parse_attribution_list("a:x+y, b:~u, c:~(p+q)", WIDE)
+    conditional_distribution(ts, Estimator("L", "laplace", 1.0), context, "d")
+    assert len(calls) == len(context)
+
+
+def test_index_is_not_part_of_equality():
+    queried, fresh = _ts(THREE.rows), _ts(THREE.rows)
+    conditional_distribution(queried, FREQ, sigma("b:u"), "a")
+    assert queried == fresh
+    assert fresh == queried
+    assert repr(queried) == repr(fresh)
