@@ -44,7 +44,7 @@ from .construction import (
     verify_preservation,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AppliedSystem",

@@ -11,6 +11,7 @@ deterministically ordered.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
@@ -73,6 +74,26 @@ def _parse_kind(spec: str) -> trust.TrustKind:
         except ValueError as exc:
             raise TndpqError(f"bad trust kind {spec!r}: {exc}") from None
     raise TndpqError(f"unknown trust kind {spec!r}")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return tol
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
 
 
 def _kind_label(kind: trust.TrustKind) -> str:
@@ -487,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("original")
     p.add_argument("copy")
     p.add_argument("--kind", required=True, help="jt | et:<m> | wt:<m> | at:<m>")
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=_tolerance, default=0.0)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("chain", help="build diverging trust chains from one system")
@@ -497,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_positive_int, default=10)
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("preserve", help="check trust preservation along a plan")
@@ -507,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--kind", choices=("jt", "et", "at", "wt"), required=True)
     p.add_argument("--mode", choices=("construct", "deconstruct"), required=True)
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=_tolerance, default=0.0)
     p.set_defaults(func=_cmd_preserve)
 
     p = sub.add_parser("selftest", help="run the seeded property suites")

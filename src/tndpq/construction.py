@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedTarget,
 )
 from .calculus import Derivation, RuleId, apply_rule, at_query
-from .exclusivity import exclusive
+from .exclusivity import positional_exclusive
 from .syntax import (
     Arrow,
     Atom,
@@ -36,6 +36,7 @@ from .syntax import (
     Value,
     ValueAttribution,
     VariableTerm,
+    is_deterministic,
     print_term,
     print_value,
     reduce_projections,
@@ -93,10 +94,6 @@ class Plan:
     @property
     def result_id(self) -> str:
         return self.steps[-1].id
-
-
-ConstructionPlan = Plan
-DeconstructionPlan = Plan
 
 
 def _execute(inputs: dict, plan: Plan, schema, allowed, mode: str) -> Derivation:
@@ -192,7 +189,7 @@ def closure_member(value: Value, spec: ClosureSpec, schema: AttributeSchema) -> 
             return member(v.inner, depth - 1)
         if isinstance(v, Or) and "or" in spec.connectives:
             if member(v.left, depth - 1) and member(v.right, depth - 1):
-                return exclusive(infer_term(v, schema), v.left, v.right, schema)
+                return positional_exclusive(infer_term(v, schema), v.left, v.right, schema)
             return False
         if isinstance(v, Prod) and "prod" in spec.connectives:
             return member(v.left, depth - 1) and member(v.right, depth - 1)
@@ -307,7 +304,7 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
             )
         left_term = reduce_projections(term.left)
         right_term = reduce_projections(term.right)
-        if isinstance(left_term, Atom) and _is_class_o(value.left):
+        if isinstance(left_term, Atom) and is_deterministic(value.left):
             try:
                 # conditional route: sigma, t:beta |> u:delta then I-times-1
                 minor = _derive(source, sigma, left_term, value.left, schema)
@@ -340,16 +337,6 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
             f"no introduction route for {print_value(value)} over {print_term(term)}"
         )
     raise DerivationFailed(f"unrecognized value {print_value(value)}")
-
-
-def _is_class_o(value: Value) -> bool:
-    if isinstance(value, AtomVal):
-        return True
-    if isinstance(value, Neg):
-        return _is_class_o(value.inner)
-    if isinstance(value, Or):
-        return _is_class_o(value.left) and _is_class_o(value.right)
-    return False
 
 
 def zero_probe_values(term: VariableTerm, schema: AttributeSchema):

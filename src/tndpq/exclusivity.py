@@ -5,10 +5,12 @@ when their conjunction is refutable in classical logic extended with the
 per-variable exclusivity axioms (distinct atoms are incompatible) and
 exhaustivity axioms (some atom holds).
 
-`exclusive` is the recursive decision procedure: index-set disjointness for
-atomic terms, rectangle decomposition for pair terms and antecedent-matching
-for conditional terms. `oracle_exclusive` decides the same question by
-enumerating every admissible assignment of atoms to variables.
+`exclusive` is the recursive decision procedure: over an arrow-free term a
+value denotes a set of cells, held as one int bitmask, and two values are
+exclusive when their masks are disjoint; conditional terms are decided by
+antecedent matching.  `oracle_exclusive` decides the same question by
+enumerating every admissible assignment of atoms to variables.  Both accept
+linear terms only: a term naming a variable twice is ill-formed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
+    IllFormed,
     MixedVariables,
     NonDeterministicValue,
     OracleTooLarge,
@@ -69,17 +72,11 @@ class IndexSet:
         return not (self.indices & other.indices)
 
     def to_value(self, schema: AttributeSchema) -> Value:
-        """Rebuild a disjunction of positive atoms, in declared atom order.
-
-        An empty index set has no ⊥-free value form; it is returned as the
-        contradictory conjunction-free marker Neg of the full disjunction.
-        """
+        """Rebuild a disjunction of positive atoms, in declared atom order."""
+        if not self.indices:
+            raise ValueError("an empty index set has no value form")
         atoms = schema.atoms(self.variable)
-        members = [AtomVal(atoms[i - 1]) for i in sorted(self.indices)]
-        if not members:
-            full = reduce(Or, (AtomVal(a) for a in atoms))
-            return Neg(full)
-        return reduce(Or, members)
+        return reduce(Or, [AtomVal(atoms[i - 1]) for i in sorted(self.indices)])
 
 
 def star_normalize(value: Value, schema: AttributeSchema) -> IndexSet:
@@ -125,27 +122,22 @@ def atomic_exclusive(variable: str, beta: Value, delta: Value, schema: Attribute
 # Shape discipline
 
 
-def _is_class_o(value: Value) -> bool:
-    if isinstance(value, AtomVal):
-        return True
-    if isinstance(value, (Neg, Or)):
-        parts = (value.inner,) if isinstance(value, Neg) else (value.left, value.right)
-        return all(_is_class_o(p) for p in parts)
-    return False
-
-
 def check_shape(term: VariableTerm, value: Value, schema: AttributeSchema) -> None:
     """Reject values whose connective structure does not fit the term.
 
     Products belong under pair terms and conditionals under conditional
     terms; negation and disjunction are transparent.
     """
-    term = reduce_projections(term)
-    if isinstance(value, (Neg, Or)):
-        parts = (value.inner,) if isinstance(value, Neg) else (value.left, value.right)
-        for part in parts:
-            check_shape(term, part, schema)
-        return
+    _check_shape(reduce_projections(term), value, schema)
+
+
+def _check_shape(term, value, schema) -> None:
+    while isinstance(value, (Neg, Or)):
+        if isinstance(value, Neg):
+            value = value.inner
+        else:
+            _check_shape(term, value.left, schema)
+            value = value.right
     if isinstance(term, Atom):
         if not isinstance(value, AtomVal):
             raise ShapeMismatch(
@@ -161,18 +153,39 @@ def check_shape(term: VariableTerm, value: Value, schema: AttributeSchema) -> No
             raise ShapeMismatch(
                 f"pair term {print_term(term)} needs a product, got {print_value(value)}"
             )
-        check_shape(term.left, value.left, schema)
-        check_shape(term.right, value.right, schema)
+        _check_shape(term.left, value.left, schema)
+        _check_shape(term.right, value.right, schema)
         return
     if isinstance(term, Cond):
         if not isinstance(value, Arrow):
             raise ShapeMismatch(
                 f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}"
             )
-        check_shape(term.antecedent, value.left, schema)
-        check_shape(term.consequent, value.right, schema)
+        _check_shape(term.antecedent, value.left, schema)
+        _check_shape(term.consequent, value.right, schema)
         return
     raise ShapeMismatch(f"unreduced projection in term {print_term(term)}")
+
+
+def _require_linear(term) -> None:
+    """Reject a reduced term that names a variable more than once."""
+    seen: set[str] = set()
+
+    def walk(t) -> None:
+        if isinstance(t, Atom):
+            if t.name in seen:
+                raise IllFormed(f"term {print_term(term)} names {t.name!r} more than once")
+            seen.add(t.name)
+        elif isinstance(t, Pair):
+            walk(t.left)
+            walk(t.right)
+        elif isinstance(t, Cond):
+            walk(t.antecedent)
+            walk(t.consequent)
+        else:
+            walk(t.inner)
+
+    walk(term)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +197,10 @@ class _Trace:
         self.lines = lines
         self.depth = 0
 
-    def note(self, text: str) -> None:
+    def note(self, text) -> None:
+        """Record the line `text()` builds; nothing is built without a trace."""
         if self.lines is not None:
-            self.lines.append("  " * self.depth + text)
+            self.lines.append("  " * self.depth + text())
 
 
 def exclusive(
@@ -196,112 +210,108 @@ def exclusive(
     schema: AttributeSchema,
     trace: list[str] | None = None,
 ) -> bool:
-    """Decide mutual exclusivity of two values of the same variable term."""
+    """Decide mutual exclusivity of two values of the same linear variable term."""
     term = reduce_projections(term)
-    check_shape(term, beta, schema)
-    check_shape(term, delta, schema)
+    _require_linear(term)
+    return _decide(term, beta, delta, schema, trace)
+
+
+def positional_exclusive(
+    term: VariableTerm, beta: Value, delta: Value, schema: AttributeSchema
+) -> bool:
+    """`exclusive`, reading each variable occurrence of the term as its own slot.
+
+    Over a linear term the two agree.  A term naming a variable twice, such
+    as the `<X,X>` of a closure's product of one variable's values, is
+    decided as if each occurrence were a distinct copy of the variable.
+    """
+    return _decide(reduce_projections(term), beta, delta, schema, None)
+
+
+def _decide(term, beta, delta, schema, trace) -> bool:
+    _check_shape(term, beta, schema)
+    _check_shape(term, delta, schema)
     return _exclusive(term, beta, delta, schema, _Trace(trace))
 
 
 def _exclusive(term, beta, delta, schema, trace) -> bool:
-    trace.note(
-        f"{print_term(term)}: {print_value(beta)} vs {print_value(delta)}"
-    )
+    trace.note(lambda: f"{print_term(term)}: {print_value(beta)} vs {print_value(delta)}")
     trace.depth += 1
     try:
-        if isinstance(term, Atom):
-            result = atomic_exclusive(term.name, beta, delta, schema)
-            trace.note(
-                f"index sets {_star_repr(beta, schema)} vs {_star_repr(delta, schema)}"
-                f" -> {'disjoint' if result else 'overlap'}"
-            )
-            return result
-        if isinstance(term, Pair):
-            return _pair_exclusive(term, beta, delta, schema, trace)
-        return _cond_exclusive(term, beta, delta, schema, trace)
+        if isinstance(term, Cond):
+            return _cond_exclusive(term, beta, delta, schema, trace)
+        b = _mask(term, beta, schema)
+        d = _mask(term, delta, schema)
+        trace.note(lambda: _explain_masks(term, b, d, schema))
+        return not b & d
     finally:
         trace.depth -= 1
 
 
-def _star_repr(value, schema) -> str:
-    return "{" + ",".join(map(str, sorted(star_normalize(value, schema).indices))) + "}"
+# Arrow-free terms.  A value over a linear arrow-free term denotes a set of
+# cells of the product of its variables' atom ranges, held as one int: an
+# atom sets bit `index - 1`, a product places the right component's mask at
+# offset i * width(right) for each set bit i of the left component's mask,
+# `+` is `|` and `~` is XOR with the term's universe.  Two values are
+# exclusive when their masks are disjoint and equal when the masks are.
 
 
-# Pair terms.  Every pair value is normalized to a union of rectangles
-# (component-value pairs): products are rectangles, negated products expand
-# to the three complementary rectangles and negated disjunctions become
-# intersections of the complements.  Two values are exclusive when every
-# rectangle of one is exclusive from every rectangle of the other, and two
-# rectangles are exclusive when either component pair is.
+def _width(term, schema) -> int:
+    if isinstance(term, Atom):
+        return len(schema.atoms(term.name))
+    return _width(term.left, schema) * _width(term.right, schema)
 
 
-def _pair_exclusive(term, beta, delta, schema, trace) -> bool:
-    left_rects = _rectangles(term, beta, schema)
-    right_rects = _rectangles(term, delta, schema)
-    trace.note(f"{len(left_rects)} x {len(right_rects)} rectangle pairs")
-    for b1, b2 in left_rects:
-        for d1, d2 in right_rects:
-            trace.note(
-                f"rectangle {print_value(Prod(b1, b2))} vs {print_value(Prod(d1, d2))}"
-            )
-            trace.depth += 1
-            ok = _exclusive(term.left, b1, d1, schema, trace) or _exclusive(
-                term.right, b2, d2, schema, trace
-            )
-            trace.depth -= 1
-            if not ok:
-                return False
-    return True
-
-
-def _rectangles(term, value, schema) -> list[tuple[Value, Value]]:
-    if isinstance(value, Prod):
-        return [(value.left, value.right)]
+def _mask(term, value, schema) -> int:
     if isinstance(value, Or):
-        return _rectangles(term, value.left, schema) + _rectangles(term, value.right, schema)
+        return _mask(term, value.left, schema) | _mask(term, value.right, schema)
     if isinstance(value, Neg):
-        inner = value.inner
-        if isinstance(inner, Neg):
-            return _rectangles(term, inner.inner, schema)
-        if isinstance(inner, Prod):
-            g1, g2 = inner.left, inner.right
-            return [(Neg(g1), g2), (g1, Neg(g2)), (Neg(g1), Neg(g2))]
-        if isinstance(inner, Or):
-            left = _rectangles(term, Neg(inner.left), schema)
-            right = _rectangles(term, Neg(inner.right), schema)
-            out = []
-            for a1, a2 in left:
-                for b1, b2 in right:
-                    m1 = _meet(term.left, a1, b1, schema)
-                    m2 = _meet(term.right, a2, b2, schema)
-                    if m1 is not None and m2 is not None:
-                        out.append((m1, m2))
-            return out
-    raise ShapeMismatch(f"not a pair-shaped value: {print_value(value)}")
+        return ((1 << _width(term, schema)) - 1) ^ _mask(term, value.inner, schema)
+    if isinstance(term, Atom):
+        return 1 << (schema.atom_index(term.name, value.name) - 1)
+    left = _mask(term.left, value.left, schema)
+    right = _mask(term.right, value.right, schema)
+    width = _width(term.right, schema)
+    out = offset = 0
+    while left:
+        if left & 1:
+            out |= right << offset
+        left >>= 1
+        offset += width
+    return out
 
 
-def _meet(subterm, x: Value, y: Value, schema) -> Value | None:
-    """Conjunction of two component values, or None when unsatisfiable."""
-    subterm = reduce_projections(subterm)
-    if isinstance(subterm, Atom):
-        common = star_normalize(x, schema).indices & star_normalize(y, schema).indices
-        if not common:
-            return None
-        return IndexSet(subterm.name, frozenset(common)).to_value(schema)
-    if isinstance(subterm, Pair):
-        rects = []
-        for a1, a2 in _rectangles(subterm, x, schema):
-            for b1, b2 in _rectangles(subterm, y, schema):
-                m1 = _meet(subterm.left, a1, b1, schema)
-                m2 = _meet(subterm.right, a2, b2, schema)
-                if m1 is not None and m2 is not None:
-                    rects.append(Prod(m1, m2))
-        if not rects:
-            return None
-        return reduce(Or, rects)
-    raise ShapeMismatch(
-        f"cannot intersect values of conditional term {print_term(subterm)}"
+def _explain_masks(term, b: int, d: int, schema) -> str:
+    verdict = "disjoint" if not b & d else "overlap"
+    if isinstance(term, Atom):
+        width = _width(term, schema)
+        b_set, d_set = (
+            "{" + ",".join(str(i + 1) for i in range(width) if m >> i & 1) + "}"
+            for m in (b, d)
+        )
+        return f"index sets {b_set} vs {d_set} -> {verdict}"
+    cells = _cell_names(term, schema)
+    text = (
+        f"{b.bit_count()} vs {d.bit_count()} of the {len(cells)} cells"
+        f" of the rectangle -> {verdict}"
     )
+    common = [cells[i] for i in range(len(cells)) if (b & d) >> i & 1]
+    if common:
+        shown = ", ".join("(" + ",".join(c) + ")" for c in common[:4])
+        more = f" and {len(common) - 4} more" if len(common) > 4 else ""
+        text += f" at {shown}{more}"
+    return text
+
+
+def _cell_names(term, schema) -> list[tuple[str, ...]]:
+    """Atom names of each cell, indexed by the cell's bit position."""
+    if isinstance(term, Atom):
+        return [(a,) for a in schema.atoms(term.name)]
+    return [
+        l + r
+        for l in _cell_names(term.left, schema)
+        for r in _cell_names(term.right, schema)
+    ]
 
 
 # Conditional terms.  Step cases in a fixed, symmetric priority: strip
@@ -314,90 +324,43 @@ def _meet(subterm, x: Value, y: Value, schema) -> Value | None:
 def _cond_exclusive(term, beta, delta, schema, trace) -> bool:
     for value, other, flip in ((beta, delta, False), (delta, beta, True)):
         if isinstance(value, Neg) and isinstance(value.inner, Neg):
-            trace.note("strip double negation")
+            trace.note(lambda: "strip double negation")
             stripped = value.inner.inner
             args = (other, stripped) if flip else (stripped, other)
             return _cond_exclusive(term, *args, schema, trace)
     for value, other, flip in ((beta, delta, False), (delta, beta, True)):
         if isinstance(value, Or):
-            trace.note("disjunction: every disjunct must be exclusive")
+            trace.note(lambda: "disjunction: every disjunct must be exclusive")
             return all(
                 _cond_exclusive(term, *((other, d) if flip else (d, other)), schema, trace)
                 for d in (value.left, value.right)
             )
     for value, other, flip in ((beta, delta, False), (delta, beta, True)):
         if isinstance(value, Neg) and isinstance(value.inner, Arrow):
-            trace.note("negated conditional: push negation into the consequent")
+            trace.note(lambda: "negated conditional: push negation into the consequent")
             pushed = Arrow(value.inner.left, Neg(value.inner.right))
             args = (other, pushed) if flip else (pushed, other)
             return _cond_exclusive(term, *args, schema, trace)
     for value, other, flip in ((beta, delta, False), (delta, beta, True)):
         if isinstance(value, Neg) and isinstance(value.inner, Or):
-            trace.note("negated disjunction: some disjunct must be exclusive")
+            trace.note(lambda: "negated disjunction: some disjunct must be exclusive")
             return any(
                 _cond_exclusive(term, *((other, d) if flip else (d, other)), schema, trace)
                 for d in (value.inner.left, value.inner.right)
             )
     if isinstance(beta, Arrow) and isinstance(delta, Arrow):
-        equal = _antecedents_equal(term.antecedent, beta.left, delta.left, schema)
-        trace.note(f"antecedents {'equal' if equal else 'differ'}")
+        antecedent = term.antecedent
+        if isinstance(antecedent, Cond):
+            equal = beta.left == delta.left
+        else:
+            equal = _mask(antecedent, beta.left, schema) == _mask(antecedent, delta.left, schema)
+        trace.note(lambda: f"antecedents {'equal' if equal else 'differ'}")
         if not equal:
             return False
         return _exclusive(term.consequent, beta.right, delta.right, schema, trace)
     raise ShapeMismatch(
         f"not conditional-shaped: {print_value(beta)} vs {print_value(delta)}"
     )
-
-
-def _antecedents_equal(subterm, x: Value, y: Value, schema) -> bool:
-    """Normal-form equality of the two conditional antecedents."""
-    subterm = reduce_projections(subterm)
-    if isinstance(subterm, Atom):
-        return star_normalize(x, schema).indices == star_normalize(y, schema).indices
-    if isinstance(subterm, Pair):
-        return _cells(subterm, x, schema) == _cells(subterm, y, schema)
-    # conditional antecedent of a nested conditional term: structural
-    return x == y
-
-
-def _cells(term, value, schema) -> frozenset:
-    """Exact cell set of an arrow-free value, for normal-form comparison."""
-    term = reduce_projections(term)
-    if isinstance(term, Atom):
-        return frozenset(star_normalize(value, schema).indices)
-    if not isinstance(term, Pair):
-        raise ShapeMismatch(f"no cell semantics for term {print_term(term)}")
-    universe = frozenset(
-        (a, b)
-        for a in _all_cells(term.left, schema)
-        for b in _all_cells(term.right, schema)
-    )
-
-    def walk(v: Value) -> frozenset:
-        if isinstance(v, Prod):
-            left = _cells(term.left, v.left, schema)
-            right = _cells(term.right, v.right, schema)
-            return frozenset((a, b) for a in left for b in right)
-        if isinstance(v, Or):
-            return walk(v.left) | walk(v.right)
-        if isinstance(v, Neg):
-            return universe - walk(v.inner)
-        raise ShapeMismatch(f"not a pair-shaped value: {print_value(v)}")
-
-    return walk(value)
-
-
-def _all_cells(term, schema) -> frozenset:
-    term = reduce_projections(term)
-    if isinstance(term, Atom):
-        return frozenset(range(1, len(schema.atoms(term.name)) + 1))
-    if isinstance(term, Pair):
-        return frozenset(
-            (a, b)
-            for a in _all_cells(term.left, schema)
-            for b in _all_cells(term.right, schema)
-        )
-    raise ShapeMismatch(f"no cell semantics for term {print_term(term)}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +382,9 @@ def oracle_exclusive(
     and enumerated consequent exclusivity.
     """
     term = reduce_projections(term)
-    check_shape(term, beta, schema)
-    check_shape(term, delta, schema)
+    _require_linear(term)
+    _check_shape(term, beta, schema)
+    _check_shape(term, delta, schema)
     budget = sum(len(schema.atoms(v)) for v in term_atoms(term))
     if budget > ORACLE_ATOM_BUDGET:
         raise OracleTooLarge(f"{budget} atoms involved, budget {ORACLE_ATOM_BUDGET}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import IllFormed, MixedVariables, NonDeterministicValue, ParseError, UnknownSymbol
+from .errors import IllFormed, MixedVariables, ParseError, UnknownSymbol
 
 # ---------------------------------------------------------------------------
 # Schema

@@ -193,13 +193,17 @@ def independent(
     """Test conditional independence of u from t given σ.
 
     Returns (verdict, witness) where the witness records the maximal
-    deviation |P(u=υ | σ, t=τ) − P(u=υ | σ)| and where it occurs.
+    deviation |P(u=υ | σ, t=τ) − P(u=υ | σ)| and where it occurs.  With
+    the frequency estimator an atom τ that no row holds under σ has
+    P(t=τ | σ) = 0 and no conditional to compare; it is skipped.
     """
     sigma = tuple(sigma)
     base = conditional_distribution(ts, est, sigma, u)
     worst = (0.0, None, None)
     for tau in ts.schema.atoms(t):
         extended = sigma + (ValueAttribution(t, AtomVal(tau)),)
+        if est.kind == "freq" and not _select(ts, extended):
+            continue
         given = conditional_distribution(ts, est, extended, u)
         for upsilon in ts.schema.atoms(u):
             deviation = abs(given.probability(upsilon) - base.probability(upsilon))

@@ -22,8 +22,8 @@ from .errors import (
     IncomparableSystems,
     PreconditionFailed,
 )
-from .syntax import AttributeSchema, Value, VariableTerm, print_value, same_sigma
-from .systems import AppliedSystem, Estimator, TrainingSet, conditional_distribution
+from .syntax import AttributeSchema, VariableTerm, print_value, same_sigma
+from .systems import AppliedSystem, conditional_distribution
 
 
 @dataclass(frozen=True)

@@ -249,3 +249,65 @@ def test_derive_tests_independence_under_the_premises_context(xyz_files, tmp_pat
             assert out.strip().splitlines()[-2:] == ["xy\tZ:p |> <X,Y> : a*u @ 0.25", "CHECK\tok"]
         else:
             assert "independence evidence for 'X', 'Y' is negative" in err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("compare", ["--tol", "nan"]),
+        ("compare", ["--tol", "inf"]),
+        ("compare", ["--tol", "-1"]),
+        ("preserve", ["--tol", "nan"]),
+        ("preserve", ["--tol", "inf"]),
+        ("preserve", ["--tol", "-1"]),
+        ("chain", ["--steps", "0"]),
+        ("chain", ["--steps", "-5"]),
+    ],
+)
+def test_bad_number_exits_2_without_traceback(schema_file, csv_file, tmp_path, command, option):
+    system = str(tmp_path / "orig.sys")
+    assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "-o", system]) == 0
+    if command == "compare":
+        argv = ["compare", schema_file, system, system, "--kind", "jt"]
+    elif command == "preserve":
+        plan = tmp_path / "plan.txt"
+        plan.write_text(
+            "a = ATQUERY Chickenpox : Major\n"
+            "b = ATQUERY Chickenpox : Extreme\n"
+            "both = OrIR a b\n"
+        )
+        argv = ["preserve", schema_file, "--orig", system, "--copy", system,
+                "--plan", str(plan), "--kind", "jt", "--mode", "construct"]
+    else:
+        argv = ["chain", schema_file, system, "--m", "1", "--k", "2"]
+    result = _run_cli(*argv, *option)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "error:" in result.stderr
+    assert "VERDICT" not in result.stdout
+
+
+@pytest.mark.parametrize("term", ["<Chickenpox,Chickenpox>", "[Chickenpox]Chickenpox"])
+def test_exclusive_repeated_variable_exits_2(schema_file, term):
+    values = ("Major*Minor", "Major*Minor") if term.startswith("<") else ("Major->Minor", "Major->Major")
+    result = _run_cli("exclusive", schema_file, term, *values)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "more than once" in result.stderr
+
+
+def test_derive_independence_with_an_unheld_atom(tmp_path, capsys):
+    # an exact product over X in {a,b}, Y in {u,v}; the schema also declares X = c
+    schema = tmp_path / "xyc.txt"
+    schema.write_text("X = a | b | c\nY = u | v\n")
+    data = tmp_path / "xy.csv"
+    data.write_text("X,Y\n" + "\n".join(["a,u", "a,v", "b,u", "b,v"] * 2) + "\n")
+    script = tmp_path / "indep.txt"
+    script.write_text(
+        "y = ATQUERY Y : u\n"
+        "x = ATQUERY X : a\n"
+        "xy = ProdIIndep y x | independent X Y\n"
+    )
+    assert main(["derive", str(schema), str(data), "--script", str(script), "--check"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[-2:] == ["xy\t|> <X,Y> : a*u @ 0.25", "CHECK\tok"]

@@ -5,12 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tndpq.errors import MixedVariables, OracleTooLarge, ShapeMismatch
+from tndpq import exclusivity
+from tndpq.errors import IllFormed, MixedVariables, OracleTooLarge, ShapeMismatch
 from tndpq.exclusivity import (
     IndexSet,
     atomic_exclusive,
     exclusive,
     oracle_exclusive,
+    positional_exclusive,
     star_normalize,
 )
 from tndpq.syntax import (
@@ -53,6 +55,11 @@ def test_star_normalize_fixpoint(small_schema):
     # re-normalizing the positive-atom form changes nothing
     result = star_normalize(v("~(a+b)"), small_schema)
     assert star_normalize(result.to_value(small_schema), small_schema) == result
+
+
+def test_empty_index_set_has_no_value_form(small_schema):
+    with pytest.raises(ValueError):
+        IndexSet("X", frozenset()).to_value(small_schema)
 
 
 def test_star_normalize_errors(small_schema):
@@ -147,6 +154,52 @@ def test_explain_trace():
     trace: list[str] = []
     exclusive(Pair(Atom("A"), Atom("B")), v("a1*a3"), v("a2*a3"), schema, trace=trace)
     assert trace and "rectangle" in " ".join(trace)
+    trace.clear()
+    exclusive(Pair(Atom("A"), Atom("B")), v("~(a1*a3)"), v("a1*(a3+a4)"), schema, trace=trace)
+    assert trace[-1].strip() == "3 vs 2 of the 4 cells of the rectangle -> overlap at (a1,a4)"
+
+
+@pytest.mark.parametrize(
+    "term, value",
+    [("<X,X>", "a*b"), ("[X]X", "a->b"), ("<X,<Y,X>>", "a*(u*b)")],
+)
+def test_repeated_variable_is_ill_formed(small_schema, term, value):
+    # exclusive read <X,X> position by position (False here) while the
+    # oracle assigned X once (True); both now reject such terms
+    for decide in (exclusive, oracle_exclusive):
+        with pytest.raises(IllFormed, match="more than once"):
+            decide(parse_term(term), v(value), v(value), small_schema)
+
+
+def test_positional_reading_of_a_repeated_variable(small_schema):
+    term = parse_term("<X,X>")
+    assert not positional_exclusive(term, v("a*b"), v("a*b"), small_schema)
+    assert positional_exclusive(term, v("a*b"), v("b*a"), small_schema)
+    assert positional_exclusive(term, v("a*b"), v("~a*~b"), small_schema)
+
+
+def test_no_printing_without_a_trace(monkeypatch):
+    calls = []
+
+    def counting(real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(exclusivity, "print_value", counting(exclusivity.print_value))
+    monkeypatch.setattr(exclusivity, "print_term", counting(exclusivity.print_term))
+    rng = random.Random(3)
+    cases = []
+    for n in range(140):
+        term = SHAPES[n % len(SHAPES)]
+        cases.append((term, _shaped(rng, term, FOUR, 3), _shaped(rng, term, FOUR, 3)))
+    for term, b, d in cases:
+        exclusive(term, b, d, FOUR)
+    assert calls == []
+    for term, b, d in cases[:7]:
+        exclusive(term, b, d, FOUR, trace=[])
+    assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +290,106 @@ def test_symmetry():
             b = _random_shaped(rng, term, schema, 2)
             d = _random_shaped(rng, term, schema, 2)
             assert exclusive(term, b, d, schema) == exclusive(term, d, b, schema)
+
+
+# ---------------------------------------------------------------------------
+# Cell masks against the oracle, over the term shapes of the benchmark
+
+FOUR = AttributeSchema.of(
+    [("A", ("a1", "a2", "a3")), ("B", ("b1", "b2")), ("C", ("c1", "c2", "c3")), ("D", ("d1", "d2"))]
+)
+_A, _B, _C, _D = (Atom(n) for n in "ABCD")
+SHAPES = [
+    _A,
+    Pair(_A, _B),
+    Pair(Pair(_A, _B), Pair(_C, _D)),
+    Pair(_A, Pair(_B, _C)),
+    Cond(_A, _B),
+    Cond(_A, Pair(_B, _C)),
+    Cond(Pair(_A, _B), _C),
+]
+
+
+def _shaped(rng, term, schema, depth, antecedents=None):
+    """A random value fitting the term, with negated Ors of negated values.
+
+    Conditionals draw their antecedent from `antecedents` when given, so
+    that equal antecedents, often written differently, come up.
+    """
+    r = rng.random() if depth > 0 else 1.0
+    if r < 0.12:
+        parts = [Neg(_shaped(rng, term, schema, depth - 1, antecedents)) for _ in range(2)]
+        return Neg(Or(*parts))
+    if r < 0.25:
+        return Or(*(_shaped(rng, term, schema, depth - 1, antecedents) for _ in range(2)))
+    if r < 0.35:
+        return Neg(_shaped(rng, term, schema, depth - 1, antecedents))
+    if isinstance(term, Atom):
+        return AtomVal(rng.choice(schema.atoms(term.name)))
+    if isinstance(term, Pair):
+        return Prod(
+            _shaped(rng, term.left, schema, depth - 1),
+            _shaped(rng, term.right, schema, depth - 1),
+        )
+    if antecedents:
+        antecedent = rng.choice(antecedents)
+    else:
+        antecedent = _shaped(rng, term.antecedent, schema, depth - 1)
+    return Arrow(antecedent, _shaped(rng, term.consequent, schema, depth - 1))
+
+
+def _antecedent_pool(rng, term, schema):
+    x = _shaped(rng, term.antecedent, schema, 2)
+    y = _shaped(rng, term.antecedent, schema, 2)
+    return [x, Neg(Neg(x)), Or(x, x), y]
+
+
+def test_cell_masks_agree_with_oracle():
+    rng = random.Random(2026)
+    verdicts = {True: 0, False: 0}
+    for n in range(1400):
+        term = SHAPES[n % len(SHAPES)]
+        pool = _antecedent_pool(rng, term, FOUR) if isinstance(term, Cond) else None
+        b = _shaped(rng, term, FOUR, 3, pool)
+        d = _shaped(rng, term, FOUR, 3, pool)
+        got = exclusive(term, b, d, FOUR)
+        assert got == oracle_exclusive(term, b, d, FOUR), (term, b, d)
+        assert got == positional_exclusive(term, b, d, FOUR)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 200, verdicts
+
+
+def test_negated_or_of_many_products():
+    # ~(p1 + ... + p12): expanded into rectangles this had 3^12 of them
+    five = AttributeSchema.of(
+        [(f"V{i}", tuple(f"x{i}{j}" for j in range(5))) for i in range(4)]
+    )
+    term = parse_term("<<V0,V1>,<V2,V3>>")
+    rng = random.Random(5)
+
+    def component(i):
+        atoms = five.atoms(f"V{i}")
+        picked = rng.sample(atoms, rng.randint(1, 3))
+        value = AtomVal(picked[0])
+        for atom in picked[1:]:
+            value = Or(value, AtomVal(atom))
+        return Neg(value) if rng.random() < 0.3 else value
+
+    def product():
+        return Prod(Prod(component(0), component(1)), Prod(component(2), component(3)))
+
+    big = product()
+    for _ in range(11):
+        big = Or(big, product())
+    big = Neg(big)
+    def cell():
+        atoms = [AtomVal(rng.choice(five.atoms(f"V{i}"))) for i in range(4)]
+        return Prod(Prod(atoms[0], atoms[1]), Prod(atoms[2], atoms[3]))
+
+    verdicts = set()
+    for n in range(40):
+        other = product() if n % 2 else cell()
+        got = exclusive(term, big, other, five)
+        assert got == oracle_exclusive(term, big, other, five)
+        verdicts.add(got)
+    assert verdicts == {True, False}

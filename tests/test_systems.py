@@ -134,6 +134,18 @@ def test_independence_copied_column():
     assert verdict_loose
 
 
+def test_independence_skips_an_unheld_atom():
+    # an exact product over X in {a,b}, Y in {u,v}; no row holds X = c
+    schema = AttributeSchema.of([("X", ("a", "b", "c")), ("Y", ("u", "v"))])
+    ts = _ts([{"X": x, "Y": y} for x in ("a", "b") for y in ("u", "v")], schema)
+    verdict, witness = independent(ts, FREQ, (), "X", "Y")
+    assert verdict
+    assert witness["max_deviation"] == 0.0
+    # smoothing gives the unheld atom a conditional, which is compared
+    verdict, witness = independent(ts, Estimator("L", "laplace", 1.0), (), "X", "Y")
+    assert verdict
+
+
 def test_applied_system_round_trip(tmp_path):
     system = conditional_distribution(THREE, FREQ, sigma("b:u"), "a")
     path = tmp_path / "sys.txt"
@@ -221,8 +233,8 @@ def _naive_independent(ts, est, sigma, t, u):
     worst = (0.0, None, None)
     for tau in ts.schema.atoms(t):
         given = _naive_distribution(ts, est, sigma + (ValueAttribution(t, AtomVal(tau)),), u)
-        if given is None:
-            return None
+        if given is None:  # no row holds t = tau under sigma: P(t=tau | sigma) = 0
+            continue
         for (upsilon, p), (_, q) in zip(given, base):
             if abs(p - q) > worst[0]:
                 worst = (abs(p - q), tau, upsilon)
