@@ -180,8 +180,7 @@ def _same_subject(a: VariableTerm, b: VariableTerm) -> bool:
 
 
 def _exclusivity_evidence(term, left, right, schema, rule) -> dict:
-    trace: list[str] = []
-    if not exclusive(term, left, right, schema, trace=trace):
+    if not exclusive(term, left, right, schema):
         raise SideConditionUnproved(
             f"{rule.value}: {print_term(term)}: {print_value(left)} and "
             f"{print_value(right)} are not mutually exclusive"
@@ -191,7 +190,6 @@ def _exclusivity_evidence(term, left, right, schema, rule) -> dict:
         "term": print_term(term),
         "left": print_value(left),
         "right": print_value(right),
-        "trace": tuple(trace),
     }
 
 

@@ -42,7 +42,7 @@ from .syntax import (
     reduce_projections,
 )
 from .systems import independent
-from .trust import TrustKind, TrustReport
+from .trust import TrustKind, TrustProfile, TrustReport
 
 # Rules admissible in each mode, as (rule, direction) pairs.
 RIGHT_I_RULES = frozenset(
@@ -404,10 +404,12 @@ def verify_preservation(
 ) -> TrustReport:
     """Run one plan on an original and a copy and check trust preservation.
 
-    Input derivations are first verified pairwise for the stated kind.  The
-    report's warning field marks verdicts that are merely empirical because
-    no preservation theorem covers the combination; with strict=True such
-    combinations raise TheoremDoesNotApply instead.
+    Input derivations are first verified pairwise for the stated kind.  Each
+    input, like the result, is compared as a one-entry list, so the kind's
+    prefix length plays no part.  The report's warning field marks verdicts
+    that are merely empirical because no preservation theorem covers the
+    combination; with strict=True such combinations raise
+    TheoremDoesNotApply instead.
     """
     if mode not in ("construct", "deconstruct"):
         raise PreconditionFailed(f"unknown mode {mode!r}")
@@ -416,13 +418,7 @@ def verify_preservation(
     for name in orig_inputs:
         f = orig_inputs[name].conclusion.probability
         g = copy_inputs[name].conclusion.probability
-        if kind.name in ("JT", "ET"):
-            ok = abs(f - g) <= tol
-        else:
-            ok = g >= f - tol
-            if kind.name == "WT":
-                ok = ok and (abs(f) <= tol) == (abs(g) <= tol)
-        if not ok:
+        if not TrustProfile((f,), (g,), tol).holds(kind.name):
             raise PreconditionFailed(
                 f"inputs {name!r} do not stand in {kind}: original {f!r}, copy {g!r}"
             )
@@ -432,16 +428,10 @@ def verify_preservation(
     runner = construct if mode == "construct" else deconstruct
     result_orig = runner(orig_inputs, plan, schema)
     result_copy = runner(copy_inputs, plan, schema)
-    f = result_orig.conclusion.probability
-    g = result_copy.conclusion.probability
-    report = TrustReport(kind)
     label = print_value(result_orig.conclusion.value)
-    if kind.name in ("JT", "ET"):
-        report.add(label, f, g, "g = f", abs(f - g) <= tol)
-    else:
-        report.add(label, f, g, "g >= f", g >= f - tol)
-        if kind.name == "WT":
-            report.add(label, f, g, "g = 0 iff f = 0", (abs(f) <= tol) == (abs(g) <= tol))
+    entry = [(label, result_orig.conclusion.probability, result_copy.conclusion.probability)]
+    report = TrustReport(kind)
+    report.record(entry, entry, tol)
     if not guaranteed:
         report.warning = f"empirical verdict only: {reason}"
     return report

@@ -93,3 +93,7 @@ class TheoremDoesNotApply(TndpqError):
 
 class UnsupportedTarget(TndpqError):
     """Relevance derivation asked for a target shape it does not cover."""
+
+
+class NothingToCompare(TndpqError):
+    """A trust check was given no atoms, probe values, contexts or targets."""

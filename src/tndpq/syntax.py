@@ -13,7 +13,7 @@ and ``@`` carries the probability.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import IllFormed, MixedVariables, ParseError, UnknownSymbol
 
@@ -30,22 +30,25 @@ class AttributeSchema:
     """
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
+    _atoms_of: dict = field(init=False, repr=False, compare=False)
+    _owner_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen_vars: set[str] = set()
-        seen_atoms: set[str] = set()
+        atoms_of, owner_of = {}, {}
         for name, atoms in self.variables:
-            if name in seen_vars:
+            if name in atoms_of:
                 raise IllFormed(f"duplicate variable {name!r}")
-            seen_vars.add(name)
+            atoms_of[name] = atoms
             if len(atoms) < 2:
                 raise IllFormed(f"variable {name!r} needs at least 2 atomic values")
             if len(set(atoms)) != len(atoms):
                 raise IllFormed(f"duplicate atomic value within {name!r}")
-            overlap = seen_atoms.intersection(atoms)
+            overlap = owner_of.keys() & set(atoms)
             if overlap:
                 raise IllFormed(f"atomic values shared across variables: {sorted(overlap)}")
-            seen_atoms.update(atoms)
+            owner_of.update(dict.fromkeys(atoms, name))
+        object.__setattr__(self, "_atoms_of", atoms_of)
+        object.__setattr__(self, "_owner_of", owner_of)
 
     @classmethod
     def of(cls, mapping) -> "AttributeSchema":
@@ -58,22 +61,22 @@ class AttributeSchema:
         return tuple(n for n, _ in self.variables)
 
     def atoms(self, variable: str) -> tuple[str, ...]:
-        for name, atoms in self.variables:
-            if name == variable:
-                return atoms
-        raise UnknownSymbol(f"unknown variable {variable!r}")
+        try:
+            return self._atoms_of[variable]
+        except KeyError:
+            raise UnknownSymbol(f"unknown variable {variable!r}") from None
 
     def owner(self, atom: str) -> str:
-        for name, atoms in self.variables:
-            if atom in atoms:
-                return name
-        raise UnknownSymbol(f"unknown atomic value {atom!r}")
+        try:
+            return self._owner_of[atom]
+        except KeyError:
+            raise UnknownSymbol(f"unknown atomic value {atom!r}") from None
 
     def has_variable(self, name: str) -> bool:
-        return any(n == name for n, _ in self.variables)
+        return name in self._atoms_of
 
     def has_atom(self, name: str) -> bool:
-        return any(name in atoms for _, atoms in self.variables)
+        return name in self._owner_of
 
     def atom_index(self, variable: str, atom: str) -> int:
         """1-based position of `atom` within `variable`'s declared order."""

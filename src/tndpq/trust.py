@@ -1,10 +1,11 @@
 """Trustworthiness relations between an original system and its copies.
 
 A copy is compared against its original over the same context and target.
-Four relations are supported: JT (identical distributions), ET(m) (equal on
-the first m atoms), AT(m) (copy at least as confident on the first m atoms)
-and WT(m) (AT plus an identical zero pattern across all atoms).  "First m"
-follows the schema's declared atom order.
+Four relations, defined once in `_RELATIONS`, are supported: JT (identical
+distributions), ET(m) (equal on the first m atoms), AT(m) (copy at least as
+confident on the first m atoms) and WT(m) (AT plus an identical zero pattern
+across all atoms).  "First m" follows the schema's declared atom order.  A
+`TrustProfile` of one ordered pair reads any of them by integer comparison.
 
 The module also provides the relation algebra checker, the JT/ET/AT
 composition square, and the diverging-chain constructors that certify the
@@ -14,12 +15,16 @@ chains never re-enter JT).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 
 from .errors import (
     DerivationFailed,
     IncomparableSystems,
+    NothingToCompare,
     PreconditionFailed,
 )
 from .syntax import AttributeSchema, VariableTerm, print_value, same_sigma
@@ -57,6 +62,84 @@ def at(m: int) -> TrustKind:
     return TrustKind("AT", m)
 
 
+# Per-entry conditions on an original value f and a copy value g, tol >= 0.
+# Each tries the exact comparison first and does arithmetic only under a
+# positive tolerance: the chains compare long-denominator Fractions at tol 0.
+def _equal(f, g, tol) -> bool:
+    return f == g or (tol > 0 and abs(f - g) <= tol)
+
+
+def _dominates(f, g, tol) -> bool:
+    return g >= f or (tol > 0 and g >= f - tol)
+
+
+def _same_zero(f, g, tol) -> bool:
+    return (f == 0 or (tol > 0 and abs(f) <= tol)) == (g == 0 or (tol > 0 and abs(g) <= tol))
+
+
+# Each relation: the condition (evidence label, test) on every inspected entry and
+# whether the zero patterns must agree too.  JT inspects the whole atom list; ET,
+# AT and WT the first m entries or an explicit list.
+_RELATIONS = {
+    "JT": ("g = f", _equal, False),
+    "ET": ("g = f", _equal, False),
+    "AT": ("g >= f", _dominates, False),
+    "WT": ("g >= f", _dominates, True),
+}
+
+
+def _prefix(test, f, g, tol, start=0) -> int:
+    """End of the run of entries from `start` on which test(f_i, g_i, tol) holds."""
+    end = start
+    while end < len(f) and test(f[end], g[end], tol):
+        end += 1
+    return end
+
+
+def _check_tol(tol) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise PreconditionFailed(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
+def _check_prefix(m: int, n: int) -> None:
+    if not 1 <= m <= n:
+        raise IncomparableSystems(f"prefix length {m} outside 1..{n}")
+
+
+class TrustProfile:
+    """How far copy values g follow original values f, equally long sequences
+    of floats or Fractions.
+
+    `n` is the list's length, `equal` the longest prefix with |f - g| <= tol,
+    `dominated` the longest prefix with g >= f - tol, and `zeros` whether f
+    and g are zero (within tol) at the same places; only WT reads `zeros`,
+    so it is computed on first use.
+    """
+
+    def __init__(self, f, g, tol=0):
+        _check_tol(tol)
+        if len(f) != len(g):
+            raise IncomparableSystems(f"{len(f)} original values against {len(g)} copy values")
+        if not f:
+            raise NothingToCompare("no values to compare")
+        self.f, self.g, self.tol, self.n = f, g, tol, len(f)
+        self.equal = _prefix(_equal, f, g, tol)
+        self.dominated = _prefix(_dominates, f, g, tol, self.equal)  # an equal entry is also dominated
+
+    @cached_property
+    def zeros(self) -> bool:
+        return all(map(_same_zero, self.f, self.g, repeat(self.tol)))
+
+    def holds(self, name: str, m: int | None = None) -> bool:
+        """Whether JT, ET(m), AT(m) or WT(m) holds; m defaults to the whole list."""
+        if m is not None:
+            _check_prefix(m, self.n)
+        _, test, zeros = _RELATIONS[name]
+        prefix = self.equal if test is _equal else self.dominated
+        need = self.n if m is None or name == "JT" else m
+        return prefix >= need and (not zeros or self.zeros)
+
+
 @dataclass
 class TrustReport:
     kind: TrustKind
@@ -77,17 +160,28 @@ class TrustReport:
     def add(self, label, f, g, condition: str, satisfied: bool) -> None:
         self.evidence.append((label, f, g, condition, satisfied))
 
+    def record(self, inspected, zero_pattern, tol) -> None:
+        """Add this report's kind's conditions on (label, f, g) entries."""
+        _check_tol(tol)
+        condition, test, zeros = _RELATIONS[self.kind.name]
+        for label, f, g in inspected:
+            self.add(label, f, g, condition, test(f, g, tol))
+        if zeros:
+            for label, f, g in zero_pattern:
+                self.add(label, f, g, "g = 0 iff f = 0", _same_zero(f, g, tol))
 
-def _eq(f, g, tol) -> bool:
-    return abs(f - g) <= tol
+
+def _check_comparable(original: AppliedSystem, copy: AppliedSystem) -> None:
+    if original.variable != copy.variable or original.atoms != copy.atoms:
+        raise IncomparableSystems("systems target different variables or atom lists")
+    if not same_sigma(original.sigma, copy.sigma):
+        raise IncomparableSystems("systems are applied to different contexts")
 
 
-def _ge(g, f, tol) -> bool:
-    return g >= f - tol
-
-
-def _zero(p, tol) -> bool:
-    return abs(p) <= tol
+def system_profile(original: AppliedSystem, copy: AppliedSystem, tol: float = 0.0) -> TrustProfile:
+    """The trust profile of a copy against its original over all atoms."""
+    _check_comparable(original, copy)
+    return TrustProfile(original.probabilities, copy.probabilities, tol)
 
 
 def check_local(
@@ -102,10 +196,7 @@ def check_local(
     `relevant` overrides the first-m-atoms convention with an explicit
     atom list for ET/WT/AT.
     """
-    if original.variable != copy.variable or original.atoms != copy.atoms:
-        raise IncomparableSystems("systems target different variables or atom lists")
-    if not same_sigma(original.sigma, copy.sigma):
-        raise IncomparableSystems("systems are applied to different contexts")
+    _check_comparable(original, copy)
     report = TrustReport(kind)
     differs = (original.training != copy.training, original.estimator != copy.estimator)
     if all(differs):
@@ -118,26 +209,13 @@ def check_local(
         inspected = atoms
     elif relevant is not None:
         inspected = tuple(relevant)
+        if not inspected:
+            raise NothingToCompare("the relevant atom list is empty")
     else:
-        if not 1 <= kind.m <= len(atoms):
-            raise IncomparableSystems(
-                f"prefix length {kind.m} outside 1..{len(atoms)}"
-            )
+        _check_prefix(kind.m, len(atoms))
         inspected = atoms[: kind.m]
-    for atom in inspected:
-        f = original.probability(atom)
-        g = copy.probability(atom)
-        if kind.name in ("JT", "ET"):
-            report.add(atom, f, g, "g = f", _eq(f, g, tol))
-        else:
-            report.add(atom, f, g, "g >= f", _ge(g, f, tol))
-    if kind.name == "WT":
-        for atom in atoms:
-            f = original.probability(atom)
-            g = copy.probability(atom)
-            report.add(
-                atom, f, g, "g = 0 iff f = 0", _zero(f, tol) == _zero(g, tol)
-            )
+    entries = [(atom, original.probability(atom), copy.probability(atom)) for atom in inspected]
+    report.record(entries, zip(atoms, original.probabilities, copy.probabilities), tol)
     return report
 
 
@@ -157,6 +235,9 @@ def check_general(
     """
     o_ts, o_est = orig_pair
     c_ts, c_est = copy_pair
+    contexts, targets = list(contexts), list(targets)
+    if not contexts or not targets:
+        raise NothingToCompare("a general trust check needs at least one context and one target")
     report = TrustReport(kind)
     for sigma in contexts:
         for target in targets:
@@ -186,34 +267,33 @@ def check_nonatomic(
     """Trust over a compound variable, probed on an explicit value set.
 
     Probabilities for each value are derived through right introduction
-    rules on both systems.  For WT the zero-pattern clause is checked over
-    the probe values plus all single-connective combinations of atoms fitting
-    the term (the negation-free fragment suffices for zero preservation).
+    rules on both systems.  The probe values are the inspected list, so
+    ET/AT/WT hold when every probe value meets the condition.  For WT the
+    zero-pattern clause is checked over all single-connective combinations
+    of atoms fitting the term (the negation-free fragment suffices for zero
+    preservation).
     """
     from .construction import derive_value, zero_probe_values
 
-    report = TrustReport(kind)
-    pairs = []
-    for value in values:
-        p_orig = derive_value(original_source, sigma, term, value, schema)
-        p_copy = derive_value(copy_source, sigma, term, value, schema)
-        pairs.append((value, p_orig.conclusion.probability, p_copy.conclusion.probability))
-    for value, f, g in pairs:
-        label = print_value(value)
-        if kind.name in ("JT", "ET"):
-            report.add(label, f, g, "g = f", _eq(f, g, tol))
-        else:
-            report.add(label, f, g, "g >= f", _ge(g, f, tol))
+    values = list(values)
+    if not values:
+        raise NothingToCompare("no probe values to compare")
+
+    def entry(value):
+        sources = (original_source, copy_source)
+        f, g = (derive_value(s, sigma, term, value, schema).conclusion.probability for s in sources)
+        return print_value(value), f, g
+
+    inspected = [entry(value) for value in values]
+    zero_pattern = []
     if kind.name == "WT":
         for value in zero_probe_values(term, schema):
             try:
-                f = derive_value(original_source, sigma, term, value, schema).conclusion.probability
-                g = derive_value(copy_source, sigma, term, value, schema).conclusion.probability
+                zero_pattern.append(entry(value))
             except DerivationFailed:
                 continue
-            report.add(
-                print_value(value), f, g, "g = 0 iff f = 0", _zero(f, tol) == _zero(g, tol)
-            )
+    report = TrustReport(kind)
+    report.record(inspected, zero_pattern, tol)
     return report
 
 
@@ -231,8 +311,12 @@ class PropertyReport:
         return not self.failures
 
 
-def _holds(copy: AppliedSystem, original: AppliedSystem, kind: TrustKind, tol) -> bool:
-    return check_local(original, copy, kind, tol).verdict
+def _verdict_table(p: TrustProfile) -> dict:
+    """Every verdict of one profile: JT as a bool, the others indexed by m (0 unused)."""
+    ms = range(1, p.n + 1)
+    table = {name: [None] + [p.holds(name, m) for m in ms] for name in ("ET", "WT", "AT")}
+    table["JT"] = p.holds("JT")
+    return table
 
 
 def verify_algebra(samples, tol: float = 0.0) -> PropertyReport:
@@ -242,6 +326,8 @@ def verify_algebra(samples, tol: float = 0.0) -> PropertyReport:
     systems; `x REL y` below reads "x is a trustworthy copy of y".  All
     laws are material implications, so every sampled triple either
     vacuously or actively confirms each row; any falsification is recorded.
+    Each triple's laws read five profiles: aa, ab, ba, bc and ac, where xy
+    is the profile of copy x against original y.
     """
     report = PropertyReport()
 
@@ -252,98 +338,35 @@ def verify_algebra(samples, tol: float = 0.0) -> PropertyReport:
 
     for a, b, c in samples:
         n = len(a.atoms)
-        kinds_m = [et, wt, at]
-        law("JT reflexivity", (a,), _holds(a, a, jt(), tol))
-        law("JT symmetry", (a, b), (not _holds(a, b, jt(), tol)) or _holds(b, a, jt(), tol))
-        law(
-            "JT transitivity",
-            (a, b, c),
-            not (_holds(a, b, jt(), tol) and _holds(b, c, jt(), tol))
-            or _holds(a, c, jt(), tol),
+        aa, ab, ba, bc, ac = (
+            _verdict_table(system_profile(y, x, tol))
+            for x, y in ((a, a), (a, b), (b, a), (b, c), (a, c))
         )
+        law("JT reflexivity", (a,), aa["JT"])
+        law("JT symmetry", (a, b), not ab["JT"] or ba["JT"])
+        law("JT transitivity", (a, b, c), not (ab["JT"] and bc["JT"]) or ac["JT"])
+        ab_et, ab_wt, ab_at = ab["ET"], ab["WT"], ab["AT"]
         for m in range(1, n + 1):
-            for make in kinds_m:
-                name = make(m).name
-                law(f"{name} reflexivity", (a, m), _holds(a, a, make(m), tol))
+            for name in ("ET", "WT", "AT"):
+                x_aa, x_ab, x_bc, x_ac = aa[name], ab[name], bc[name], ac[name]
+                law(f"{name} reflexivity", (a, m), x_aa[m])
                 for l in range(1, n + 1):
-                    law(
-                        f"{name} transitivity",
-                        (a, b, c, m, l),
-                        not (_holds(a, b, make(m), tol) and _holds(b, c, make(l), tol))
-                        or _holds(a, c, make(min(m, l)), tol),
-                    )
-                law(
-                    f"{name} transitivity'",
-                    (a, b, c, m),
-                    not (_holds(a, b, make(m), tol) and _holds(b, c, make(m), tol))
-                    or _holds(a, c, make(m), tol),
-                )
+                    holds = not (x_ab[m] and x_bc[l]) or x_ac[min(m, l)]
+                    law(f"{name} transitivity", (a, b, c, m, l), holds)
+                law(f"{name} transitivity'", (a, b, c, m), not (x_ab[m] and x_bc[m]) or x_ac[m])
                 for l in range(1, m + 1):
-                    law(
-                        f"{name} weakening",
-                        (a, b, m, l),
-                        not _holds(a, b, make(m), tol) or _holds(a, b, make(l), tol),
-                    )
+                    law(f"{name} weakening", (a, b, m, l), not x_ab[m] or x_ab[l])
             for l in range(1, m + 1):
-                law(
-                    "ET symmetry",
-                    (a, b, m, l),
-                    not _holds(a, b, et(m), tol) or _holds(b, a, et(l), tol),
-                )
-            law(
-                "AT Bottom",
-                (a, b, m),
-                not (
-                    _holds(a, b, et(m), tol)
-                    or _holds(a, b, wt(m), tol)
-                    or _holds(a, b, jt(), tol)
-                )
-                or _holds(a, b, at(m), tol),
-            )
-            law(
-                "JT Top",
-                (a, b, m),
-                not _holds(a, b, jt(), tol)
-                or (
-                    _holds(a, b, at(m), tol)
-                    and _holds(a, b, et(m), tol)
-                    and _holds(a, b, wt(m), tol)
-                ),
-            )
-            law(
-                "JT Top'",
-                (a, b, m),
-                not _holds(a, b, jt(), tol)
-                or (_holds(a, b, et(m), tol) and _holds(a, b, wt(m), tol)),
-            )
+                law("ET symmetry", (a, b, m, l), not ab_et[m] or ba["ET"][l])
+            law("AT Bottom", (a, b, m), not (ab_et[m] or ab_wt[m] or ab["JT"]) or ab_at[m])
+            law("JT Top", (a, b, m), not ab["JT"] or (ab_at[m] and ab_et[m] and ab_wt[m]))
+            law("JT Top'", (a, b, m), not ab["JT"] or (ab_et[m] and ab_wt[m]))
             for l in range(1, n + 1):
-                law(
-                    "Semi-Antisymmetry AT",
-                    (a, b, m, l),
-                    not (_holds(a, b, at(m), tol) and _holds(b, a, at(l), tol))
-                    or _holds(a, b, et(min(m, l)), tol),
-                )
-                law(
-                    "Semi-Antisymmetry WT",
-                    (a, b, m, l),
-                    not (_holds(a, b, wt(m), tol) and _holds(b, a, wt(l), tol))
-                    or _holds(a, b, et(min(m, l)), tol),
-                )
-        law(
-            "m=n to Top",
-            (a, b),
-            not (
-                _holds(a, b, et(n), tol)
-                or _holds(a, b, wt(n), tol)
-                or _holds(a, b, at(n), tol)
-            )
-            or _holds(a, b, jt(), tol),
-        )
-        law(
-            "AT + m=n = Top",
-            (a, b),
-            not _holds(a, b, at(n), tol) or _holds(a, b, jt(), tol),
-        )
+                antisymmetric = ab_et[min(m, l)]
+                law("Semi-Antisymmetry AT", (a, b, m, l), not (ab_at[m] and ba["AT"][l]) or antisymmetric)
+                law("Semi-Antisymmetry WT", (a, b, m, l), not (ab_wt[m] and ba["WT"][l]) or antisymmetric)
+        law("m=n to Top", (a, b), not (ab_et[n] or ab_wt[n] or ab_at[n]) or ab["JT"])
+        law("AT + m=n = Top", (a, b), not ab_at[n] or ab["JT"])
     return report
 
 
@@ -361,11 +384,11 @@ def compose_square(
     AT(m) copy of b0.  The guaranteed conclusion, b1 AT(m) a1, is checked
     and reported.
     """
-    if not _holds(a0, b0, jt(), tol):
+    if not system_profile(b0, a0, tol).holds("JT"):
         raise PreconditionFailed("hypothesis a0 JT b0 does not hold")
-    if not _holds(a1, a0, et(m), tol):
+    if not system_profile(a0, a1, tol).holds("ET", m):
         raise PreconditionFailed(f"hypothesis a1 ET({m}) a0 does not hold")
-    if not _holds(b1, b0, at(m), tol):
+    if not system_profile(b0, b1, tol).holds("AT", m):
         raise PreconditionFailed(f"hypothesis b1 AT({m}) b0 does not hold")
     return check_local(a1, b1, at(m), tol)
 
@@ -391,22 +414,6 @@ class ChainReport:
         )
 
 
-def _to_fractions(system: AppliedSystem) -> list[Fraction]:
-    return [Fraction(str(p)) for p in system.probabilities]
-
-
-def _prefix_relation(child, parent, kind: TrustKind) -> bool:
-    if kind.name == "JT":
-        return child == parent
-    prefix = range(kind.m)
-    if kind.name == "ET":
-        return all(child[i] == parent[i] for i in prefix)
-    ok = all(child[i] >= parent[i] for i in prefix)
-    if kind.name == "WT":
-        ok = ok and all((child[i] == 0) == (parent[i] == 0) for i in range(len(child)))
-    return ok
-
-
 def build_chain(
     a0: AppliedSystem,
     b0: AppliedSystem,
@@ -427,10 +434,9 @@ def build_chain(
     variant = variant.upper()
     if variant not in ("AT", "WT", "ET"):
         raise PreconditionFailed(f"unknown chain variant {variant!r}")
-    f = _to_fractions(a0)
-    g = _to_fractions(b0)
+    f, g = ([Fraction(str(p)) for p in system.probabilities] for system in (a0, b0))
     n = len(f)
-    if f != g:
+    if not TrustProfile(f, g).holds("JT"):
         raise PreconditionFailed("chains start from a JT pair: a0 must equal b0")
     if not 1 <= m < n:
         raise PreconditionFailed("m must satisfy 1 <= m < n")
@@ -450,7 +456,6 @@ def build_chain(
         if variant == "WT" and f[l - 1] == 0:
             raise PreconditionFailed(f"atom {l} must have nonzero probability")
         target = l
-    kind = {"AT": at(m), "WT": wt(m), "ET": et(m)}[variant]
     chain_a = [tuple(f)]
     chain_b = [tuple(g)]
     report = ChainReport(variant)
@@ -464,19 +469,17 @@ def build_chain(
         g[target - 1] += moved_g
         g[k - 1] -= moved_g
         f, g = tuple(f), tuple(g)
-        parent_ok = _prefix_relation(f, chain_a[-1], kind) and _prefix_relation(
-            g, chain_b[-1], kind
-        )
-        jt_cross = f == g
-        et_cross = all(f[i] == g[i] for i in range(m))
+        parent_ok = TrustProfile(chain_a[-1], f).holds(variant, m)
+        parent_ok = parent_ok and TrustProfile(chain_b[-1], g).holds(variant, m)
+        cross = TrustProfile(f, g)
         chain_a.append(f)
         chain_b.append(g)
         report.steps.append(
             {
                 "step": step,
                 "parent_relation": parent_ok,
-                "jt_cross": jt_cross,
-                "et_cross": et_cross,
+                "jt_cross": cross.holds("JT"),
+                "et_cross": cross.holds("ET", m),
                 "f": f,
                 "g": g,
             }

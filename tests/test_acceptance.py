@@ -354,7 +354,8 @@ def _system(probs, training="T", estimator="A"):
     )
 
 
-def test_criterion_5_trust_algebra():
+def criterion_5_samples():
+    """The 2000 seeded (a, b, c) triples criterion 5 checks the laws on."""
     rng = random.Random(1005)
     samples = []
     for _ in range(2000):
@@ -366,6 +367,11 @@ def test_criterion_5_trust_algebra():
                 _system(_related_copy(rng, base), estimator="C"),
             )
         )
+    return samples
+
+
+def test_criterion_5_trust_algebra():
+    samples = criterion_5_samples()
     report = verify_algebra(samples, tol=0.0)
     assert report.ok, report.failures[:5]
     assert report.checked > 100000

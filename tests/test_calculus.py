@@ -111,6 +111,36 @@ def test_or_ir_side_condition():
         apply_rule(RuleId.OrIR, [p1, overlap], SCHEMA)
 
 
+def test_or_ir_prints_only_its_evidence(monkeypatch):
+    from tndpq import calculus, exclusivity
+
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (calculus, exclusivity):
+        counting(module, "print_value")
+        counting(module, "print_term")
+    p1 = leaf("|> <X,Y> : a*u + b*v @ 0.2")
+    p2 = leaf("|> <X,Y> : c*~u @ 0.3")
+    d = apply_rule(RuleId.OrIR, [p1, p2], SCHEMA)
+    assert d.side_conditions == (
+        {"kind": "exclusive", "term": "<X,Y>", "left": "a*u+b*v", "right": "c*~u"},
+    )
+    assert sorted(calls) == [
+        ("print_term", "<X,Y>"),
+        ("print_value", "a*u+b*v"),
+        ("print_value", "c*~u"),
+    ]
+
+
 def test_prod_i_indep_requires_evidence():
     p1 = leaf("|> Y : u @ 0.5")
     p2 = leaf("|> X : a @ 0.2")

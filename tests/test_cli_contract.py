@@ -1,0 +1,91 @@
+"""The command-line exit contract over seeded random argument lists.
+
+`compare`, `preserve` and `chain` run in-process on valid and malformed
+arguments; every run must end with exit code 0, 1 or 2 and no traceback.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tndpq.cli import main
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    schema = root / "schema.txt"
+    schema.write_text("Chickenpox = Absent | Minor | Moderate | Major | Extreme\nHepatitis = No | Yes\n")
+    data = root / "data.csv"
+    rows = [f"{c},{h}" for c, n in (("Absent", 2), ("Minor", 4), ("Major", 1), ("Extreme", 1))
+            for h in ("No", "Yes") for _ in range(n)]
+    data.write_text("Chickenpox,Hepatitis\n" + "\n".join(rows) + "\n")
+    files = {"schema": str(schema), "missing": str(root / "missing.sys")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, estimator in (("orig", "freq"), ("copy", "laplace:1")):
+            files[name] = str(root / f"{name}.sys")
+            assert main(["learn", str(schema), str(data), "--target", "Chickenpox",
+                         "--estimator", estimator, "-o", files[name]]) == 0
+    plans = {
+        "plan": "a = ATQUERY Chickenpox : Major\nb = ATQUERY Chickenpox : Extreme\nboth = OrIR a b\n",
+        "neg_plan": "a = ATQUERY Chickenpox : Major\nn = NegIER a\n",
+        "bad_plan": "a = ATQUERY Chickenpox : Major\nboth = OrIR a zz\n",
+        "garbled_plan": "this is not a plan\n",
+    }
+    for name, text in plans.items():
+        (root / name).write_text(text)
+        files[name] = str(root / name)
+    return files
+
+
+KIND_TEXTS = ["jt", "et:1", "wt:3", "at:5", "ET:2"] * 2 + [
+    "at:0", "et:-1", "wt:6", "jt:2", "et", "et:x", "xx:1", "at:1.5", "", "et:99999999999999999999"]
+TOL_TEXTS = ["0", "1e-9", "0.05"] * 2 + ["-1", "nan", "inf", "abc", "1e400", ""]
+# in-range numbers are listed three times, so that most chains get to run
+INT_TEXTS = ["1", "2", "3", "4", "5"] * 3 + ["0", "-1", "7", "", "x", "2.5", "99999999999999999999"]
+STEP_TEXTS = ["1", "3", "6"] * 3 + ["0", "-5", "x", ""]
+
+
+@st.composite
+def _argv(draw, files):
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+    command = pick(["compare", "preserve", "chain"])
+    system = lambda: files[pick(["orig", "copy", "missing"])]  # noqa: E731
+    if command == "compare":
+        argv = ["compare", files["schema"], system(), system(), "--kind", pick(KIND_TEXTS)]
+    elif command == "preserve":
+        argv = ["preserve", files["schema"], "--orig", system(), "--copy", system(),
+                "--plan", files[pick(["plan", "neg_plan", "bad_plan", "garbled_plan", "missing"])],
+                "--kind", pick(["jt", "et", "at", "wt", "xt"]),
+                "--mode", pick(["construct", "deconstruct", "both"])]
+    else:
+        argv = ["chain", files["schema"], system(), "--variant", pick(["at", "wt", "et", "xt"]),
+                "--m", pick(INT_TEXTS), "--k", pick(INT_TEXTS)]
+        if draw(st.booleans()):
+            argv += ["--l", pick(INT_TEXTS)]
+        argv += ["--steps", pick(STEP_TEXTS)]
+    if command != "chain" and draw(st.booleans()):
+        argv += ["--tol", pick(TOL_TEXTS)]
+    if draw(st.integers(0, 5)) == 5:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exit_contract_holds_for_random_arguments(contract_files, data):
+    argv = data.draw(_argv(contract_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        verdict = out.getvalue().splitlines()[-1]
+        assert verdict.startswith("VERDICT ") and verdict.endswith(("true", "false")[code])

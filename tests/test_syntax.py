@@ -130,6 +130,22 @@ def test_schema_invariants():
         AttributeSchema.of([("X", ("a", "b")), ("X", ("c", "d"))])
 
 
+def test_schema_lookups(small_schema):
+    assert small_schema.atoms("Y") == ("u", "v")
+    assert small_schema.owner("r") == "Z"
+    assert small_schema.atom_index("Z", "q") == 2
+    assert small_schema.has_variable("X") and not small_schema.has_variable("a")
+    assert small_schema.has_atom("a") and not small_schema.has_atom("X")
+    for lookup, args in [("atoms", ("W",)), ("owner", ("w",)), ("atom_index", ("X", "u"))]:
+        with pytest.raises(UnknownSymbol):
+            getattr(small_schema, lookup)(*args)
+    # the lookup maps are derived, not part of the schema's value
+    same = AttributeSchema(small_schema.variables)
+    assert same == small_schema and hash(same) == hash(small_schema)
+    assert repr(same) == f"AttributeSchema(variables={small_schema.variables!r})"
+    assert AttributeSchema.of([("X", ("a", "b"))]) != AttributeSchema.of([("X", ("b", "a"))])
+
+
 def test_schema_file_round_trip(tmp_path, loan_schema):
     path = tmp_path / "schema.txt"
     save_schema(loan_schema, path)
