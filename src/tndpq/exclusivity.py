@@ -10,7 +10,8 @@ value denotes a set of cells, held as one int bitmask, and two values are
 exclusive when their masks are disjoint; conditional terms are decided by
 antecedent matching.  `oracle_exclusive` decides the same question by
 enumerating every admissible assignment of atoms to variables.  Both accept
-linear terms only: a term naming a variable twice is ill-formed.
+linear terms only: a term naming a variable twice is ill-formed.  Neither
+accepts a conditional term below a pair, such as `<X,[Y]Z>`.
 """
 
 from __future__ import annotations
@@ -122,49 +123,28 @@ def atomic_exclusive(variable: str, beta: Value, delta: Value, schema: Attribute
 # Shape discipline
 
 
-def check_shape(term: VariableTerm, value: Value, schema: AttributeSchema) -> None:
+def _check_shape(term, value, schema) -> None:
     """Reject values whose connective structure does not fit the term.
 
     Products belong under pair terms and conditionals under conditional
-    terms; negation and disjunction are transparent.
+    terms; negation and disjunction are transparent.  Arrow-free terms are
+    checked by the walk that computes their masks.
     """
-    _check_shape(reduce_projections(term), value, schema)
-
-
-def _check_shape(term, value, schema) -> None:
+    if not isinstance(term, Cond):
+        _mask(term, value, schema)
+        return
     while isinstance(value, (Neg, Or)):
         if isinstance(value, Neg):
             value = value.inner
         else:
             _check_shape(term, value.left, schema)
             value = value.right
-    if isinstance(term, Atom):
-        if not isinstance(value, AtomVal):
-            raise ShapeMismatch(
-                f"{print_value(value)} is not a deterministic value for {term.name!r}"
-            )
-        if schema.owner(value.name) != term.name:
-            raise MixedVariables(
-                f"{value.name!r} is not an atomic value of {term.name!r}"
-            )
-        return
-    if isinstance(term, Pair):
-        if not isinstance(value, Prod):
-            raise ShapeMismatch(
-                f"pair term {print_term(term)} needs a product, got {print_value(value)}"
-            )
-        _check_shape(term.left, value.left, schema)
-        _check_shape(term.right, value.right, schema)
-        return
-    if isinstance(term, Cond):
-        if not isinstance(value, Arrow):
-            raise ShapeMismatch(
-                f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}"
-            )
-        _check_shape(term.antecedent, value.left, schema)
-        _check_shape(term.consequent, value.right, schema)
-        return
-    raise ShapeMismatch(f"unreduced projection in term {print_term(term)}")
+    if not isinstance(value, Arrow):
+        raise ShapeMismatch(
+            f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}"
+        )
+    _check_shape(term.antecedent, value.left, schema)
+    _check_shape(term.consequent, value.right, schema)
 
 
 def _require_linear(term) -> None:
@@ -229,8 +209,12 @@ def positional_exclusive(
 
 
 def _decide(term, beta, delta, schema, trace) -> bool:
-    _check_shape(term, beta, schema)
-    _check_shape(term, delta, schema)
+    # `_cond_exclusive` may stop before it has seen every branch of a value,
+    # so values of conditional terms are checked whole first; over an
+    # arrow-free term the mask walk checks as it goes.
+    if isinstance(term, Cond):
+        _check_shape(term, beta, schema)
+        _check_shape(term, delta, schema)
     return _exclusive(term, beta, delta, schema, _Trace(trace))
 
 
@@ -240,9 +224,9 @@ def _exclusive(term, beta, delta, schema, trace) -> bool:
     try:
         if isinstance(term, Cond):
             return _cond_exclusive(term, beta, delta, schema, trace)
-        b = _mask(term, beta, schema)
-        d = _mask(term, delta, schema)
-        trace.note(lambda: _explain_masks(term, b, d, schema))
+        b, width = _mask(term, beta, schema)
+        d, _ = _mask(term, delta, schema)
+        trace.note(lambda: _explain_masks(term, b, d, width, schema))
         return not b & d
     finally:
         trace.depth -= 1
@@ -256,35 +240,51 @@ def _exclusive(term, beta, delta, schema, trace) -> bool:
 # exclusive when their masks are disjoint and equal when the masks are.
 
 
-def _width(term, schema) -> int:
-    if isinstance(term, Atom):
-        return len(schema.atoms(term.name))
-    return _width(term.left, schema) * _width(term.right, schema)
+def _mask(term, value, schema) -> tuple[int, int]:
+    """The cell mask of `value` over the arrow-free `term`, and the term's width.
 
-
-def _mask(term, value, schema) -> int:
+    The walk also checks that the value fits the term: the first misfit it
+    meets raises `ShapeMismatch`, `MixedVariables` or `UnknownSymbol`.
+    """
     if isinstance(value, Or):
-        return _mask(term, value.left, schema) | _mask(term, value.right, schema)
+        left, width = _mask(term, value.left, schema)
+        right, _ = _mask(term, value.right, schema)
+        return left | right, width
     if isinstance(value, Neg):
-        return ((1 << _width(term, schema)) - 1) ^ _mask(term, value.inner, schema)
+        inner, width = _mask(term, value.inner, schema)
+        return ((1 << width) - 1) ^ inner, width
     if isinstance(term, Atom):
-        return 1 << (schema.atom_index(term.name, value.name) - 1)
-    left = _mask(term.left, value.left, schema)
-    right = _mask(term.right, value.right, schema)
-    width = _width(term.right, schema)
-    out = offset = 0
-    while left:
-        if left & 1:
-            out |= right << offset
-        left >>= 1
-        offset += width
-    return out
+        if not isinstance(value, AtomVal):
+            raise ShapeMismatch(
+                f"{print_value(value)} is not a deterministic value for {term.name!r}"
+            )
+        if schema.owner(value.name) != term.name:
+            raise MixedVariables(
+                f"{value.name!r} is not an atomic value of {term.name!r}"
+            )
+        atoms = schema.atoms(term.name)
+        return 1 << atoms.index(value.name), len(atoms)
+    if isinstance(term, Pair):
+        if not isinstance(value, Prod):
+            raise ShapeMismatch(
+                f"pair term {print_term(term)} needs a product, got {print_value(value)}"
+            )
+        left, left_width = _mask(term.left, value.left, schema)
+        right, width = _mask(term.right, value.right, schema)
+        out = 0
+        while left:
+            low = left & -left
+            out |= right << (low.bit_length() - 1) * width
+            left ^= low
+        return out, left_width * width
+    if isinstance(term, Cond):
+        raise ShapeMismatch(f"conditional term {print_term(term)} below a pair")
+    raise ShapeMismatch(f"unreduced projection in term {print_term(term)}")
 
 
-def _explain_masks(term, b: int, d: int, schema) -> str:
+def _explain_masks(term, b: int, d: int, width: int, schema) -> str:
     verdict = "disjoint" if not b & d else "overlap"
     if isinstance(term, Atom):
-        width = _width(term, schema)
         b_set, d_set = (
             "{" + ",".join(str(i + 1) for i in range(width) if m >> i & 1) + "}"
             for m in (b, d)
@@ -353,7 +353,7 @@ def _cond_exclusive(term, beta, delta, schema, trace) -> bool:
         if isinstance(antecedent, Cond):
             equal = beta.left == delta.left
         else:
-            equal = _mask(antecedent, beta.left, schema) == _mask(antecedent, delta.left, schema)
+            equal = _mask(antecedent, beta.left, schema)[0] == _mask(antecedent, delta.left, schema)[0]
         trace.note(lambda: f"antecedents {'equal' if equal else 'differ'}")
         if not equal:
             return False

@@ -322,54 +322,48 @@ def same_sigma(a: Judgment | tuple, b: Judgment | tuple) -> bool:
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
-_PUNCT = ("|>", "->", ",", ":", "+", "*", "~", "(", ")", "<", ">", "[", "]", "@")
+# One pattern scans the whole text (the tokenizer recipe of the `re` docs).
+# Each match is one token, tried in this order: whitespace is skipped; `|>`
+# and `->`; a numeral, unless an ASCII word character follows it; single
+# punctuation; a word of Unicode letters and digits, `_` and `.`, which is a
+# number when it starts with a digit or `.` and `float` reads it (`1_0`);
+# anything else is an error.  The numeral's look-ahead also refuses any
+# decimal digit (`1٣x`): the longest numeral is never followed by one, and
+# every shorter match stops before a digit, `.`, `e` or `E`, so a rejected
+# numeral is not retried shorter.  This does the work of an atomic group,
+# which `re` lacks before Python 3.11.
+_TOKEN_RE = re.compile(
+    r"""
+    \s+
+    | (?P<punct>\|>|->|[,:+*~()<>\[\]@])
+    | (?P<number>(?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)(?![A-Za-z0-9_.]|\d))
+    | (?P<numeric>[\d.][\w.]*)
+    | (?P<ident>\w[\w.]*)
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
-@dataclass
-class _Token:
-    kind: str  # "ident", "number" or the punctuation itself
-    text: str
-    pos: int
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples ending with ("eof", "", len(text)).
 
-
-_FLOAT_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-_WORD_CHARS = re.compile(r"[A-Za-z0-9_.]")
-
-
-def _tokenize(text: str) -> list[_Token]:
+    The kind is "ident", "number" or the punctuation itself.
+    """
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        two = text[i : i + 2]
-        if two in ("|>", "->"):
-            tokens.append(_Token(two, two, i))
-            i += 2
-            continue
-        if ch.isdigit() or ch == ".":
-            m = _FLOAT_RE.match(text, i)
-            if m and not (m.end() < n and _WORD_CHARS.match(text[m.end()])):
-                tokens.append(_Token("number", m.group(), i))
-                i = m.end()
-                continue
-        if ch in ",+*~()<>[]@:":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isalnum() or ch in "_.":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            word = text[i:j]
-            kind = "number" if any(c.isdigit() for c in word) and _is_number(word) else "ident"
-            tokens.append(_Token(kind, word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("eof", "", n))
+        word = m.group()
+        if kind == "punct":
+            kind = word
+        elif kind == "numeric":
+            kind = "number" if _is_number(word) else "ident"
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", m.start())
+        tokens.append((kind, word, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -386,57 +380,56 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
-        return tok
+    def expect(self, kind: str) -> None:
+        found, text, pos = self.next()
+        if found != kind:
+            raise ParseError(f"expected {kind!r}, found {text!r}", pos)
 
     def ident(self) -> str:
-        tok = self.next()
-        if tok.kind not in ("ident", "number"):
-            raise ParseError(f"expected identifier, found {tok.text!r}", tok.pos)
-        return tok.text
+        kind, text, pos = self.next()
+        if kind not in ("ident", "number"):
+            raise ParseError(f"expected identifier, found {text!r}", pos)
+        return text
 
     # values: arrow < or < prod < neg < primary
     def value(self) -> Value:
         left = self.value_or()
-        if self.peek().kind == "->":
+        if self.peek() == "->":
             self.next()
             return Arrow(left, self.value())
         return left
 
     def value_or(self) -> Value:
         node = self.value_prod()
-        while self.peek().kind == "+":
+        while self.peek() == "+":
             self.next()
             node = Or(node, self.value_prod())
         return node
 
     def value_prod(self) -> Value:
         node = self.value_neg()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.next()
             node = Prod(node, self.value_neg())
         return node
 
     def value_neg(self) -> Value:
-        if self.peek().kind == "~":
+        if self.peek() == "~":
             self.next()
             return Neg(self.value_neg())
         return self.value_primary()
 
     def value_primary(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "(":
+        if self.peek() == "(":
             self.next()
             node = self.value()
             self.expect(")")
@@ -444,21 +437,21 @@ class _Parser:
         return AtomVal(self.ident())
 
     def term(self) -> VariableTerm:
-        tok = self.peek()
-        if tok.kind == "<":
+        kind = self.peek()
+        if kind == "<":
             self.next()
             left = self.term()
             self.expect(",")
             right = self.term()
             self.expect(">")
             return Pair(left, right)
-        if tok.kind == "[":
+        if kind == "[":
             self.next()
             antecedent = self.term()
             self.expect("]")
             return Cond(antecedent, self.term())
         name = self.ident()
-        if name in ("fst", "snd") and self.peek().kind == "(":
+        if name in ("fst", "snd") and self.peek() == "(":
             self.next()
             inner = self.term()
             self.expect(")")
@@ -472,9 +465,9 @@ class _Parser:
 
     def judgment(self) -> Judgment:
         attributions: list[ValueAttribution] = []
-        if self.peek().kind != "|>":
+        if self.peek() != "|>":
             attributions.append(self.attribution())
-            while self.peek().kind == ",":
+            while self.peek() == ",":
                 self.next()
                 attributions.append(self.attribution())
         self.expect("|>")
@@ -482,10 +475,10 @@ class _Parser:
         self.expect(":")
         value = self.value()
         self.expect("@")
-        tok = self.next()
-        if tok.kind not in ("number", "ident") or not _is_number(tok.text):
-            raise ParseError(f"expected probability, found {tok.text!r}", tok.pos)
-        probability = float(tok.text)
+        kind, text, pos = self.next()
+        if kind not in ("number", "ident") or not _is_number(text):
+            raise ParseError(f"expected probability, found {text!r}", pos)
+        probability = float(text)
         self.expect("eof")
         return Judgment(tuple(attributions), subject, value, probability)
 
@@ -518,7 +511,7 @@ def parse_attribution_list(text: str, schema: AttributeSchema | None = None) -> 
         return ()
     parser = _Parser(text)
     attributions = [parser.attribution()]
-    while parser.peek().kind == ",":
+    while parser.peek() == ",":
         parser.next()
         attributions.append(parser.attribution())
     parser.expect("eof")

@@ -456,22 +456,37 @@ def build_chain(
         if variant == "WT" and f[l - 1] == 0:
             raise PreconditionFailed(f"atom {l} must have nonzero probability")
         target = l
+    # Chain a's step s is held as integer numerators over D * 2**s and chain
+    # b's over D * 3**s, D the common denominator of the start: moving f[k]/2
+    # (g[k]/3) then moves the old numerator of atom k within the new
+    # denominator.  The parent relation compares the previous step, scaled to
+    # the new denominator, with the current one; the cross relation compares
+    # both chains over D * 6**s.  Only entries k and target change value, so
+    # only they become new Fractions.
+    denominator = math.lcm(*(x.denominator for x in f))
+    num_a = num_b = [x.numerator * (denominator // x.denominator) for x in f]
+    pow_a = pow_b = 1  # 2**s and 3**s
     chain_a = [tuple(f)]
     chain_b = [tuple(g)]
     report = ChainReport(variant)
+    i, t = k - 1, target - 1
     for step in range(1, steps + 1):
-        f = list(chain_a[-1])
-        g = list(chain_b[-1])
-        moved_f = f[k - 1] / 2
-        moved_g = g[k - 1] / 3
-        f[target - 1] += moved_f
-        f[k - 1] -= moved_f
-        g[target - 1] += moved_g
-        g[k - 1] -= moved_g
+        moved_a, moved_b = num_a[i], num_b[i]
+        parent_a, parent_b = [2 * x for x in num_a], [3 * x for x in num_b]
+        num_a, num_b = parent_a[:], parent_b[:]
+        num_a[i] -= moved_a
+        num_a[t] += moved_a
+        num_b[i] -= moved_b
+        num_b[t] += moved_b
+        pow_a, pow_b = 2 * pow_a, 3 * pow_b
+        parent_ok = TrustProfile(parent_a, num_a).holds(variant, m)
+        parent_ok = parent_ok and TrustProfile(parent_b, num_b).holds(variant, m)
+        cross = TrustProfile([x * pow_b for x in num_a], [x * pow_a for x in num_b])
+        f, g = list(chain_a[-1]), list(chain_b[-1])
+        for j in (i, t):
+            f[j] = Fraction(num_a[j], denominator * pow_a)
+            g[j] = Fraction(num_b[j], denominator * pow_b)
         f, g = tuple(f), tuple(g)
-        parent_ok = TrustProfile(chain_a[-1], f).holds(variant, m)
-        parent_ok = parent_ok and TrustProfile(chain_b[-1], g).holds(variant, m)
-        cross = TrustProfile(f, g)
         chain_a.append(f)
         chain_b.append(g)
         report.steps.append(

@@ -111,6 +111,20 @@ def test_or_ir_side_condition():
         apply_rule(RuleId.OrIR, [p1, overlap], SCHEMA)
 
 
+def test_or_ir_over_a_conditional_below_a_pair_is_refused():
+    # ImpIE then ProdI1 build |> <Z,[X]Y> : m*(a->u); exclusivity of two such
+    # values has no reading, so OrIR raises ShapeMismatch (it crashed before)
+    def conclusion(text):
+        implication = apply_rule(RuleId.ImpIE, [leaf(text)], SCHEMA)
+        return apply_rule(RuleId.ProdI1, [implication, leaf("|> Z : m @ 0.5")], SCHEMA)
+
+    d1 = conclusion("Z:m, X:a |> Y : u @ 0.25")
+    d2 = conclusion("Z:m, X:a |> Y : v @ 0.75")
+    assert d1.conclusion == parse_judgment("|> <Z,[X]Y> : m*(a->u) @ 0.125", SCHEMA)
+    with pytest.raises(ShapeMismatch, match="below a pair"):
+        apply_rule(RuleId.OrIR, [d1, d2], SCHEMA)
+
+
 def test_or_ir_prints_only_its_evidence(monkeypatch):
     from tndpq import calculus, exclusivity
 

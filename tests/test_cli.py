@@ -311,3 +311,12 @@ def test_derive_independence_with_an_unheld_atom(tmp_path, capsys):
     assert main(["derive", str(schema), str(data), "--script", str(script), "--check"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-2:] == ["xy\t|> <X,Y> : a*u @ 0.25", "CHECK\tok"]
+
+
+def test_exclusive_conditional_below_a_pair_exits_2(tmp_path):
+    schema = tmp_path / "s.txt"
+    schema.write_text("X = a | b\nY = c | d\nZ = e | f\n")
+    result = _run_cli("exclusive", str(schema), "<X,[Y]Z>", "a*(c->e)", "a*(c->f)")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "below a pair" in result.stderr

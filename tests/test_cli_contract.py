@@ -1,7 +1,8 @@
 """The command-line exit contract over seeded random argument lists.
 
-`compare`, `preserve` and `chain` run in-process on valid and malformed
-arguments; every run must end with exit code 0, 1 or 2 and no traceback.
+`compare`, `preserve`, `chain` and `exclusive` run in-process on valid and
+malformed arguments; every run must end with exit code 0, 1 or 2 and no
+traceback.
 """
 
 import contextlib
@@ -23,7 +24,9 @@ def contract_files(tmp_path_factory):
     rows = [f"{c},{h}" for c, n in (("Absent", 2), ("Minor", 4), ("Major", 1), ("Extreme", 1))
             for h in ("No", "Yes") for _ in range(n)]
     data.write_text("Chickenpox,Hepatitis\n" + "\n".join(rows) + "\n")
-    files = {"schema": str(schema), "missing": str(root / "missing.sys")}
+    xyz = root / "xyz.txt"
+    xyz.write_text("X = a | b | c\nY = u | v\nZ = p | q\nW = r | s\n")
+    files = {"schema": str(schema), "xyz": str(xyz), "missing": str(root / "missing.sys")}
     with contextlib.redirect_stdout(io.StringIO()):
         for name, estimator in (("orig", "freq"), ("copy", "laplace:1")):
             files[name] = str(root / f"{name}.sys")
@@ -89,3 +92,77 @@ def test_exit_contract_holds_for_random_arguments(contract_files, data):
     if code in (0, 1):
         verdict = out.getvalue().splitlines()[-1]
         assert verdict.startswith("VERDICT ") and verdict.endswith(("true", "false")[code])
+
+
+# Terms over X, Y, Z and W, with pairs holding conditional components,
+# projections of non-pairs and repeated variables among them; values mostly
+# follow the term's shape, so that verdicts come as well as errors.
+ATOMS = {"X": ["a", "b", "c"], "Y": ["u", "v"], "Z": ["p", "q"], "W": ["r", "s"], "V": ["t"]}
+_X, _Y, _Z, _W = (("var", name) for name in "XYZW")
+NAMED_TERMS = [
+    ("pair", _X, ("cond", _Y, _Z)),
+    ("pair", ("cond", _X, _Y), _Z),
+    ("cond", ("pair", _X, ("cond", _Y, _Z)), _W),
+    ("cond", _X, ("pair", _Y, ("cond", _Z, _W))),
+    ("pair", _X, ("fst", _Y)),
+    ("snd", ("cond", _X, _Y)),
+    ("pair", _X, _X),
+    ("cond", _X, ("pair", _Y, _X)),
+]
+
+
+@st.composite
+def _term(draw, depth=2):
+    """A term as a tree: ("var", name), or (kind, part, ...) for the rest."""
+    if depth == 2 and draw(st.booleans()):
+        return draw(st.sampled_from(NAMED_TERMS))
+    kind = draw(st.sampled_from(["var"] * 3 + ["pair", "pair", "cond", "cond", "fst", "snd"] if depth else ["var"]))
+    if kind == "var":
+        return kind, draw(st.sampled_from(["X", "Y", "Z", "W"] * 4 + ["V"]))  # V is not in the schema
+    if kind in ("fst", "snd"):
+        return kind, draw(_term(depth - 1))
+    return kind, draw(_term(depth - 1)), draw(_term(depth - 1))
+
+
+def _text(term):
+    kind, *parts = term
+    if kind == "var":
+        return parts[0]
+    if kind in ("fst", "snd"):
+        return f"{kind}({_text(parts[0])})"
+    left, right = map(_text, parts)
+    return f"<{left},{right}>" if kind == "pair" else f"[{left}]{right}"
+
+
+@st.composite
+def _value(draw, term, depth=3):
+    kind, *parts = term
+    if depth and draw(st.integers(0, 5)) == 0:
+        if draw(st.booleans()):
+            return f"~({draw(_value(term, depth - 1))})"
+        return f"({draw(_value(term, depth - 1))})+({draw(_value(term, depth - 1))})"
+    if kind in ("pair", "cond") and draw(st.integers(0, 19)):
+        left, right = (draw(_value(part, depth)) for part in parts)
+        return f"({left}){'*' if kind == 'pair' else '->'}({right})"
+    if kind in ("fst", "snd") and parts[0][0] == "pair":
+        return draw(_value(parts[0][1 if kind == "fst" else 2], depth))
+    if kind == "var" and draw(st.integers(0, 19)):
+        return draw(st.sampled_from(ATOMS[parts[0]]))
+    return draw(st.sampled_from(["a", "u", "p", "w", "zz", "a*u", "a->u", "a+", ""]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exclusive_exit_contract_holds_for_random_terms(contract_files, data):
+    term = data.draw(_term())
+    argv = ["exclusive", contract_files["xyz"], _text(term), data.draw(_value(term)), data.draw(_value(term))]
+    if data.draw(st.booleans()):
+        argv.append("--explain")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        # `exclusive` ends with its verdict word, not a VERDICT line
+        assert out.getvalue().splitlines()[-1] == ("exclusive", "not-exclusive")[code], argv

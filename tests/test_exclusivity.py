@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tndpq import exclusivity
-from tndpq.errors import IllFormed, MixedVariables, OracleTooLarge, ShapeMismatch
+from tndpq.errors import IllFormed, MixedVariables, OracleTooLarge, ShapeMismatch, UnknownSymbol
 from tndpq.exclusivity import (
     IndexSet,
     atomic_exclusive,
@@ -21,12 +21,15 @@ from tndpq.syntax import (
     AtomVal,
     AttributeSchema,
     Cond,
+    Fst,
     Neg,
     Or,
     Pair,
     Prod,
     parse_term,
     parse_value,
+    print_term,
+    print_value,
 )
 
 FIVE = AttributeSchema.of([("V", ("a1", "a2", "a3", "a4", "a5"))])
@@ -393,3 +396,131 @@ def test_negated_or_of_many_products():
         assert got == oracle_exclusive(term, big, other, five)
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Conditional terms below pairs, and the validating mask walk
+
+SIX = AttributeSchema.of(
+    [("X", ("a", "b")), ("Y", ("c", "d")), ("Z", ("e", "f")), ("W", ("g", "h")), ("U", ("i", "j"))]
+)
+
+
+@pytest.mark.parametrize(
+    "term, beta, delta",
+    [
+        ("<X,[Y]Z>", "a*(c->e)", "a*(c->f)"),
+        ("<[Y]Z,X>", "(c->e)*a", "(c->e)*b"),
+        ("<X,<W,[Y]Z>>", "a*(g*(c->e))", "a*(g*(c->f))"),
+        ("<X,fst(<[Y]Z,W>)>", "a*(c->e)", "a*(c->f)"),
+        # inside a conditional antecedent, compared by masks or by equality
+        ("[<X,[Y]Z>]W", "(a*(c->e))->g", "(a*(c->e))->h"),
+        ("[[<X,[Y]Z>]W]U", "((a*(c->e))->g)->i", "((a*(c->e))->g)->j"),
+        # in a consequent
+        ("[W]<X,[Y]Z>", "g->a*(c->e)", "g->a*(c->f)"),
+    ],
+)
+def test_conditional_below_a_pair_is_rejected(term, beta, delta):
+    # exclusive crashed with an AttributeError on such terms, and the oracle
+    # read the conditional value as a material implication
+    for decide in (exclusive, oracle_exclusive):
+        with pytest.raises(ShapeMismatch, match="below a pair"):
+            decide(parse_term(term), v(beta), v(delta), SIX)
+
+
+def test_positional_reading_rejects_a_conditional_below_a_pair():
+    with pytest.raises(ShapeMismatch, match="below a pair"):
+        positional_exclusive(parse_term("<X,[Y]Z>"), v("a*(c->e)"), v("a*(c->f)"), SIX)
+
+
+def _reference_check_shape(term, value, schema):
+    """The shape check as a walk of its own, before the mask walk took it over."""
+    while isinstance(value, (Neg, Or)):
+        if isinstance(value, Neg):
+            value = value.inner
+        else:
+            _reference_check_shape(term, value.left, schema)
+            value = value.right
+    if isinstance(term, Atom):
+        if not isinstance(value, AtomVal):
+            raise ShapeMismatch(f"{print_value(value)} is not a deterministic value for {term.name!r}")
+        if schema.owner(value.name) != term.name:
+            raise MixedVariables(f"{value.name!r} is not an atomic value of {term.name!r}")
+        return
+    if isinstance(term, Pair):
+        if not isinstance(value, Prod):
+            raise ShapeMismatch(f"pair term {print_term(term)} needs a product, got {print_value(value)}")
+        _reference_check_shape(term.left, value.left, schema)
+        _reference_check_shape(term.right, value.right, schema)
+        return
+    if isinstance(term, Cond):
+        if not isinstance(value, Arrow):
+            raise ShapeMismatch(
+                f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}"
+            )
+        _reference_check_shape(term.antecedent, value.left, schema)
+        _reference_check_shape(term.consequent, value.right, schema)
+        return
+    raise ShapeMismatch(f"unreduced projection in term {print_term(term)}")
+
+
+def _misfit(rng, term, depth):
+    """A value that mostly fits the term, with misfits mixed in."""
+    r = rng.random()
+    if depth > 0 and r < 0.2:
+        return Or(_misfit(rng, term, depth - 1), _misfit(rng, term, depth - 1))
+    if depth > 0 and r < 0.3:
+        return Neg(_misfit(rng, term, depth - 1))
+    if r < 0.36:
+        return Arrow(AtomVal("a1"), AtomVal("b1"))
+    if r < 0.42:
+        return AtomVal(rng.choice(["zz", "b2", "c3", "d1"]))  # unknown or another variable's
+    if isinstance(term, Atom):
+        if depth > 0 and r < 0.48:
+            return Prod(AtomVal("a1"), AtomVal("b1"))
+        return AtomVal(rng.choice(FOUR.atoms(term.name)))
+    if isinstance(term, Fst):  # an unreduced projection
+        return AtomVal("b1")
+    if isinstance(term, Cond):
+        return Arrow(_misfit(rng, term.antecedent, depth - 1), _misfit(rng, term.consequent, depth - 1))
+    return Prod(_misfit(rng, term.left, depth - 1), _misfit(rng, term.right, depth - 1))
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the outcome is the error itself
+        return (type(exc), str(exc))
+    return None
+
+
+def test_shape_checks_raise_what_the_separate_walk_raised():
+    rng = random.Random(41)
+    shapes = SHAPES + [Pair(_A, Fst(_B)), Cond(_A, Fst(_B))]
+    misfits = 0
+    for n in range(3000):
+        term = shapes[n % len(shapes)]
+        value = _misfit(rng, term, 3)
+        want = _outcome(lambda: _reference_check_shape(term, value, FOUR))
+        misfits += want is not None
+        assert _outcome(lambda: exclusivity._check_shape(term, value, FOUR)) == want, (term, value)
+        if not isinstance(term, Cond):
+            assert _outcome(lambda: exclusivity._mask(term, value, FOUR)) == want, (term, value)
+    assert 500 < misfits < 2500, misfits
+
+
+@pytest.mark.parametrize(
+    "beta, error",
+    [
+        ("(a->c)+(a*b)", ShapeMismatch),  # needs a conditional
+        ("(a->c)+(a->zz)", UnknownSymbol),
+        ("~(~(a->c)+~(a->c*d))", ShapeMismatch),  # not a deterministic value
+        ("(a->c)+(a->e)", MixedVariables),
+    ],
+)
+def test_conditional_values_are_checked_whole(beta, error):
+    # the first disjunct already decides (not exclusive, or exclusive under
+    # a negated disjunction), so the procedure never reaches the misfit
+    for decide in (exclusive, oracle_exclusive):
+        with pytest.raises(error):
+            decide(parse_term("[X]Y"), v(beta), v("a->c"), SIX)

@@ -1,6 +1,8 @@
 """Parser, printer and term-reduction tests."""
 
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,8 +22,11 @@ from tndpq.syntax import (
     Prod,
     Snd,
     ValueAttribution,
+    _TOKEN_RE,
+    _tokenize,
     is_deterministic,
     load_schema,
+    parse_attribution_list,
     parse_judgment,
     parse_term,
     parse_value,
@@ -214,3 +219,145 @@ def test_judgment_round_trip(p, value):
         return
     text = print_judgment(j)
     assert parse_judgment(text, schema) == j
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer: error messages and positions, and a differential test against
+# the character-stepping tokenizer it replaced
+
+# (parser, text, message, position)
+MALFORMED = [
+    ("value", "a+", "expected identifier, found '' (at position 2)", 2),
+    ("value", "", "expected identifier, found '' (at position 0)", 0),
+    ("value", "a b", "expected 'eof', found 'b' (at position 2)", 2),
+    ("value", "(a", "expected ')', found '' (at position 2)", 2),
+    ("value", "a)", "expected 'eof', found ')' (at position 1)", 1),
+    ("value", "a $ b", "unexpected character '$' (at position 2)", 2),
+    ("value", "a|b", "unexpected character '|' (at position 1)", 1),
+    ("value", "a-b", "unexpected character '-' (at position 1)", 1),
+    ("value", "->a", "expected identifier, found '->' (at position 0)", 0),
+    ("value", "~", "expected identifier, found '' (at position 1)", 1),
+    ("value", "a é", "expected 'eof', found 'é' (at position 2)", 2),
+    ("value", "1_0 ~", "expected 'eof', found '~' (at position 4)", 4),
+    ("term", "<X,Y", "expected '>', found '' (at position 4)", 4),
+    ("term", "<X Y>", "expected ',', found 'Y' (at position 3)", 3),
+    ("term", "[X", "expected ']', found '' (at position 2)", 2),
+    ("term", "fst(X", "expected ')', found '' (at position 5)", 5),
+    ("term", "X>", "expected 'eof', found '>' (at position 1)", 1),
+    ("term", "<,Y>", "expected identifier, found ',' (at position 1)", 1),
+    ("term", "X\xa0\u2028!", "unexpected character '!' (at position 3)", 3),  # Unicode spaces
+    ("judgment", "|> Loan : yes", "expected '@', found '' (at position 13)", 13),
+    ("judgment", "|> Loan : yes @", "expected probability, found '' (at position 15)", 15),
+    ("judgment", "|> Loan : yes @ x", "expected probability, found 'x' (at position 16)", 16),
+    ("judgment", "|> Loan : yes @ 0.5 0.5", "expected 'eof', found '0.5' (at position 20)", 20),
+    ("judgment", "Gen f |> Loan : yes @ 0.5", "expected ':', found 'f' (at position 4)", 4),
+    ("judgment", "Loan : yes @ 0.5", "expected '|>', found '@' (at position 11)", 11),
+    ("judgment", "|> Loan yes @ 0.5", "expected ':', found 'yes' (at position 8)", 8),
+    ("judgment", "|> Loan : yes @ 0.5.1", "expected probability, found '0.5.1' (at position 16)", 16),
+    ("judgment", "|> Loan : yes @ .5.", "expected probability, found '.5.' (at position 16)", 16),
+    ("judgment", "|> Loan : yes @ 1e", "expected probability, found '1e' (at position 16)", 16),
+    ("judgment", "Gen:f; |> Loan : yes @ 0.5", "unexpected character ';' (at position 5)", 5),
+    ("judgment", "|> Loan : yes @ 0.5 #", "unexpected character '#' (at position 20)", 20),
+    ("attributions", "Gen:f,", "expected identifier, found '' (at position 6)", 6),
+    ("attributions", "Gen f", "expected ':', found 'f' (at position 4)", 4),
+    ("attributions", "Gen:f Loan:yes", "expected 'eof', found 'Loan' (at position 6)", 6),
+]
+
+
+@pytest.mark.parametrize("parser, text, message, position", MALFORMED)
+def test_parse_error_message_and_position(loan_schema, parser, text, message, position):
+    parse = {
+        "value": parse_value,
+        "term": parse_term,
+        "judgment": lambda t: parse_judgment(t, loan_schema),
+        "attributions": parse_attribution_list,
+    }[parser]
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+    assert info.value.position == position
+
+
+_REF_FLOAT_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_REF_WORD_CHARS = re.compile(r"[A-Za-z0-9_.]")
+
+
+def _reference_tokenize(text):
+    """The character-stepping tokenizer, as (kind, text, pos) triples."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        two = text[i : i + 2]
+        if two in ("|>", "->"):
+            tokens.append((two, two, i))
+            i += 2
+            continue
+        if ch.isdigit() or ch == ".":
+            m = _REF_FLOAT_RE.match(text, i)
+            if m and not (m.end() < n and _REF_WORD_CHARS.match(text[m.end()])):
+                tokens.append(("number", m.group(), i))
+                i = m.end()
+                continue
+        if ch in ",+*~()<>[]@:":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isalnum() or ch in "_.":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_."):
+                j += 1
+            word = text[i:j]
+            try:
+                is_number = any(c.isdigit() for c in word) and float(word) is not None
+            except ValueError:
+                is_number = False
+            tokens.append(("number" if is_number else "ident", word, i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+# Pieces of token text, punctuation, ASCII and non-ASCII letters, digits
+# and spaces, and number-like words at the edge of the numeral pattern.
+_PIECES = (
+    list("ab_xE.e+-0159,:*~()<>[]@|$ \t\n")
+    + ["é", "ß", "٣", "²", "Ⅷ", "½", "\xa0", "\u2028", "一", "\U0001d7d8"]
+    + ["|>", "->", "1_0", "1e", "1e+5x", ".5.", "1.5", "2e-3", "0.25", "inf", "nan", "1__0", "_1", "1_"]
+)
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_PIECES) for _ in range(rng.randrange(0, 12)))
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+
+
+def test_tokenizer_matches_reference_on_random_text():
+    rng = random.Random(20250601)
+    for _ in range(20000):
+        text = _random_text(rng)
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text), text
+
+
+def test_tokenizer_matches_reference_on_every_character():
+    for code in range(0x20000):  # the basic and supplementary multilingual planes
+        ch = chr(code)
+        for text in ("1" + ch + "a", "a" + ch + ".5"):
+            assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text), hex(code)
+
+
+def test_token_pattern_needs_no_python_3_11_syntax():
+    # Atomic groups and possessive quantifiers are new in Python 3.11's `re`;
+    # the package supports 3.10.
+    assert not re.search(r"\(\?>|[*+?}]\+", _TOKEN_RE.pattern)

@@ -452,3 +452,51 @@ def test_chain_relations_match_old_prefix_relation(probs, variant, kwargs):
                 assert TrustProfile(parent, child).holds(name, l) == _old_prefix_relation(
                     child, parent, name, l
                 ), (parent, child, name, l)
+
+
+def _fraction_chains(probs, k, target, steps):
+    """Both chains stepped on Fractions, as build_chain once computed them."""
+    chains = []
+    for share in (2, 3):
+        dist = [Fraction(str(p)) for p in probs]
+        chain = [tuple(dist)]
+        for _ in range(steps):
+            moved = dist[k - 1] / share
+            dist[target - 1] += moved
+            dist[k - 1] -= moved
+            chain.append(tuple(dist))
+        chains.append(chain)
+    return chains
+
+
+@pytest.mark.parametrize(
+    "probs, variant, kwargs, target",
+    [
+        ((0.2, 0.4, 0.3, 0.1, 0.0), "AT", dict(m=1, k=2), 1),
+        ((0.2, 0.4, 0.3, 0.1, 0.0), "WT", dict(m=1, k=2, l=3), 3),
+        ((0.2, 0.4, 0.3, 0.1, 0.0), "ET", dict(m=2, k=4, l=3), 3),
+        # start denominators that differ from one another
+        ((1 / 3, 1 / 6, 1 / 2), "AT", dict(m=1, k=3), 1),
+        ((1 / 3, 1 / 6, 1 / 2), "WT", dict(m=1, k=2, l=1), 1),
+        ((1 / 3, 1 / 6, 1 / 2), "ET", dict(m=1, k=3, l=2), 2),
+    ],
+)
+def test_chain_entries_match_fraction_steps(probs, variant, kwargs, target):
+    atoms = POX.atoms("Pox")[: len(probs)]
+    a0, b0 = system(probs, atoms=atoms), system(probs, estimator="B", atoms=atoms)
+    chain_a, chain_b, report = build_chain(a0, b0, variant=variant, steps=40, **kwargs)
+    want_a, want_b = _fraction_chains(probs, kwargs["k"], target, 40)
+    assert len(chain_a) == len(chain_b) == 41 and len(report.steps) == 40
+    steps_a = [step["f"] for step in report.steps]
+    steps_b = [step["g"] for step in report.steps]
+    for got, want in ((chain_a, want_a), (chain_b, want_b), (steps_a, want_a[1:]), (steps_b, want_b[1:])):
+        assert got == want
+        assert all(type(x) is Fraction for dist in got for x in dist)
+    m = kwargs["m"]
+    for i, step in enumerate(report.steps, start=1):
+        assert step["parent_relation"] == (
+            _old_prefix_relation(want_a[i], want_a[i - 1], variant, m)
+            and _old_prefix_relation(want_b[i], want_b[i - 1], variant, m)
+        )
+        assert step["jt_cross"] == _old_prefix_relation(want_a[i], want_b[i], "JT", None)
+        assert step["et_cross"] == _old_prefix_relation(want_a[i], want_b[i], "ET", m)
