@@ -268,9 +268,9 @@ def _cmd_derive(args) -> int:
 
 def _cmd_exclusive(args) -> int:
     schema = load_schema(args.schema)
-    term = parse_term(args.term)
-    beta = parse_value(args.value1)
-    delta = parse_value(args.value2)
+    term = parse_term(args.term, schema)
+    beta = parse_value(args.value1, schema)
+    delta = parse_value(args.value2, schema)
     trace: list[str] | None = [] if args.explain else None
     verdict = exclusive(term, beta, delta, schema, trace=trace)
     if trace is not None:

@@ -41,7 +41,7 @@ from .syntax import (
     print_value,
     reduce_projections,
 )
-from .systems import independent
+from .systems import AppliedSystem, conditional_distribution, independent
 from .trust import TrustKind, TrustProfile, TrustReport
 
 # Rules admissible in each mode, as (rule, direction) pairs.
@@ -275,6 +275,15 @@ def derive_value(
 
 
 def _derive(source, sigma, term, value, schema) -> Derivation:
+    if (
+        isinstance(value, (Neg, Or))
+        and isinstance(term, Atom)
+        and not isinstance(source, AppliedSystem)
+        and is_deterministic(value)
+    ):
+        # every atom of the value queries the same distribution: learn it once
+        ts, est = source
+        source = conditional_distribution(ts, est, sigma, term.name)
     if isinstance(value, AtomVal):
         if not isinstance(term, Atom):
             raise DerivationFailed(

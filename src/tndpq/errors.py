@@ -31,10 +31,6 @@ class MixedVariables(TndpqError):
     """A single-variable value mentions atoms of two distinct variables."""
 
 
-class NonDeterministicValue(TndpqError):
-    """A product or conditional appeared where a deterministic value is required."""
-
-
 class ShapeMismatch(TndpqError):
     """Value shape does not match the subject term, or premises do not fit a rule."""
 

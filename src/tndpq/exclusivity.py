@@ -11,18 +11,16 @@ exclusive when their masks are disjoint; conditional terms are decided by
 antecedent matching.  `oracle_exclusive` decides the same question by
 enumerating every admissible assignment of atoms to variables.  Both accept
 linear terms only: a term naming a variable twice is ill-formed.  Neither
-accepts a conditional term below a pair, such as `<X,[Y]Z>`.
+accepts a conditional term below a pair, such as `<X,[Y]Z>`, nor one whose
+antecedent is conditional, such as `[[X]Y]Z`.  `cell_mask` gives the mask
+itself; over one variable, bit i stands for its (i+1)-th atom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-
 from .errors import (
     IllFormed,
     MixedVariables,
-    NonDeterministicValue,
     OracleTooLarge,
     ShapeMismatch,
 )
@@ -42,82 +40,7 @@ from .syntax import (
     print_value,
     reduce_projections,
     term_atoms,
-    value_atoms,
 )
-
-# ---------------------------------------------------------------------------
-# Star normal form for single-variable deterministic values
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """A generalized disjunction of atoms of one variable.
-
-    `indices` holds 1-based positions into the variable's declared atom
-    order; the set view identifies disjunctions up to associativity,
-    commutativity and idempotence.
-    """
-
-    variable: str
-    indices: frozenset[int]
-
-    def __post_init__(self):
-        if any(i < 1 for i in self.indices):
-            raise ValueError("indices are 1-based")
-
-    def disjoint(self, other: "IndexSet") -> bool:
-        if self.variable != other.variable:
-            raise MixedVariables(
-                f"index sets over {self.variable!r} and {other.variable!r}"
-            )
-        return not (self.indices & other.indices)
-
-    def to_value(self, schema: AttributeSchema) -> Value:
-        """Rebuild a disjunction of positive atoms, in declared atom order."""
-        if not self.indices:
-            raise ValueError("an empty index set has no value form")
-        atoms = schema.atoms(self.variable)
-        return reduce(Or, [AtomVal(atoms[i - 1]) for i in sorted(self.indices)])
-
-
-def star_normalize(value: Value, schema: AttributeSchema) -> IndexSet:
-    """Reduce a single-variable deterministic value to its atom index set.
-
-    Atoms map to singletons, disjunction to union and negation to the
-    complement within the variable's full index set; the result is a
-    fixpoint of the transformation steps.
-    """
-    atoms = value_atoms(value)
-    if not atoms:
-        raise MixedVariables("value names no atomic values")
-    owners = {schema.owner(a) for a in atoms}
-    if len(owners) != 1:
-        raise MixedVariables(f"value mixes variables {sorted(owners)}")
-    variable = owners.pop()
-    universe = frozenset(range(1, len(schema.atoms(variable)) + 1))
-
-    def walk(v: Value) -> frozenset[int]:
-        if isinstance(v, AtomVal):
-            return frozenset({schema.atom_index(variable, v.name)})
-        if isinstance(v, Or):
-            return walk(v.left) | walk(v.right)
-        if isinstance(v, Neg):
-            return universe - walk(v.inner)
-        raise NonDeterministicValue(f"{print_value(v)} is not a deterministic value")
-
-    return IndexSet(variable, walk(value))
-
-
-def atomic_exclusive(variable: str, beta: Value, delta: Value, schema: AttributeSchema) -> bool:
-    """Exclusivity for one atomic variable: disjoint star normal forms."""
-    b = star_normalize(beta, schema)
-    d = star_normalize(delta, schema)
-    if b.variable != variable or d.variable != variable:
-        raise MixedVariables(
-            f"values over {b.variable!r}/{d.variable!r}, expected {variable!r}"
-        )
-    return b.disjoint(d)
-
 
 # ---------------------------------------------------------------------------
 # Shape discipline
@@ -145,6 +68,22 @@ def _check_shape(term, value, schema) -> None:
         )
     _check_shape(term.antecedent, value.left, schema)
     _check_shape(term.consequent, value.right, schema)
+
+
+def _require_arrow_free_antecedents(term) -> None:
+    """Reject a conditional term with a conditional antecedent, such as `[[X]Y]Z`.
+
+    Antecedents are compared by their cell masks, which only arrow-free
+    terms have; no rule builds such a term.
+    """
+    whole = term
+    while isinstance(term, Cond):
+        if isinstance(term.antecedent, Cond):
+            raise ShapeMismatch(
+                f"conditional term {print_term(whole)} has the conditional antecedent"
+                f" {print_term(term.antecedent)}"
+            )
+        term = term.consequent
 
 
 def _require_linear(term) -> None:
@@ -215,6 +154,7 @@ def _decide(term, beta, delta, schema, trace) -> bool:
     if isinstance(term, Cond):
         _check_shape(term, beta, schema)
         _check_shape(term, delta, schema)
+        _require_arrow_free_antecedents(term)
     return _exclusive(term, beta, delta, schema, _Trace(trace))
 
 
@@ -282,6 +222,15 @@ def _mask(term, value, schema) -> tuple[int, int]:
     raise ShapeMismatch(f"unreduced projection in term {print_term(term)}")
 
 
+def cell_mask(term: VariableTerm, value: Value, schema: AttributeSchema) -> int:
+    """The cell mask of `value` over the reduced arrow-free `term`.
+
+    Raises `ShapeMismatch`, `MixedVariables` or `UnknownSymbol` at the first
+    misfit between the value and the term.
+    """
+    return _mask(term, value, schema)[0]
+
+
 def _explain_masks(term, b: int, d: int, width: int, schema) -> str:
     verdict = "disjoint" if not b & d else "overlap"
     if isinstance(term, Atom):
@@ -318,7 +267,7 @@ def _cell_names(term, schema) -> list[tuple[str, ...]]:
 # double negations, distribute over disjunctions (every disjunct must be
 # exclusive), push negation through conditionals, then negated disjunctions
 # (some disjunct must be exclusive).  Base case: both sides conditionals,
-# exclusive when the antecedents are equal and the consequents exclusive.
+# exclusive when the antecedents' masks are equal and the consequents exclusive.
 
 
 def _cond_exclusive(term, beta, delta, schema, trace) -> bool:
@@ -350,10 +299,7 @@ def _cond_exclusive(term, beta, delta, schema, trace) -> bool:
             )
     if isinstance(beta, Arrow) and isinstance(delta, Arrow):
         antecedent = term.antecedent
-        if isinstance(antecedent, Cond):
-            equal = beta.left == delta.left
-        else:
-            equal = _mask(antecedent, beta.left, schema)[0] == _mask(antecedent, delta.left, schema)[0]
+        equal = _mask(antecedent, beta.left, schema)[0] == _mask(antecedent, delta.left, schema)[0]
         trace.note(lambda: f"antecedents {'equal' if equal else 'differ'}")
         if not equal:
             return False
@@ -385,6 +331,7 @@ def oracle_exclusive(
     _require_linear(term)
     _check_shape(term, beta, schema)
     _check_shape(term, delta, schema)
+    _require_arrow_free_antecedents(term)
     budget = sum(len(schema.atoms(v)) for v in term_atoms(term))
     if budget > ORACLE_ATOM_BUDGET:
         raise OracleTooLarge(f"{budget} atoms involved, budget {ORACLE_ATOM_BUDGET}")

@@ -16,9 +16,11 @@ from .errors import (
     InvariantViolation,
     ParseError,
     SchemaMismatch,
+    TndpqError,
 )
-from .exclusivity import star_normalize
+from .exclusivity import cell_mask
 from .syntax import (
+    Atom,
     AtomVal,
     AttributeSchema,
     ValueAttribution,
@@ -151,15 +153,31 @@ def load_training_set(path, schema: AttributeSchema, id: str | None = None) -> T
     return TrainingSet(name, schema, tuple(rows))
 
 
-def _select(ts: TrainingSet, sigma) -> int:
-    # set-theoretic reading: a row satisfies an attribution when its atom
-    # lies in the value's star set, and σ when it satisfies every attribution
-    selected = (1 << len(ts.rows)) - 1
+def _sigma_masks(schema: AttributeSchema, sigma) -> list[int]:
+    """Each attribution's cell mask: bit i set when the value holds at atom i.
+
+    The mask walk validates the attribution; when it fails, `validate`
+    names the fault, so the error is the one validation alone would raise.
+    """
+    masks = []
     for va in sigma:
-        masks = ts.column_masks(va.variable)
+        try:
+            masks.append(cell_mask(Atom(va.variable), va.value, schema))
+        except TndpqError:
+            va.validate(schema)
+            raise
+    return masks
+
+
+def _select(ts: TrainingSet, sigma, masks) -> int:
+    # a row satisfies an attribution when its atom's bit is in the value's
+    # cell mask, and σ when it satisfies every attribution
+    selected = (1 << len(ts.rows)) - 1
+    for va, mask in zip(sigma, masks):
         chosen = 0
-        for index in star_normalize(va.value, ts.schema).indices:
-            chosen |= masks[index - 1]
+        for i, rows in enumerate(ts.column_masks(va.variable)):
+            if mask >> i & 1:
+                chosen |= rows
         selected &= chosen
     return selected
 
@@ -171,10 +189,9 @@ def conditional_distribution(
     sigma = tuple(sigma)
     if any(va.variable == target for va in sigma):
         raise InvariantViolation(f"{target!r} is already attributed in sigma")
-    for va in sigma:
-        va.validate(ts.schema)
+    masks = _sigma_masks(ts.schema, sigma)
     atoms = ts.schema.atoms(target)
-    selected = _select(ts, sigma)
+    selected = _select(ts, sigma, masks)
     counts = [(selected & mask).bit_count() for mask in ts.column_masks(target)]
     support = selected.bit_count()
     if est.kind == "freq":
@@ -202,7 +219,7 @@ def independent(
     worst = (0.0, None, None)
     for tau in ts.schema.atoms(t):
         extended = sigma + (ValueAttribution(t, AtomVal(tau)),)
-        if est.kind == "freq" and not _select(ts, extended):
+        if est.kind == "freq" and not _select(ts, extended, _sigma_masks(ts.schema, extended)):
             continue
         given = conditional_distribution(ts, est, extended, u)
         for upsilon in ts.schema.atoms(u):

@@ -27,7 +27,7 @@ import pytest
 
 from tndpq.calculus import Derivation, RuleId, apply_rule, at_query
 from tndpq.construction import Plan, PlanStep, subvalues, verify_preservation
-from tndpq.exclusivity import atomic_exclusive, exclusive, oracle_exclusive
+from tndpq.exclusivity import exclusive, oracle_exclusive
 from tndpq.syntax import (
     Arrow,
     Atom,
@@ -230,7 +230,7 @@ def test_criterion_3_exclusivity_oracle_equivalence():
         atoms = schema.atoms(var)
         b = _random_class_o(rng, atoms, 4)
         d = _random_class_o(rng, atoms, 4)
-        assert atomic_exclusive(var, b, d, schema) == oracle_exclusive(
+        assert exclusive(Atom(var), b, d, schema) == oracle_exclusive(
             Atom(var), b, d, schema
         ), (var, b, d)
 

@@ -320,3 +320,24 @@ def test_exclusive_conditional_below_a_pair_exits_2(tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "below a pair" in result.stderr
+
+
+@pytest.mark.parametrize("term, beta, delta", [("V", "t", "t"), ("V", "a", "a"), ("<X,V>", "a*u", "a*u")])
+def test_exclusive_names_an_undeclared_variable(tmp_path, term, beta, delta):
+    # the term is read against the schema, so the unknown variable is named
+    # rather than an atom that does not fit it
+    schema = tmp_path / "xyz.txt"
+    schema.write_text("X = a | b\nY = u | v\nZ = p | q\n")
+    result = _run_cli("exclusive", str(schema), term, beta, delta)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: unknown variable 'V'\n"
+
+
+def test_exclusive_conditional_antecedent_exits_2(tmp_path):
+    schema = tmp_path / "xyz.txt"
+    schema.write_text("X = a | b\nY = u | v\nZ = p | q\n")
+    result = _run_cli("exclusive", str(schema), "[[X]Y]Z", "(a->u)->p", "(~~(a->u))->q")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: conditional term [[X]Y]Z has the conditional antecedent [X]Y\n"

@@ -1,8 +1,11 @@
 """Tests for plan execution, closures, derived values, and preservation."""
 
+import random
+
 import pytest
 
-from tndpq.calculus import RuleId, at_query
+from tndpq import calculus, construction, systems
+from tndpq.calculus import RuleId, apply_rule, at_query, check_derivation
 from tndpq.construction import (
     ClosureSpec,
     Plan,
@@ -19,9 +22,11 @@ from tndpq.construction import (
 )
 from tndpq.errors import (
     DerivationFailed,
+    EmptySupport,
     PreconditionFailed,
     RuleNotAllowed,
     TheoremDoesNotApply,
+    TndpqError,
     UnsupportedTarget,
 )
 from tndpq.syntax import (
@@ -34,7 +39,10 @@ from tndpq.syntax import (
     Or,
     Pair,
     Prod,
+    ValueAttribution,
     parse_value,
+    print_term,
+    print_value,
 )
 from tndpq.systems import Estimator, TrainingSet
 from tndpq.trust import at as at_kind
@@ -419,3 +427,145 @@ def test_preserve_wt_zero_pattern_gate(pox_schema):
         verify_preservation(
             {"x": o_e, "y": o_m}, {"x": c_e, "y": c_m}, plan, wt(1), "construct", pox_schema
         )
+
+
+# ---------------------------------------------------------------------------
+# derive_value against derivations built one atom query at a time
+
+XYZ = AttributeSchema.of([("X", ("x1", "x2", "x3", "x4")), ("Y", ("y1", "y2", "y3")), ("Z", ("z1", "z2"))])
+ESTIMATORS = (Estimator("f", "freq"), Estimator("l", "laplace", 0.5))
+
+
+def _seeded_table(rng, n):
+    rows = [{name: rng.choice(atoms) for name, atoms in XYZ.variables} for _ in range(n)]
+    return TrainingSet(f"T{n}", XYZ, tuple(rows))
+
+
+def _deterministic_value(rng, atoms):
+    """Distinct atoms in a random disjunction tree, perhaps negated; or any
+    class-O value, whose disjuncts may overlap."""
+    if rng.random() < 0.25:
+        value = AtomVal(rng.choice(atoms))
+        for _ in range(rng.randint(1, 3)):
+            value = Neg(value) if rng.random() < 0.4 else Or(value, AtomVal(rng.choice(atoms)))
+        return value
+
+    def tree(names):
+        if len(names) == 1:
+            return AtomVal(names[0])
+        k = rng.randint(1, len(names) - 1)
+        return Or(tree(names[:k]), tree(names[k:]))
+
+    value = tree(rng.sample(atoms, rng.randint(1, len(atoms))))
+    for _ in range(rng.randint(0, 2)):
+        value = Neg(value)
+    return value
+
+
+def _atom_by_atom(source, sigma, term, value, schema):
+    """The derivation `derive_value` builds, with one `at_query` per atom."""
+
+    def build(sigma, term, value):
+        if isinstance(value, AtomVal):
+            return at_query(source, sigma, term.name, value.name)
+        if isinstance(value, Neg):
+            return apply_rule(RuleId.NegIER, [build(sigma, term, value.inner)], schema)
+        if isinstance(value, Or):
+            return apply_rule(
+                RuleId.OrIR, [build(sigma, term, value.left), build(sigma, term, value.right)], schema
+            )
+        if isinstance(value, Arrow):
+            extended = sigma + (ValueAttribution(term.antecedent.name, value.left),)
+            return apply_rule(RuleId.ImpIE, [build(extended, term.consequent, value.right)], schema)
+        minor = build(sigma, term.left, value.left)
+        extended = sigma + (ValueAttribution(term.left.name, value.left),)
+        major = build(extended, term.right, value.right)
+        return apply_rule(RuleId.ProdI1, [major, minor], schema)
+
+    return build(tuple(sigma), term, value)
+
+
+def _derivation_cases(seed):
+    """(source, sigma, term, value, distributions) over seeded tables, where
+    `distributions` counts the value's deterministic subvalues."""
+    rng = random.Random(seed)
+    atoms = {name: list(a) for name, a in XYZ.variables}
+    for _ in range(40):
+        ts = _seeded_table(rng, rng.choice((0, 3, 20, 90)))
+        for est in ESTIMATORS:
+            sigma = ()
+            if rng.random() < 0.5:
+                sigma = (ValueAttribution("Z", _deterministic_value(rng, atoms["Z"])),)
+            shape = rng.randrange(3)
+            if shape == 0:
+                term, value, count = Atom("X"), _deterministic_value(rng, atoms["X"]), 1
+            elif shape == 1:
+                term = Cond(Atom("X"), Atom("Y"))
+                value = Arrow(_deterministic_value(rng, atoms["X"]), _deterministic_value(rng, atoms["Y"]))
+                count = 1
+            else:
+                term = Pair(Atom("X"), Atom("Y"))
+                value = Prod(_deterministic_value(rng, atoms["X"]), _deterministic_value(rng, atoms["Y"]))
+                count = 2
+            yield (ts, est), sigma, term, value, count
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_derive_value_matches_atom_by_atom_queries(seed):
+    derived = failed = 0
+    for source, sigma, term, value, _ in _derivation_cases(seed):
+        try:
+            expected = _atom_by_atom(source, sigma, term, value, XYZ)
+        except TndpqError as exc:
+            if isinstance(term, Pair):
+                continue  # derive_value may still take the independence route
+            with pytest.raises(DerivationFailed) as caught:
+                derive_value(source, sigma, term, value, XYZ)
+            if not isinstance(exc, DerivationFailed):
+                assert str(caught.value) == f"cannot derive {print_value(value)} for {print_term(term)}: {exc}"
+            failed += 1
+            continue
+        got = derive_value(source, sigma, term, value, XYZ)
+        assert got == expected, (term, value, sigma)
+        report = check_derivation(got, XYZ, sources={source[0].id: source})
+        assert report.ok, report.violations
+        derived += 1
+    assert derived > 20 and failed > 5
+
+
+def test_derive_value_learns_one_distribution_per_deterministic_subvalue(monkeypatch):
+    calls = []
+    real = systems.conditional_distribution
+
+    def counting(ts, est, sigma, target):
+        calls.append(target)
+        return real(ts, est, sigma, target)
+
+    monkeypatch.setattr(calculus, "conditional_distribution", counting)
+    monkeypatch.setattr(construction, "conditional_distribution", counting)
+    checked = 0
+    for source, sigma, term, value, count in _derivation_cases(4):
+        calls.clear()
+        try:
+            derive_value(source, sigma, term, value, XYZ)
+        except DerivationFailed:
+            continue
+        if isinstance(term, Pair) and calls.count("X") != 1:
+            continue  # the independence route tests independence first
+        assert len(calls) == count, (term, value)
+        checked += 1
+    assert checked > 20
+
+
+def test_derive_value_empty_support_message():
+    ts = TrainingSet("t", XYZ, ({"X": "x1", "Y": "y1", "Z": "z1"},))
+    sigma = (ValueAttribution("Z", AtomVal("z2")),)
+    value = parse_value("x1 + ~(x2 + x3)")
+    with pytest.raises(DerivationFailed) as caught:
+        derive_value((ts, Estimator("f", "freq")), sigma, Atom("X"), value, XYZ)
+    assert str(caught.value) == "cannot derive x1+~(x2+x3) for X: no training row satisfies Z:z2"
+    assert isinstance(caught.value.__cause__, EmptySupport)
+    # a product below an atomic term is refused before any distribution is learnt
+    with pytest.raises(DerivationFailed) as caught:
+        derive_value((ts, Estimator("f", "freq")), sigma, Atom("X"), parse_value("~(x1*y1)+x2"), XYZ)
+    assert str(caught.value) == "product value for non-pair term X"

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from tndpq import exclusivity
 from tndpq.errors import IllFormed, MixedVariables, OracleTooLarge, ShapeMismatch, UnknownSymbol
 from tndpq.exclusivity import (
-    IndexSet,
-    atomic_exclusive,
+    cell_mask,
     exclusive,
     oracle_exclusive,
     positional_exclusive,
-    star_normalize,
 )
 from tndpq.syntax import (
     Arrow,
@@ -39,54 +37,66 @@ def v(text):
     return parse_value(text)
 
 
-def test_star_normalize_singleton():
-    assert star_normalize(v("a1"), FIVE) == IndexSet("V", frozenset({1}))
+def test_cell_mask_singleton():
+    assert cell_mask(Atom("V"), v("a1"), FIVE) == 0b1
 
 
-def test_star_normalize_complement(small_schema):
-    assert star_normalize(v("a"), small_schema).indices == {1}
-    assert star_normalize(v("~a"), small_schema).indices == {2, 3}
+def test_cell_mask_complement(small_schema):
+    assert cell_mask(Atom("X"), v("a"), small_schema) == 0b001
+    assert cell_mask(Atom("X"), v("~a"), small_schema) == 0b110
 
 
-def test_star_normalize_nested():
+def test_cell_mask_nested():
     # (((a1+a2)^bot + a3)^bot + a4)^bot over five atoms
     value = v("~(~(~(a1+a2)+a3)+a4)")
-    assert star_normalize(value, FIVE).indices == {3, 5}
+    assert cell_mask(Atom("V"), value, FIVE) == 0b10100
 
 
-def test_star_normalize_fixpoint(small_schema):
-    # re-normalizing the positive-atom form changes nothing
-    result = star_normalize(v("~(a+b)"), small_schema)
-    assert star_normalize(result.to_value(small_schema), small_schema) == result
+def _positive_form(mask, atoms):
+    """The disjunction of the atoms whose bits are set, in declared order."""
+    chosen = [AtomVal(a) for i, a in enumerate(atoms) if mask >> i & 1]
+    value = chosen[0]
+    for atom in chosen[1:]:
+        value = Or(value, atom)
+    return value
 
 
-def test_empty_index_set_has_no_value_form(small_schema):
-    with pytest.raises(ValueError):
-        IndexSet("X", frozenset()).to_value(small_schema)
+def test_cell_mask_fixpoint(small_schema):
+    # the mask of the positive-atom form is the mask it was built from
+    mask = cell_mask(Atom("X"), v("~(a+b)"), small_schema)
+    rebuilt = _positive_form(mask, small_schema.atoms("X"))
+    assert rebuilt == AtomVal("c")
+    assert cell_mask(Atom("X"), rebuilt, small_schema) == mask
 
 
-def test_star_normalize_errors(small_schema):
+def test_contradiction_has_the_empty_mask(small_schema):
+    # a value that holds at no atom is exclusive with every value, itself too
+    nothing = v("~(a+b+c)")
+    assert cell_mask(Atom("X"), nothing, small_schema) == 0
+    assert exclusive(Atom("X"), nothing, nothing, small_schema)
+    assert oracle_exclusive(Atom("X"), nothing, nothing, small_schema)
+
+
+def test_cell_mask_errors(small_schema):
     with pytest.raises(MixedVariables):
-        star_normalize(v("a+u"), small_schema)
-    from tndpq.errors import NonDeterministicValue
-
-    with pytest.raises(NonDeterministicValue):
-        star_normalize(Prod(AtomVal("a"), AtomVal("b")), small_schema)
+        cell_mask(Atom("X"), v("a+u"), small_schema)
+    with pytest.raises(ShapeMismatch):
+        cell_mask(Atom("X"), Prod(AtomVal("a"), AtomVal("b")), small_schema)
 
 
-def test_atomic_exclusive_age_style():
+def test_exclusive_age_style():
     # disjunction of the extremes vs the middle band
     ages = AttributeSchema.of([("Age", ("low", "mid", "high"))])
-    assert atomic_exclusive("Age", v("low+high"), v("mid"), ages)
+    assert exclusive(Atom("Age"), v("low+high"), v("mid"), ages)
 
 
 def test_atomic_not_self_exclusive(small_schema):
-    assert not atomic_exclusive("X", v("a+b"), v("a+b"), small_schema)
+    assert not exclusive(Atom("X"), v("a+b"), v("a+b"), small_schema)
 
 
 def test_atomic_complement_overlap():
     three = AttributeSchema.of([("V", ("a1", "a2", "a3"))])
-    assert not atomic_exclusive("V", v("~a1"), v("a1+a2"), three)
+    assert not exclusive(Atom("V"), v("~a1"), v("a1+a2"), three)
 
 
 def test_pair_negated_product_not_exclusive():
@@ -249,7 +259,7 @@ def test_atomic_agrees_with_oracle():
     for _ in range(600):
         b = _random_class_o(rng, atoms, 4)
         d = _random_class_o(rng, atoms, 4)
-        assert atomic_exclusive("A", b, d, schema) == oracle_exclusive(
+        assert exclusive(Atom("A"), b, d, schema) == oracle_exclusive(
             Atom("A"), b, d, schema
         )
 
@@ -286,8 +296,8 @@ def test_symmetry():
         if isinstance(term, Atom):
             b = _random_class_o(rng, schema.atoms("A"), 3)
             d = _random_class_o(rng, schema.atoms("A"), 3)
-            assert atomic_exclusive("A", b, d, schema) == atomic_exclusive(
-                "A", d, b, schema
+            assert exclusive(Atom("A"), b, d, schema) == exclusive(
+                Atom("A"), d, b, schema
             )
         else:
             b = _random_shaped(rng, term, schema, 2)
@@ -426,6 +436,25 @@ def test_conditional_below_a_pair_is_rejected(term, beta, delta):
     for decide in (exclusive, oracle_exclusive):
         with pytest.raises(ShapeMismatch, match="below a pair"):
             decide(parse_term(term), v(beta), v(delta), SIX)
+
+
+XYZW = AttributeSchema.of([("X", ("a", "b")), ("Y", ("u", "v")), ("Z", ("p", "q")), ("W", ("r", "s"))])
+
+
+@pytest.mark.parametrize(
+    "term, beta, delta",
+    [
+        # antecedents that differ in structure but not in truth table
+        ("[[X]Y]Z", "(a->u)->p", "(~~(a->u))->q"),
+        ("[[X]Y]Z", "(a->u)->p", "(a->u)->q"),
+        ("[[X]Y]Z", "~((a->u)->p)", "((b->v)->q)+((a->u)->p)"),
+        ("[X][[Y]Z]W", "a->((u->p)->r)", "a->((u->p)->s)"),
+    ],
+)
+def test_conditional_antecedent_is_rejected(term, beta, delta):
+    for decide in (exclusive, oracle_exclusive, positional_exclusive):
+        with pytest.raises(ShapeMismatch, match="conditional antecedent"):
+            decide(parse_term(term), v(beta), v(delta), XYZW)
 
 
 def test_positional_reading_rejects_a_conditional_below_a_pair():

@@ -6,8 +6,26 @@ import random
 import pytest
 
 from tndpq import systems
-from tndpq.errors import EmptySupport, InvariantViolation, ParseError, SchemaMismatch
-from tndpq.syntax import AtomVal, AttributeSchema, Neg, Or, ValueAttribution, parse_attribution_list
+from tndpq.calculus import at_query
+from tndpq.cli import main
+from tndpq.errors import (
+    EmptySupport,
+    IllFormed,
+    InvariantViolation,
+    MixedVariables,
+    ParseError,
+    SchemaMismatch,
+    UnknownSymbol,
+)
+from tndpq.syntax import (
+    AtomVal,
+    AttributeSchema,
+    Neg,
+    Or,
+    ValueAttribution,
+    load_schema,
+    parse_attribution_list,
+)
 from tndpq.systems import (
     AppliedSystem,
     Estimator,
@@ -248,11 +266,27 @@ def _outcome(call):
         return None
 
 
+def _negated_disjunctions(rng, atoms, depth=3):
+    """`~(... + ...)` nested `depth` deep, with a random value beside each level."""
+    value = _random_value(rng, atoms, 1)
+    for _ in range(depth):
+        other = _random_value(rng, atoms, 1)
+        value = Neg(Or(value, other) if rng.random() < 0.5 else Or(other, value))
+    return value
+
+
+def _assert_counts_agree(ts, est, context, sigma, t, target):
+    got = _outcome(lambda: conditional_distribution(ts, est, sigma, target).distribution)
+    assert got == _naive_distribution(ts, est, sigma, target), sigma
+    got = _outcome(lambda: independent(ts, est, context, t, target))
+    assert got == _naive_independent(ts, est, context, t, target), context
+
+
 def test_index_matches_row_counting():
     rng = random.Random(11)
     estimators = (FREQ, Estimator("L", "laplace", 0.5))
     names = [name for name, _ in WIDE.variables]
-    for trial in range(150):
+    for _ in range(150):
         ts = _random_table(rng, rng.choice((0, 1, 7, 64, 65, 200)))
         for est in estimators:
             target, t, *rest = rng.sample(names, len(names))
@@ -261,26 +295,78 @@ def test_index_matches_row_counting():
                 for name in rest[: rng.randint(0, 2)]
             )
             sigma = context + ((ValueAttribution(t, _random_value(rng, WIDE.atoms(t))),) if rng.random() < 0.5 else ())
-            got = _outcome(lambda: conditional_distribution(ts, est, sigma, target).distribution)
-            assert got == _naive_distribution(ts, est, sigma, target), (trial, sigma)
-            got = _outcome(lambda: independent(ts, est, context, t, target))
-            assert got == _naive_independent(ts, est, context, t, target), (trial, context)
+            _assert_counts_agree(ts, est, context, sigma, t, target)
+    # every σ value three negated disjunctions deep
+    rng = random.Random(12)
+    for _ in range(60):
+        ts = _random_table(rng, rng.choice((0, 7, 65, 200)))
+        for est in estimators:
+            target, t, *rest = rng.sample(names, len(names))
+            context = tuple(
+                ValueAttribution(name, _negated_disjunctions(rng, WIDE.atoms(name)))
+                for name in rest[: rng.randint(1, 2)]
+            )
+            sigma = context + (ValueAttribution(t, _negated_disjunctions(rng, WIDE.atoms(t))),)
+            _assert_counts_agree(ts, est, context, sigma, t, target)
 
 
 @pytest.mark.parametrize("n", [3, 3000])
-def test_one_star_normalize_per_attribution(monkeypatch, n):
-    real = systems.star_normalize
+def test_one_cell_mask_per_attribution(monkeypatch, n):
+    real = systems.cell_mask
     calls = []
 
-    def counting(value, schema):
+    def counting(term, value, schema):
         calls.append(value)
-        return real(value, schema)
+        return real(term, value, schema)
 
-    monkeypatch.setattr(systems, "star_normalize", counting)
+    monkeypatch.setattr(systems, "cell_mask", counting)
     ts = _random_table(random.Random(n), n)
     context = parse_attribution_list("a:x+y, b:~u, c:~(p+q)", WIDE)
     conditional_distribution(ts, Estimator("L", "laplace", 1.0), context, "d")
     assert len(calls) == len(context)
+    assert calls == [va.value for va in context]
+
+
+# One fault per case, then two at once to pin the precedence: each
+# attribution in order, then the target, then the table's columns.
+SIGMA_FAULTS = [
+    ("z:x", "b", UnknownSymbol, "unknown variable 'z'"),
+    ("a:u", "b", IllFormed, "value atoms do not belong to 'a'"),
+    ("a:x*u", "b", IllFormed, "attribution to 'a' uses a non-deterministic value"),
+    ("a:x->u", "b", IllFormed, "attribution to 'a' uses a non-deterministic value"),
+    ("a:~(x->u)", "b", IllFormed, "attribution to 'a' uses a non-deterministic value"),
+    ("a:w", "b", UnknownSymbol, "unknown atomic value 'w'"),
+    ("a:x+u", "b", MixedVariables, "value mixes variables ['a', 'b']"),
+    ("a:x", "w", UnknownSymbol, "unknown variable 'w'"),
+    ("c:p", "b", SchemaMismatch, "training table {csv!r} has no column 'c'"),
+    ("a:x", "a", InvariantViolation, "'a' is already attributed in sigma"),
+    ("a:u+x*u", "b", IllFormed, "attribution to 'a' uses a non-deterministic value"),
+    ("a:x*u", "w", IllFormed, "attribution to 'a' uses a non-deterministic value"),
+    ("b:u, a:x->y", "w", IllFormed, "attribution to 'a' uses a non-deterministic value"),
+    ("c:p", "w", UnknownSymbol, "unknown variable 'w'"),
+    ("c:p, a:u", "b", IllFormed, "value atoms do not belong to 'a'"),
+    ("z:x, a:u", "b", UnknownSymbol, "unknown variable 'z'"),
+    ("a:u, z:x", "b", IllFormed, "value atoms do not belong to 'a'"),
+]
+
+
+@pytest.mark.parametrize("text, target, error, message", SIGMA_FAULTS)
+def test_sigma_error_contract(tmp_path, capsys, text, target, error, message):
+    schema_path, csv_path = tmp_path / "s.txt", tmp_path / "t.csv"
+    schema_path.write_text("a = x | y\nb = u | v\nc = p | q\n")
+    csv_path.write_text("a,b\nx,u\ny,v\nx,v\n")
+    message = message.format(csv=str(csv_path))
+    ts = load_training_set(csv_path, load_schema(schema_path))
+    sigma = parse_attribution_list(text)
+    with pytest.raises(error) as caught:
+        conditional_distribution(ts, FREQ, sigma, target)
+    assert type(caught.value) is error and str(caught.value) == message
+    with pytest.raises(error) as caught:
+        at_query((ts, FREQ), sigma, target, "u")
+    assert type(caught.value) is error and str(caught.value) == message
+    code = main(["learn", str(schema_path), str(csv_path), "--target", target, "--sigma", text])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_index_is_not_part_of_equality():
