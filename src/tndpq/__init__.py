@@ -10,78 +10,41 @@ themselves stay importable for the full APIs:
 - trust: JT/ET/WT/AT relations, algebra, chains
 - construction: plans, closures, preservation
 - cli: the command-line entry point
+
+Names and submodules are imported when first read (PEP 562), so that a CLI
+command loads only the layers it runs.
 """
 
-from .errors import TndpqError
-from .syntax import (
-    AttributeSchema,
-    Judgment,
-    load_schema,
-    parse_judgment,
-    parse_term,
-    parse_value,
-    print_judgment,
-)
-from .exclusivity import exclusive, oracle_exclusive
-from .systems import (
-    AppliedSystem,
-    Estimator,
-    TrainingSet,
-    conditional_distribution,
-    independent,
-    load_training_set,
-)
-from .calculus import Derivation, RuleId, apply_rule, at_query, check_derivation
-from .trust import at, build_chain, check_local, compose_square, et, jt, verify_algebra, wt
-from .construction import (
-    ClosureSpec,
-    Plan,
-    PlanStep,
-    closure_member,
-    construct,
-    deconstruct,
-    derive_value,
-    verify_preservation,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AppliedSystem",
-    "AttributeSchema",
-    "ClosureSpec",
-    "Derivation",
-    "Estimator",
-    "Judgment",
-    "Plan",
-    "PlanStep",
-    "RuleId",
-    "TndpqError",
-    "TrainingSet",
-    "apply_rule",
-    "at",
-    "at_query",
-    "build_chain",
-    "check_derivation",
-    "check_local",
-    "closure_member",
-    "compose_square",
-    "conditional_distribution",
-    "construct",
-    "deconstruct",
-    "derive_value",
-    "et",
-    "exclusive",
-    "independent",
-    "jt",
-    "load_schema",
-    "load_training_set",
-    "oracle_exclusive",
-    "parse_judgment",
-    "parse_term",
-    "parse_value",
-    "print_judgment",
-    "verify_algebra",
-    "verify_preservation",
-    "wt",
-]
+# Each submodule and the names it exports.
+_LAYERS = {
+    "errors": "TndpqError",
+    "syntax": "AttributeSchema Judgment load_schema parse_judgment parse_term parse_value print_judgment",
+    "exclusivity": "exclusive oracle_exclusive",
+    "systems": "AppliedSystem Estimator TrainingSet conditional_distribution independent load_training_set",
+    "calculus": "Derivation RuleId apply_rule at_query check_derivation",
+    "trust": "at build_chain check_local compose_square et jt verify_algebra wt",
+    "construction": "ClosureSpec Plan PlanStep closure_member construct deconstruct derive_value verify_preservation",
+    "cli": "",
+}
+_EXPORTS = {name: module for module, names in _LAYERS.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _LAYERS:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _EXPORTS:
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

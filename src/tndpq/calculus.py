@@ -31,6 +31,7 @@ from .exclusivity import exclusive
 from .syntax import (
     Arrow,
     Atom,
+    AtomVal,
     AttributeSchema,
     Cond,
     Fst,
@@ -114,8 +115,6 @@ def at_query(source, sigma, variable: str, atom: str) -> Derivation:
     else:
         ts, est = source
         system = conditional_distribution(ts, est, sigma, variable)
-    from .syntax import AtomVal
-
     conclusion = Judgment(sigma, Atom(variable), AtomVal(atom), system.probability(atom))
     return Derivation(conclusion, RuleId.AtQuery, (), (), (system.training, system.estimator))
 

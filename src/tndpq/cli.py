@@ -12,40 +12,17 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
-from fractions import Fraction
 
 from .errors import TndpqError, UnknownCondition
-from .calculus import Derivation, RuleId, at_query, apply_rule, check_derivation
-from .construction import Plan, PlanStep, verify_preservation
-from .exclusivity import exclusive, oracle_exclusive
-from .syntax import (
-    Atom,
-    AtomVal,
-    AttributeSchema,
-    Neg,
-    Or,
-    load_schema,
-    parse_attribution_list,
-    parse_judgment,
-    parse_term,
-    parse_value,
-    print_judgment,
-)
-from .systems import (
-    AppliedSystem,
-    Estimator,
-    conditional_distribution,
-    independent,
-    load_applied_system,
-    load_training_set,
-    save_applied_system,
-)
-from . import trust
+
+# Each command imports the layers it runs, inside its function, so that a
+# process pays the import of no layer it does not use.
 
 
 def _parse_estimator(spec: str) -> Estimator:
+    from .systems import Estimator
+
     if spec == "freq":
         return Estimator("freq", "freq")
     if spec.startswith("laplace:"):
@@ -60,6 +37,8 @@ def _parse_estimator(spec: str) -> Estimator:
 
 
 def _parse_kind(spec: str) -> trust.TrustKind:
+    from . import trust
+
     name, _, m = spec.partition(":")
     name = name.lower()
     if name == "jt":
@@ -123,6 +102,9 @@ class ScriptStep:
 
 
 def parse_script(text: str, schema: AttributeSchema) -> list[ScriptStep]:
+    from .calculus import RuleId
+    from .syntax import parse_attribution_list
+
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -166,6 +148,8 @@ def parse_script(text: str, schema: AttributeSchema) -> list[ScriptStep]:
 
 
 def _side_evidence(step: ScriptStep, source, sigma):
+    from .systems import independent
+
     if not step.side_text:
         return ()
     tokens = step.side_text.split()
@@ -186,6 +170,8 @@ def _side_evidence(step: ScriptStep, source, sigma):
 
 def run_script(steps, sources, schema) -> dict[str, Derivation]:
     """Execute a proof script; `sources` is a list tried in order for leaves."""
+    from .calculus import apply_rule, at_query
+
     env: dict[str, Derivation] = {}
     for step in steps:
         if step.leaf is not None:
@@ -220,6 +206,8 @@ def run_script(steps, sources, schema) -> dict[str, Derivation]:
 
 
 def _cmd_parse(args) -> int:
+    from .syntax import load_schema, parse_judgment, print_judgment
+
     schema = load_schema(args.schema)
     judgment = parse_judgment(args.judgment, schema)
     judgment.validate(schema)
@@ -228,6 +216,9 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    from .syntax import load_schema, parse_attribution_list
+    from .systems import conditional_distribution, load_training_set, save_applied_system
+
     schema = load_schema(args.schema)
     ts = load_training_set(args.csv, schema)
     est = _parse_estimator(args.estimator)
@@ -241,6 +232,10 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    from .calculus import check_derivation
+    from .syntax import load_schema, print_judgment
+    from .systems import load_training_set
+
     schema = load_schema(args.schema)
     ts = load_training_set(args.source, schema)
     est = _parse_estimator(args.estimator)
@@ -267,6 +262,9 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_exclusive(args) -> int:
+    from .exclusivity import exclusive
+    from .syntax import load_schema, parse_term, parse_value
+
     schema = load_schema(args.schema)
     term = parse_term(args.term, schema)
     beta = parse_value(args.value1, schema)
@@ -281,6 +279,10 @@ def _cmd_exclusive(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import trust
+    from .syntax import load_schema
+    from .systems import load_applied_system
+
     schema = load_schema(args.schema)
     original = load_applied_system(args.original, schema)
     copy = load_applied_system(args.copy, schema)
@@ -295,6 +297,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from fractions import Fraction
+
+    from . import trust
+    from .syntax import load_schema
+    from .systems import load_applied_system
+
     schema = load_schema(args.schema)
     system = load_applied_system(args.system, schema)
     chain_a, chain_b, report = trust.build_chain(
@@ -313,14 +321,16 @@ def _cmd_chain(args) -> int:
     return 0 if report.ok else 1
 
 
-def _load_side(paths, schema):
-    return [load_applied_system(p, schema) for p in paths]
-
-
 def _cmd_preserve(args) -> int:
+    from . import trust
+    from .calculus import at_query
+    from .construction import Plan, PlanStep, verify_preservation
+    from .syntax import load_schema
+    from .systems import load_applied_system
+
     schema = load_schema(args.schema)
-    orig_systems = _load_side(args.orig, schema)
-    copy_systems = _load_side(args.copy, schema)
+    orig_systems = [load_applied_system(p, schema) for p in args.orig]
+    copy_systems = [load_applied_system(p, schema) for p in args.copy]
     with open(args.plan, encoding="utf-8") as handle:
         steps = parse_script(handle.read(), schema)
     leaves = [s for s in steps if s.leaf is not None]
@@ -373,13 +383,14 @@ def _cmd_preserve(args) -> int:
 
 
 def _selftest_inversion(rng, cases, schema):
+    from .calculus import Derivation, RuleId, apply_rule
+    from .syntax import Atom, AtomVal, Judgment, ValueAttribution
+
     failures = 0
     for _ in range(cases):
         f = rng.uniform(0.05, 0.95)
         g = rng.uniform(0.05, 0.95)
         sigma = ()
-        from .syntax import Judgment, ValueAttribution
-
         minor = Derivation(
             Judgment(sigma, Atom("X"), AtomVal("a"), f), RuleId.AtQuery, (), ()
         )
@@ -399,6 +410,9 @@ def _selftest_inversion(rng, cases, schema):
 
 
 def _selftest_exclusivity(rng, cases, schema):
+    from .exclusivity import exclusive, oracle_exclusive
+    from .syntax import Atom, AtomVal, Neg, Or
+
     atoms = [AtomVal(a) for a in schema.atoms("X")]
 
     def rand_value(depth):
@@ -419,6 +433,11 @@ def _selftest_exclusivity(rng, cases, schema):
 
 
 def _selftest_trust(rng, cases):
+    from fractions import Fraction
+
+    from .systems import AppliedSystem
+    from .trust import verify_algebra
+
     samples = []
     for _ in range(cases):
         triple = []
@@ -441,11 +460,15 @@ def _selftest_trust(rng, cases):
                 )
             )
         samples.append(tuple(triple))
-    report = trust.verify_algebra(samples)
+    report = verify_algebra(samples)
     return len(report.failures)
 
 
 def _cmd_selftest(args) -> int:
+    import random
+
+    from .syntax import AttributeSchema
+
     rng = random.Random(args.seed)
     print(f"SEED\t{args.seed}")
     schema = AttributeSchema.of({"X": ("a", "b", "c", "d"), "Y": ("u", "v")})

@@ -314,6 +314,8 @@ class Judgment:
 
 
 def same_sigma(a: Judgment | tuple, b: Judgment | tuple) -> bool:
+    if a is b or a == b:
+        return True
     key_a = a.sigma_key() if isinstance(a, Judgment) else frozenset((v.variable, v.value) for v in a)
     key_b = b.sigma_key() if isinstance(b, Judgment) else frozenset((v.variable, v.value) for v in b)
     return key_a == key_b

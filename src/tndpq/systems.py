@@ -21,7 +21,6 @@ from .errors import (
 from .exclusivity import cell_mask
 from .syntax import (
     Atom,
-    AtomVal,
     AttributeSchema,
     ValueAttribution,
     parse_attribution_list,
@@ -134,6 +133,7 @@ def load_training_set(path, schema: AttributeSchema, id: str | None = None) -> T
                 raise SchemaMismatch(f"header column {column!r} is not a schema variable")
         if len(set(header)) != len(header):
             raise ParseError("duplicate column in header")
+        allowed = [frozenset(schema.atoms(column)) for column in header]
         rows = []
         for lineno, cells in enumerate(reader, start=2):
             if not cells or all(not c.strip() for c in cells):
@@ -141,9 +141,9 @@ def load_training_set(path, schema: AttributeSchema, id: str | None = None) -> T
             if len(cells) != len(header):
                 raise ParseError(f"row {lineno}: {len(cells)} cells, expected {len(header)}")
             row = {}
-            for column, cell in zip(header, cells):
+            for column, atoms, cell in zip(header, allowed, cells):
                 atom = cell.strip()
-                if atom not in schema.atoms(column):
+                if atom not in atoms:
                     raise SchemaMismatch(
                         f"row {lineno}: {atom!r} is not an atomic value of {column!r}"
                     )
@@ -169,7 +169,22 @@ def _sigma_masks(schema: AttributeSchema, sigma) -> list[int]:
     return masks
 
 
-def _select(ts: TrainingSet, sigma, masks) -> int:
+def _probabilities(ts: TrainingSet, est: Estimator, target: str, selected: int) -> list[float]:
+    """P(target = each atom) among the rows in `selected`, of which "freq" needs one."""
+    counts = [(selected & mask).bit_count() for mask in ts.column_masks(target)]
+    support = selected.bit_count()
+    if est.kind == "freq":
+        return [count / support for count in counts]
+    total = support + est.smoothing * len(counts)
+    return [(count + est.smoothing) / total for count in counts]
+
+
+def _conditional(ts: TrainingSet, est: Estimator, sigma: tuple, target: str):
+    """`conditional_distribution`, and the row bitset of the rows satisfying σ."""
+    if any(va.variable == target for va in sigma):
+        raise InvariantViolation(f"{target!r} is already attributed in sigma")
+    masks = _sigma_masks(ts.schema, sigma)
+    atoms = ts.schema.atoms(target)
     # a row satisfies an attribution when its atom's bit is in the value's
     # cell mask, and σ when it satisfies every attribution
     selected = (1 << len(ts.rows)) - 1
@@ -179,29 +194,17 @@ def _select(ts: TrainingSet, sigma, masks) -> int:
             if mask >> i & 1:
                 chosen |= rows
         selected &= chosen
-    return selected
+    if est.kind == "freq" and not selected:
+        raise EmptySupport(f"no training row satisfies {print_attribution_list(sigma) or 'the empty context'}")
+    dist = tuple(zip(atoms, _probabilities(ts, est, target, selected)))
+    return AppliedSystem(ts.id, est.id, sigma, target, dist), selected
 
 
 def conditional_distribution(
     ts: TrainingSet, est: Estimator, sigma, target: str
 ) -> AppliedSystem:
     """Distribution of `target` among the rows classically satisfying σ."""
-    sigma = tuple(sigma)
-    if any(va.variable == target for va in sigma):
-        raise InvariantViolation(f"{target!r} is already attributed in sigma")
-    masks = _sigma_masks(ts.schema, sigma)
-    atoms = ts.schema.atoms(target)
-    selected = _select(ts, sigma, masks)
-    counts = [(selected & mask).bit_count() for mask in ts.column_masks(target)]
-    support = selected.bit_count()
-    if est.kind == "freq":
-        if not support:
-            raise EmptySupport(f"no training row satisfies {print_attribution_list(sigma) or 'the empty context'}")
-        dist = tuple((atom, count / support) for atom, count in zip(atoms, counts))
-    else:
-        total = support + est.smoothing * len(atoms)
-        dist = tuple((atom, (count + est.smoothing) / total) for atom, count in zip(atoms, counts))
-    return AppliedSystem(ts.id, est.id, sigma, target, dist)
+    return _conditional(ts, est, tuple(sigma), target)[0]
 
 
 def independent(
@@ -214,16 +217,18 @@ def independent(
     the frequency estimator an atom τ that no row holds under σ has
     P(t=τ | σ) = 0 and no conditional to compare; it is skipped.
     """
-    sigma = tuple(sigma)
-    base = conditional_distribution(ts, est, sigma, u)
+    base, selected = _conditional(ts, est, tuple(sigma), u)
+    if t == u:
+        raise InvariantViolation(f"{u!r} is already attributed in sigma")
     worst = (0.0, None, None)
-    for tau in ts.schema.atoms(t):
-        extended = sigma + (ValueAttribution(t, AtomVal(tau)),)
-        if est.kind == "freq" and not _select(ts, extended, _sigma_masks(ts.schema, extended)):
+    # σ extended by t = τ selects the rows of σ that hold τ
+    for tau, rows in zip(ts.schema.atoms(t), ts.column_masks(t)):
+        rows &= selected
+        if est.kind == "freq" and not rows:
             continue
-        given = conditional_distribution(ts, est, extended, u)
-        for upsilon in ts.schema.atoms(u):
-            deviation = abs(given.probability(upsilon) - base.probability(upsilon))
+        given = _probabilities(ts, est, u, rows)
+        for (upsilon, p), q in zip(base.distribution, given):
+            deviation = abs(q - p)
             if deviation > worst[0]:
                 worst = (deviation, tau, upsilon)
     verdict = worst[0] <= tol

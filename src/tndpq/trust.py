@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
@@ -431,6 +430,8 @@ def build_chain(
     leaves the relevant prefix untouched).  Every step stays in the chosen
     relation to its predecessor while the two chains never agree again.
     """
+    from fractions import Fraction
+
     variant = variant.upper()
     if variant not in ("AT", "WT", "ET"):
         raise PreconditionFailed(f"unknown chain variant {variant!r}")

@@ -34,6 +34,7 @@ from tndpq.syntax import (
     print_term,
     print_value,
     reduce_projections,
+    same_sigma,
     save_schema,
     term_atoms,
 )
@@ -361,3 +362,17 @@ def test_token_pattern_needs_no_python_3_11_syntax():
     # Atomic groups and possessive quantifiers are new in Python 3.11's `re`;
     # the package supports 3.10.
     assert not re.search(r"\(\?>|[*+?}]\+", _TOKEN_RE.pattern)
+
+
+def test_same_sigma_ignores_order_only():
+    schema = AttributeSchema.of([("X", ("a", "b")), ("Y", ("u", "v"))])
+    sigma = parse_attribution_list("X:a, Y:u+v", schema)
+    judgment = Judgment(sigma, Atom("X"), AtomVal("a"), 0.5)
+    assert same_sigma(sigma, sigma)
+    assert same_sigma(sigma, tuple(reversed(sigma)))
+    assert same_sigma(judgment, tuple(reversed(sigma)))
+    assert same_sigma(judgment, judgment.with_probability(0.25))
+    others = [(), sigma[:1]] + [parse_attribution_list(t, schema) for t in ("X:a, Y:u", "X:b, Y:u+v")]
+    for other in others:
+        assert not same_sigma(sigma, other)
+        assert not same_sigma(other, judgment)

@@ -67,6 +67,20 @@ def test_csv_unknown_atom(tmp_path):
         load_training_set(path, SCHEMA)
 
 
+def test_csv_loader_error_contract(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(" a , b \n x ,u\ny, v \n")
+    assert load_training_set(path, SCHEMA).rows == ({"a": "x", "b": "u"}, {"a": "y", "b": "v"})
+    path.write_text("a,b\nx,u\n\nx,v\ny,w\n")
+    with pytest.raises(SchemaMismatch) as caught:
+        load_training_set(path, SCHEMA)
+    assert str(caught.value) == "row 5: 'w' is not an atomic value of 'b'"
+    path.write_text("a,b\nx,u\ny\n")
+    with pytest.raises(ParseError) as caught:
+        load_training_set(path, SCHEMA)
+    assert str(caught.value) == "row 3: 1 cells, expected 2"
+
+
 def test_csv_empty_data(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n")
@@ -325,6 +339,26 @@ def test_one_cell_mask_per_attribution(monkeypatch, n):
     conditional_distribution(ts, Estimator("L", "laplace", 1.0), context, "d")
     assert len(calls) == len(context)
     assert calls == [va.value for va in context]
+
+
+@pytest.mark.parametrize("est", [FREQ, Estimator("L", "laplace", 1.0)])
+def test_independent_walks_sigma_once(monkeypatch, est):
+    real = systems.cell_mask
+    calls = []
+
+    def counting(term, value, schema):
+        calls.append(value)
+        return real(term, value, schema)
+
+    monkeypatch.setattr(systems, "cell_mask", counting)
+    ts = _random_table(random.Random(5), 300)
+    for text in ("", "a:x+y", "a:x+y, b:~u"):
+        context = parse_attribution_list(text, WIDE)
+        calls.clear()
+        assert independent(ts, est, context, "c", "d") == _naive_independent(ts, est, context, "c", "d")
+        assert calls == [va.value for va in context]
+    with pytest.raises(InvariantViolation, match="^'d' is already attributed in sigma$"):
+        independent(ts, est, context, "d", "d")
 
 
 # One fault per case, then two at once to pin the precedence: each
