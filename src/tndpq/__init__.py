@@ -8,7 +8,7 @@ themselves stay importable for the full APIs:
 - systems: training tables, estimators, applied systems
 - calculus: inference rules, derivations, checking
 - trust: JT/ET/WT/AT relations, algebra, chains
-- construction: plans, closures, preservation
+- construction: plans, derived values, preservation
 - cli: the command-line entry point
 
 Names and submodules are imported when first read (PEP 562), so that a CLI
@@ -27,7 +27,7 @@ _LAYERS = {
     "systems": "AppliedSystem Estimator TrainingSet conditional_distribution independent load_training_set",
     "calculus": "Derivation RuleId apply_rule at_query check_derivation",
     "trust": "at build_chain check_local compose_square et jt verify_algebra wt",
-    "construction": "ClosureSpec Plan PlanStep closure_member construct deconstruct derive_value verify_preservation",
+    "construction": "Plan PlanStep construct deconstruct derive_value verify_preservation",
     "cli": "",
 }
 _EXPORTS = {name: module for module, names in _LAYERS.items() for name in names.split()}

@@ -106,6 +106,7 @@ def parse_script(text: str, schema: AttributeSchema) -> list[ScriptStep]:
     from .syntax import parse_attribution_list
 
     steps = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -114,6 +115,9 @@ def parse_script(text: str, schema: AttributeSchema) -> list[ScriptStep]:
             raise TndpqError(f"script line {lineno}: expected `id = RULE ...`")
         name, rest = line.split("=", 1)
         name = name.strip()
+        if name in seen:
+            raise TndpqError(f"script line {lineno}: duplicate step id {name!r}")
+        seen.add(name)
         rest = rest.strip()
         rule_name, _, tail = rest.partition(" ")
         if rule_name.upper() == "ATQUERY":
@@ -556,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=_positive_int, default=200)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -2,11 +2,9 @@
 
 Construction builds judgments for compound values using only right
 introduction rules; deconstruction recovers component judgments using only
-right elimination rules.  The module also provides closure membership for
-the intensionally represented relevant-value sets, the sub-value relation,
-the relevance-map builder for compound targets, and the preservation
-checker that runs one plan against an original system and a copy and
-reports whether the chosen trust relation survives.
+right elimination rules.  The module also provides the sub-value relation
+and the preservation checker that runs one plan against an original system
+and a copy and reports whether the chosen trust relation survives.
 """
 
 from __future__ import annotations
@@ -19,10 +17,8 @@ from .errors import (
     RuleNotAllowed,
     TheoremDoesNotApply,
     TndpqError,
-    UnsupportedTarget,
 )
 from .calculus import Derivation, RuleId, apply_rule, at_query
-from .exclusivity import positional_exclusive
 from .syntax import (
     Arrow,
     Atom,
@@ -129,75 +125,7 @@ def deconstruct(inputs: dict, plan: Plan, schema: AttributeSchema) -> Derivation
 
 
 # ---------------------------------------------------------------------------
-# Closures and sub-values
-
-
-@dataclass(frozen=True)
-class ClosureSpec:
-    """Intensional closure of a value set under chosen connectives.
-
-    Either `base` lists the generating values directly, or `product` pairs
-    two component specs, generating every product of their members.
-    Connectives: "or" (exclusive disjunction +^bot), "prod", "arrow", "neg".
-    """
-
-    base: tuple[Value, ...] = ()
-    product: tuple["ClosureSpec", "ClosureSpec"] | None = None
-    connectives: frozenset[str] = frozenset()
-    depth_bound: int = 4
-    term: VariableTerm | None = None
-
-    def __post_init__(self):
-        if bool(self.base) == (self.product is not None):
-            raise UnsupportedTarget("a closure needs a base set xor a product form")
-        unknown = self.connectives - {"or", "prod", "arrow", "neg"}
-        if unknown:
-            raise UnsupportedTarget(f"unknown connectives {sorted(unknown)}")
-
-
-def infer_term(value: Value, schema: AttributeSchema) -> VariableTerm:
-    """The variable term a value's shape belongs to."""
-    if isinstance(value, (Neg, Or)):
-        inner = value.inner if isinstance(value, Neg) else value.left
-        return infer_term(inner, schema)
-    if isinstance(value, Prod):
-        return Pair(infer_term(value.left, schema), infer_term(value.right, schema))
-    if isinstance(value, Arrow):
-        return Cond(infer_term(value.left, schema), infer_term(value.right, schema))
-    return Atom(schema.owner(value.name))
-
-
-def closure_member(value: Value, spec: ClosureSpec, schema: AttributeSchema) -> bool:
-    """Decide membership in the closure within the depth bound."""
-
-    def base_member(v: Value) -> bool:
-        if spec.product is not None:
-            left, right = spec.product
-            return (
-                isinstance(v, Prod)
-                and closure_member(v.left, left, schema)
-                and closure_member(v.right, right, schema)
-            )
-        return v in spec.base
-
-    def member(v: Value, depth: int) -> bool:
-        if base_member(v):
-            return True
-        if depth <= 0:
-            return False
-        if isinstance(v, Neg) and "neg" in spec.connectives:
-            return member(v.inner, depth - 1)
-        if isinstance(v, Or) and "or" in spec.connectives:
-            if member(v.left, depth - 1) and member(v.right, depth - 1):
-                return positional_exclusive(infer_term(v, schema), v.left, v.right, schema)
-            return False
-        if isinstance(v, Prod) and "prod" in spec.connectives:
-            return member(v.left, depth - 1) and member(v.right, depth - 1)
-        if isinstance(v, Arrow) and "arrow" in spec.connectives:
-            return member(v.left, depth - 1) and member(v.right, depth - 1)
-        return False
-
-    return member(value, spec.depth_bound)
+# Sub-values
 
 
 def subvalues(value: Value) -> frozenset[Value]:
@@ -208,44 +136,6 @@ def subvalues(value: Value) -> frozenset[Value]:
     elif isinstance(value, (Or, Prod, Arrow)):
         out |= subvalues(value.left) | subvalues(value.right)
     return frozenset(out)
-
-
-def derive_relevance(
-    relevance: dict, targets, kind: str, schema: AttributeSchema, depth_bound: int = 4
-) -> dict:
-    """Lift an atom-level relevance map to compound (pair) targets.
-
-    AT/WT close the relevant sets under exclusive disjunction; ET also
-    closes under negation.  The result maps the printed form of each target
-    term to a ClosureSpec.
-    """
-    if kind not in ("AT", "WT", "ET"):
-        raise UnsupportedTarget(f"no relevance recursion for kind {kind!r}")
-    connectives = frozenset({"or", "neg"} if kind == "ET" else {"or"})
-
-    def spec_for(term: VariableTerm) -> ClosureSpec:
-        term = reduce_projections(term)
-        if isinstance(term, Atom):
-            if term.name not in relevance:
-                raise UnsupportedTarget(f"no relevant values given for {term.name!r}")
-            return ClosureSpec(
-                base=tuple(relevance[term.name]),
-                connectives=connectives,
-                depth_bound=depth_bound,
-                term=term,
-            )
-        if isinstance(term, Pair):
-            return ClosureSpec(
-                product=(spec_for(term.left), spec_for(term.right)),
-                connectives=connectives | {"prod"},
-                depth_bound=depth_bound,
-                term=term,
-            )
-        raise UnsupportedTarget(
-            f"relevance recursion covers pair targets only, not {print_term(term)}"
-        )
-
-    return {print_term(reduce_projections(t)): spec_for(t) for t in targets}
 
 
 # ---------------------------------------------------------------------------

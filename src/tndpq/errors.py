@@ -87,9 +87,5 @@ class TheoremDoesNotApply(TndpqError):
     """The requested preservation guarantee is outside the proved theorems."""
 
 
-class UnsupportedTarget(TndpqError):
-    """Relevance derivation asked for a target shape it does not cover."""
-
-
 class NothingToCompare(TndpqError):
     """A trust check was given no atoms, probe values, contexts or targets."""

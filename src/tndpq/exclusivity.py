@@ -9,7 +9,8 @@ exhaustivity axioms (some atom holds).
 value denotes a set of cells, held as one int bitmask, and two values are
 exclusive when their masks are disjoint; conditional terms are decided by
 antecedent matching.  `oracle_exclusive` decides the same question by
-enumerating every admissible assignment of atoms to variables.  Both accept
+enumerating every admissible assignment of atoms to variables; over
+conditional terms it shares the procedure's step cases.  Both accept
 linear terms only: a term naming a variable twice is ill-formed.  Neither
 accepts a conditional term below a pair, such as `<X,[Y]Z>`, nor one whose
 antecedent is conditional, such as `[[X]Y]Z`.  `cell_mask` gives the mask
@@ -132,22 +133,6 @@ def exclusive(
     """Decide mutual exclusivity of two values of the same linear variable term."""
     term = reduce_projections(term)
     _require_linear(term)
-    return _decide(term, beta, delta, schema, trace)
-
-
-def positional_exclusive(
-    term: VariableTerm, beta: Value, delta: Value, schema: AttributeSchema
-) -> bool:
-    """`exclusive`, reading each variable occurrence of the term as its own slot.
-
-    Over a linear term the two agree.  A term naming a variable twice, such
-    as the `<X,X>` of a closure's product of one variable's values, is
-    decided as if each occurrence were a distinct copy of the variable.
-    """
-    return _decide(reduce_projections(term), beta, delta, schema, None)
-
-
-def _decide(term, beta, delta, schema, trace) -> bool:
     # `_cond_exclusive` may stop before it has seen every branch of a value,
     # so values of conditional terms are checked whole first; over an
     # arrow-free term the mask walk checks as it goes.
@@ -267,46 +252,58 @@ def _cell_names(term, schema) -> list[tuple[str, ...]]:
 # double negations, distribute over disjunctions (every disjunct must be
 # exclusive), push negation through conditionals, then negated disjunctions
 # (some disjunct must be exclusive).  Base case: both sides conditionals,
-# exclusive when the antecedents' masks are equal and the consequents exclusive.
+# exclusive when the antecedents are equal and the consequents exclusive.
+# The procedure and the oracle share the step cases and differ in how they
+# decide the base case.
 
 
-def _cond_exclusive(term, beta, delta, schema, trace) -> bool:
+def _step_cases(beta, delta, base, note) -> bool:
+    """Reduce two values of a conditional term to `base(b, d)` on conditionals.
+
+    `note` receives a thunk for the line each step case adds to a trace.
+    """
     for value, other, flip in ((beta, delta, False), (delta, beta, True)):
         if isinstance(value, Neg) and isinstance(value.inner, Neg):
-            trace.note(lambda: "strip double negation")
+            note(lambda: "strip double negation")
             stripped = value.inner.inner
             args = (other, stripped) if flip else (stripped, other)
-            return _cond_exclusive(term, *args, schema, trace)
+            return _step_cases(*args, base, note)
     for value, other, flip in ((beta, delta, False), (delta, beta, True)):
         if isinstance(value, Or):
-            trace.note(lambda: "disjunction: every disjunct must be exclusive")
+            note(lambda: "disjunction: every disjunct must be exclusive")
             return all(
-                _cond_exclusive(term, *((other, d) if flip else (d, other)), schema, trace)
+                _step_cases(*((other, d) if flip else (d, other)), base, note)
                 for d in (value.left, value.right)
             )
     for value, other, flip in ((beta, delta, False), (delta, beta, True)):
         if isinstance(value, Neg) and isinstance(value.inner, Arrow):
-            trace.note(lambda: "negated conditional: push negation into the consequent")
+            note(lambda: "negated conditional: push negation into the consequent")
             pushed = Arrow(value.inner.left, Neg(value.inner.right))
             args = (other, pushed) if flip else (pushed, other)
-            return _cond_exclusive(term, *args, schema, trace)
+            return _step_cases(*args, base, note)
     for value, other, flip in ((beta, delta, False), (delta, beta, True)):
         if isinstance(value, Neg) and isinstance(value.inner, Or):
-            trace.note(lambda: "negated disjunction: some disjunct must be exclusive")
+            note(lambda: "negated disjunction: some disjunct must be exclusive")
             return any(
-                _cond_exclusive(term, *((other, d) if flip else (d, other)), schema, trace)
+                _step_cases(*((other, d) if flip else (d, other)), base, note)
                 for d in (value.inner.left, value.inner.right)
             )
     if isinstance(beta, Arrow) and isinstance(delta, Arrow):
-        antecedent = term.antecedent
-        equal = _mask(antecedent, beta.left, schema)[0] == _mask(antecedent, delta.left, schema)[0]
-        trace.note(lambda: f"antecedents {'equal' if equal else 'differ'}")
-        if not equal:
-            return False
-        return _exclusive(term.consequent, beta.right, delta.right, schema, trace)
+        return base(beta, delta)
     raise ShapeMismatch(
         f"not conditional-shaped: {print_value(beta)} vs {print_value(delta)}"
     )
+
+
+def _cond_exclusive(term, beta, delta, schema, trace) -> bool:
+    antecedent = term.antecedent
+
+    def base(b, d) -> bool:
+        equal = _mask(antecedent, b.left, schema)[0] == _mask(antecedent, d.left, schema)[0]
+        trace.note(lambda: f"antecedents {'equal' if equal else 'differ'}")
+        return equal and _exclusive(term.consequent, b.right, d.right, schema, trace)
+
+    return _step_cases(beta, delta, base, trace.note)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +320,10 @@ def oracle_exclusive(
     Each involved variable is assigned exactly one atom (encoding the
     exclusivity and exhaustivity axioms) and the conjunction of the two
     values is evaluated classically, reading conditionals as material
-    implication.  Conditional terms are decided through the conditional
-    base case with truth-table subchecks: enumerated antecedent equality
-    and enumerated consequent exclusivity.
+    implication.  Conditional terms go through the step cases that
+    `exclusive` uses, so the oracle checks only their base case
+    independently: enumerated antecedent equality and enumerated consequent
+    exclusivity.
     """
     term = reduce_projections(term)
     _require_linear(term)
@@ -349,29 +347,12 @@ def _oracle(term, beta, delta, schema) -> bool:
 
 
 def _oracle_cond(term, beta, delta, schema) -> bool:
-    for value, other in ((beta, delta), (delta, beta)):
-        if isinstance(value, Neg) and isinstance(value.inner, Neg):
-            return _oracle_cond(term, value.inner.inner, other, schema)
-    for value, other in ((beta, delta), (delta, beta)):
-        if isinstance(value, Or):
-            return all(_oracle_cond(term, d, other, schema) for d in (value.left, value.right))
-    for value, other in ((beta, delta), (delta, beta)):
-        if isinstance(value, Neg) and isinstance(value.inner, Arrow):
-            pushed = Arrow(value.inner.left, Neg(value.inner.right))
-            return _oracle_cond(term, pushed, other, schema)
-    for value, other in ((beta, delta), (delta, beta)):
-        if isinstance(value, Neg) and isinstance(value.inner, Or):
-            return any(
-                _oracle_cond(term, d, other, schema)
-                for d in (value.inner.left, value.inner.right)
-            )
-    if isinstance(beta, Arrow) and isinstance(delta, Arrow):
-        if not _oracle_equal(term.antecedent, beta.left, delta.left, schema):
+    def base(b, d) -> bool:
+        if not _oracle_equal(term.antecedent, b.left, d.left, schema):
             return False
-        return _oracle(reduce_projections(term.consequent), beta.right, delta.right, schema)
-    raise ShapeMismatch(
-        f"not conditional-shaped: {print_value(beta)} vs {print_value(delta)}"
-    )
+        return _oracle(reduce_projections(term.consequent), b.right, d.right, schema)
+
+    return _step_cases(beta, delta, base, lambda text: None)
 
 
 def _oracle_equal(subterm, x, y, schema) -> bool:

@@ -126,6 +126,26 @@ def test_derive_script_error_paths(schema_file, csv_file, tmp_path, capsys):
     assert "unknown rule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["derive", "preserve"])
+def test_script_rejects_a_duplicate_step_id(schema_file, csv_file, tmp_path, capsys, command):
+    # the second `x` used to replace the leaf, so `derive --check` printed
+    # the redefined judgment twice and `CHECK\tok` without checking a root
+    script = tmp_path / "proof.txt"
+    script.write_text("x = ATQUERY Chickenpox : Extreme\nx = NegIER x\n")
+    if command == "derive":
+        argv = ["derive", schema_file, csv_file, "--script", str(script), "--check"]
+    else:
+        system = str(tmp_path / "orig.sys")
+        assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "-o", system]) == 0
+        capsys.readouterr()
+        argv = ["preserve", schema_file, "--orig", system, "--copy", system,
+                "--plan", str(script), "--kind", "jt", "--mode", "construct"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "script line 2: duplicate step id 'x'" in err
+
+
 def test_chain_table(schema_file, csv_file, tmp_path, capsys):
     sys_file = str(tmp_path / "orig.sys")
     main(["learn", schema_file, csv_file, "--target", "Chickenpox", "-o", sys_file])
@@ -262,6 +282,8 @@ def test_derive_tests_independence_under_the_premises_context(xyz_files, tmp_pat
         ("preserve", ["--tol", "-1"]),
         ("chain", ["--steps", "0"]),
         ("chain", ["--steps", "-5"]),
+        ("selftest", ["--cases", "0"]),
+        ("selftest", ["--cases", "-5"]),
     ],
 )
 def test_bad_number_exits_2_without_traceback(schema_file, csv_file, tmp_path, command, option):
@@ -278,8 +300,10 @@ def test_bad_number_exits_2_without_traceback(schema_file, csv_file, tmp_path, c
         )
         argv = ["preserve", schema_file, "--orig", system, "--copy", system,
                 "--plan", str(plan), "--kind", "jt", "--mode", "construct"]
-    else:
+    elif command == "chain":
         argv = ["chain", schema_file, system, "--m", "1", "--k", "2"]
+    else:
+        argv = ["selftest"]
     result = _run_cli(*argv, *option)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr

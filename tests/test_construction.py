@@ -1,4 +1,4 @@
-"""Tests for plan execution, closures, derived values, and preservation."""
+"""Tests for plan execution, sub-values, derived values, and preservation."""
 
 import random
 
@@ -7,15 +7,11 @@ import pytest
 from tndpq import calculus, construction, systems
 from tndpq.calculus import RuleId, apply_rule, at_query, check_derivation
 from tndpq.construction import (
-    ClosureSpec,
     Plan,
     PlanStep,
-    closure_member,
     construct,
     deconstruct,
-    derive_relevance,
     derive_value,
-    infer_term,
     subvalues,
     verify_preservation,
     zero_probe_values,
@@ -27,7 +23,6 @@ from tndpq.errors import (
     RuleNotAllowed,
     TheoremDoesNotApply,
     TndpqError,
-    UnsupportedTarget,
 )
 from tndpq.syntax import (
     Arrow,
@@ -146,54 +141,7 @@ def test_plan_reference_errors(product_pair, pox_schema):
 
 
 # ---------------------------------------------------------------------------
-# Closures, sub-values, relevance
-
-
-def test_closure_contains_compound_member(pox_schema):
-    spec = ClosureSpec(
-        base=(AtomVal("Major"), AtomVal("Extreme")),
-        connectives=frozenset({"or", "prod"}),
-    )
-    target = parse_value("((Major + Extreme) * Extreme) + (Extreme * Major)")
-    assert closure_member(target, spec, pox_schema)
-
-
-def test_closure_excludes_negation_without_neg(pox_schema):
-    spec = ClosureSpec(
-        base=(AtomVal("Major"), AtomVal("Extreme")),
-        connectives=frozenset({"or", "prod"}),
-    )
-    target = parse_value("(Major + Extreme) * ~Extreme")
-    assert not closure_member(target, spec, pox_schema)
-    with_neg = ClosureSpec(
-        base=spec.base, connectives=spec.connectives | {"neg"}
-    )
-    assert closure_member(target, with_neg, pox_schema)
-
-
-def test_closure_or_requires_exclusivity(pox_schema):
-    spec = ClosureSpec(
-        base=(AtomVal("Major"), AtomVal("Extreme")),
-        connectives=frozenset({"or"}),
-    )
-    assert closure_member(parse_value("Major + Extreme"), spec, pox_schema)
-    overlapping = Or(AtomVal("Major"), Or(AtomVal("Major"), AtomVal("Extreme")))
-    assert not closure_member(overlapping, spec, pox_schema)
-
-
-def test_closure_respects_depth_bound(pox_schema):
-    spec = ClosureSpec(
-        base=(AtomVal("Major"),), connectives=frozenset({"neg"}), depth_bound=1
-    )
-    assert closure_member(Neg(AtomVal("Major")), spec, pox_schema)
-    assert not closure_member(Neg(Neg(AtomVal("Major"))), spec, pox_schema)
-
-
-def test_closure_spec_validation():
-    with pytest.raises(UnsupportedTarget):
-        ClosureSpec(base=(), connectives=frozenset())
-    with pytest.raises(UnsupportedTarget):
-        ClosureSpec(base=(AtomVal("Major"),), connectives=frozenset({"xor"}))
+# Sub-values
 
 
 def test_subvalues():
@@ -204,35 +152,6 @@ def test_subvalues():
     assert parse_value("~(Major + Extreme)") in subs
     assert v in subs
     assert parse_value("Minor + Major") not in subs
-
-
-def test_infer_term(pox_schema):
-    v = parse_value("~((Major + Extreme) * Yes)")
-    assert infer_term(v, pox_schema) == Pair(Atom("Chickenpox"), Atom("Hepatitis"))
-    arrow = Arrow(AtomVal("Major"), AtomVal("Yes"))
-    assert infer_term(arrow, pox_schema) == Cond(Atom("Chickenpox"), Atom("Hepatitis"))
-
-
-def test_derive_relevance_pair_target(pox_schema):
-    atom_map = {
-        "Chickenpox": (AtomVal("Major"), AtomVal("Extreme")),
-        "Hepatitis": (AtomVal("Yes"),),
-    }
-    target = Pair(Atom("Chickenpox"), Atom("Hepatitis"))
-    specs = derive_relevance(atom_map, [target, Atom("Chickenpox")], "AT", pox_schema)
-    pair_spec = specs["<Chickenpox,Hepatitis>"]
-    assert closure_member(parse_value("(Major + Extreme) * Yes"), pair_spec, pox_schema)
-    assert not closure_member(parse_value("Minor * Yes"), pair_spec, pox_schema)
-    # AT closes under exclusive disjunction only, not negation
-    assert not closure_member(parse_value("~Major"), specs["Chickenpox"], pox_schema)
-    et_specs = derive_relevance(atom_map, [Atom("Chickenpox")], "ET", pox_schema)
-    assert closure_member(parse_value("~Major"), et_specs["Chickenpox"], pox_schema)
-
-
-def test_derive_relevance_rejects_conditional_target(pox_schema):
-    target = Cond(Atom("Chickenpox"), Atom("Hepatitis"))
-    with pytest.raises(UnsupportedTarget):
-        derive_relevance({"Chickenpox": (), "Hepatitis": ()}, [target], "AT", pox_schema)
 
 
 # ---------------------------------------------------------------------------
