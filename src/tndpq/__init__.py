@@ -6,9 +6,9 @@ themselves stay importable for the full APIs:
 - syntax: grammar, terms, values, judgments, schemas
 - exclusivity: mutual-exclusivity decision procedure and oracle
 - systems: training tables, estimators, applied systems
-- calculus: inference rules, derivations, checking
+- calculus: inference rules, derivations, plans and their executor, checking
 - trust: JT/ET/WT/AT relations, algebra, chains
-- construction: plans, derived values, preservation
+- construction: rule-restricted plans, derived values, preservation
 - cli: the command-line entry point
 
 Names and submodules are imported when first read (PEP 562), so that a CLI
@@ -25,9 +25,9 @@ _LAYERS = {
     "syntax": "AttributeSchema Judgment load_schema parse_judgment parse_term parse_value print_judgment",
     "exclusivity": "exclusive oracle_exclusive",
     "systems": "AppliedSystem Estimator TrainingSet conditional_distribution independent load_training_set",
-    "calculus": "Derivation RuleId apply_rule at_query check_derivation",
+    "calculus": "Derivation Plan PlanStep RuleId apply_rule at_query check_derivation run_plan",
     "trust": "at build_chain check_local compose_square et jt verify_algebra wt",
-    "construction": "Plan PlanStep construct deconstruct derive_value verify_preservation",
+    "construction": "construct deconstruct derive_value verify_preservation",
     "cli": "",
 }
 _EXPORTS = {name: module for module, names in _LAYERS.items() for name in names.split()}

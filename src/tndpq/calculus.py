@@ -5,7 +5,9 @@ Every rule pairs a schematic premise shape with a probability formula.
 discharges side conditions (mutual exclusivity through the decision
 procedure, independence through a numeric test or explicit assertion),
 computes the conclusion probability and returns an immutable derivation
-tree.  `check_derivation` re-verifies a tree node by node.
+tree.  A `Plan` is an ordered list of rule applications over named
+derivations, and `run_plan` applies it step by step.  `check_derivation`
+re-verifies a tree node by node.
 
 Naming: I-rules introduce a connective in the conclusion, E-rules eliminate
 one; the trailing digit or letter distinguishes variants that conclude
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from .errors import (
     ConsistencyError,
     ProvenanceMismatch,
+    RuleNotAllowed,
     ShapeMismatch,
     SideConditionUnproved,
     TndpqError,
@@ -87,12 +90,6 @@ class Derivation:
     side_conditions: tuple[dict, ...] = ()
     provenance: tuple[str, str] | None = None
     direction: str = "forward"
-
-    def leaves(self):
-        if not self.premises:
-            yield self
-        for premise in self.premises:
-            yield from premise.leaves()
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +569,68 @@ _HANDLERS = {
     RuleId.NegELc: _rule_neg_el_c,
     RuleId.ProdIIndep: _rule_prod_i_indep,
 }
+
+
+# ---------------------------------------------------------------------------
+# Plans
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    id: str
+    rule: RuleId
+    operands: tuple[str, ...]
+    direction: str = "forward"
+    side: tuple = ()
+
+
+@dataclass(frozen=True)
+class Plan:
+    """An ordered list of rule applications over named inputs and steps."""
+
+    steps: tuple[PlanStep, ...]
+
+    def __post_init__(self):
+        seen: set[str] = set()
+        for step in self.steps:
+            if step.id in seen:
+                raise RuleNotAllowed(f"duplicate step id {step.id!r}")
+            seen.add(step.id)
+
+    @property
+    def result_id(self) -> str:
+        return self.steps[-1].id
+
+
+def run_plan(env: dict, plan: Plan, schema: AttributeSchema, source=None) -> dict:
+    """Apply a plan's steps in order to named derivations.
+
+    Returns `env` extended by each step's derivation.  An independence fact
+    with neither a verdict nor an assertion is tested on `source`, a
+    (TrainingSet, Estimator) pair, under the first premise's context.
+    """
+    env = dict(env)
+    for step in plan.steps:
+        try:
+            premises = [env[name] for name in step.operands]
+        except KeyError as exc:
+            raise RuleNotAllowed(f"step {step.id!r} references unknown operand {exc}") from None
+        side = tuple(_tested(fact, step, premises, source) for fact in step.side)
+        env[step.id] = apply_rule(
+            step.rule, premises, schema, side=side, direction=step.direction
+        )
+    return env
+
+
+def _tested(fact, step, premises, source) -> dict:
+    if fact.get("kind") != "independent" or "verdict" in fact or fact.get("asserted"):
+        return fact
+    if not isinstance(source, tuple):
+        raise TndpqError(f"step {step.id}: cannot verify independence without a training table")
+    ts, est = source
+    sigma = premises[0].conclusion.antecedent if premises else ()
+    verdict, witness = independent(ts, est, sigma, fact["t"], fact["u"])
+    return {**fact, "verdict": verdict, **witness}
 
 
 # ---------------------------------------------------------------------------

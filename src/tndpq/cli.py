@@ -85,28 +85,18 @@ def _kind_label(kind: trust.TrustKind) -> str:
 #
 # One step per line:  `id = RULE premise_ids... [| side assertions]`
 # Leaves:             `id = ATQUERY [attrlist |>] variable : atom`
-# The two double-line rules accept an optional `@backward` marker after the
-# rule name.  Side assertions: `independent t u` (verified on the data
-# source under the premises' context) or `assume-independent t u` (taken
-# on faith).
+# A premise must be defined on an earlier line.  The two double-line rules
+# accept an optional `@backward` marker after the rule name.  Side
+# assertions: `independent t u` (verified on the training table under the
+# premises' context) or `assume-independent t u` (taken on faith).
 
 
-class ScriptStep:
-    def __init__(self, id, rule, operands, direction, side_text, leaf=None):
-        self.id = id
-        self.rule = rule
-        self.operands = operands
-        self.direction = direction
-        self.side_text = side_text
-        self.leaf = leaf  # (sigma, variable, atom) for ATQUERY
-
-
-def parse_script(text: str, schema: AttributeSchema) -> list[ScriptStep]:
-    from .calculus import RuleId
+def parse_script(text: str, schema: AttributeSchema) -> dict:
+    """Map each step id, in script order, to a leaf `(sigma, variable, atom)` or a `PlanStep`."""
+    from .calculus import PlanStep, RuleId
     from .syntax import parse_attribution_list
 
-    steps = []
-    seen: set[str] = set()
+    steps: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -115,9 +105,8 @@ def parse_script(text: str, schema: AttributeSchema) -> list[ScriptStep]:
             raise TndpqError(f"script line {lineno}: expected `id = RULE ...`")
         name, rest = line.split("=", 1)
         name = name.strip()
-        if name in seen:
+        if name in steps:
             raise TndpqError(f"script line {lineno}: duplicate step id {name!r}")
-        seen.add(name)
         rest = rest.strip()
         rule_name, _, tail = rest.partition(" ")
         if rule_name.upper() == "ATQUERY":
@@ -131,7 +120,7 @@ def parse_script(text: str, schema: AttributeSchema) -> list[ScriptStep]:
             var, atom = var.strip(), atom.strip()
             if not var or not atom:
                 raise TndpqError(f"script line {lineno}: ATQUERY needs `variable : atom`")
-            steps.append(ScriptStep(name, None, (), "forward", "", (sigma, var, atom)))
+            steps[name] = (sigma, var, atom)
             continue
         head, _, side_text = tail.partition("|")
         args = head.split()
@@ -145,64 +134,30 @@ def parse_script(text: str, schema: AttributeSchema) -> list[ScriptStep]:
         if args and args[0] == "@backward":
             direction = "backward"
             args = args[1:]
-        steps.append(ScriptStep(name, rule, tuple(args), direction, side_text.strip()))
+        for arg in args:
+            if arg not in steps:
+                raise TndpqError(f"script line {lineno}: unknown premise {arg!r}")
+        side = ()
+        if side_text.strip():
+            assertion, *names = side_text.split()
+            if len(names) != 2 or assertion not in ("independent", "assume-independent"):
+                raise TndpqError(
+                    f"step {name}: side assertion must be `independent t u` "
+                    "or `assume-independent t u`"
+                )
+            fact = {"kind": "independent", "t": names[0], "u": names[1]}
+            side = (fact | {"asserted": True} if assertion == "assume-independent" else fact,)
+        steps[name] = PlanStep(name, rule, tuple(args), direction, side)
     if not steps:
         raise TndpqError("empty proof script")
     return steps
 
 
-def _side_evidence(step: ScriptStep, source, sigma):
-    from .systems import independent
+def _leaves_and_plan(steps: dict):
+    from .calculus import Plan, PlanStep
 
-    if not step.side_text:
-        return ()
-    tokens = step.side_text.split()
-    if len(tokens) != 3 or tokens[0] not in ("independent", "assume-independent"):
-        raise TndpqError(
-            f"step {step.id}: side assertion must be `independent t u` "
-            "or `assume-independent t u`"
-        )
-    _, t, u = tokens
-    if tokens[0] == "assume-independent":
-        return ({"kind": "independent", "t": t, "u": u, "asserted": True},)
-    if not isinstance(source, tuple):
-        raise TndpqError(f"step {step.id}: cannot verify independence without a training table")
-    ts, est = source
-    verdict, witness = independent(ts, est, sigma, t, u)
-    return ({"kind": "independent", "t": t, "u": u, "verdict": verdict, **witness},)
-
-
-def run_script(steps, sources, schema) -> dict[str, Derivation]:
-    """Execute a proof script; `sources` is a list tried in order for leaves."""
-    from .calculus import apply_rule, at_query
-
-    env: dict[str, Derivation] = {}
-    for step in steps:
-        if step.leaf is not None:
-            sigma, var, atom = step.leaf
-            errors = []
-            for source in sources:
-                try:
-                    env[step.id] = at_query(source, sigma, var, atom)
-                    break
-                except UnknownCondition as exc:
-                    errors.append(exc)
-            else:
-                raise UnknownCondition(
-                    f"step {step.id}: no provided system covers this query"
-                    + (f" ({errors[0]})" if errors else "")
-                )
-            continue
-        try:
-            premises = [env[p] for p in step.operands]
-        except KeyError as exc:
-            raise TndpqError(f"step {step.id}: unknown premise {exc}") from None
-        sigma = premises[0].conclusion.antecedent if premises else ()
-        side = _side_evidence(step, sources[0] if sources else None, sigma)
-        env[step.id] = apply_rule(
-            step.rule, premises, schema, side=side, direction=step.direction
-        )
-    return env
+    leaves = {name: s for name, s in steps.items() if not isinstance(s, PlanStep)}
+    return leaves, Plan(tuple(s for s in steps.values() if isinstance(s, PlanStep)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +169,6 @@ def _cmd_parse(args) -> int:
 
     schema = load_schema(args.schema)
     judgment = parse_judgment(args.judgment, schema)
-    judgment.validate(schema)
     print(print_judgment(judgment))
     return 0
 
@@ -236,7 +190,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    from .calculus import check_derivation
+    from .calculus import at_query, check_derivation, run_plan
     from .syntax import load_schema, print_judgment
     from .systems import load_training_set
 
@@ -246,19 +200,21 @@ def _cmd_derive(args) -> int:
     source = (ts, est)
     with open(args.script, encoding="utf-8") as handle:
         steps = parse_script(handle.read(), schema)
-    env = run_script(steps, [source], schema)
-    for step in steps:
-        print(f"{step.id}\t{print_judgment(env[step.id].conclusion)}")
+    leaves, plan = _leaves_and_plan(steps)
+    env = {name: at_query(source, *leaf) for name, leaf in leaves.items()}
+    env = run_plan(env, plan, schema, source)
+    for name in steps:
+        print(f"{name}\t{print_judgment(env[name].conclusion)}")
     if args.check:
-        used = {p for step in steps for p in step.operands}
+        used = {p for step in plan.steps for p in step.operands}
         ok = True
-        for step in steps:
-            if step.id in used:
+        for name in steps:
+            if name in used:
                 continue
-            report = check_derivation(env[step.id], schema, sources={ts.id: source})
+            report = check_derivation(env[name], schema, sources={ts.id: source})
             for path, kind, message in report.violations:
                 ok = False
-                print(f"CHECK\t{step.id}{path}\t{kind}\t{message}", file=sys.stderr)
+                print(f"CHECK\t{name}{path}\t{kind}\t{message}", file=sys.stderr)
         if not ok:
             return 2
         print("CHECK\tok")
@@ -328,7 +284,7 @@ def _cmd_chain(args) -> int:
 def _cmd_preserve(args) -> int:
     from . import trust
     from .calculus import at_query
-    from .construction import Plan, PlanStep, verify_preservation
+    from .construction import verify_preservation
     from .syntax import load_schema
     from .systems import load_applied_system
 
@@ -336,34 +292,21 @@ def _cmd_preserve(args) -> int:
     orig_systems = [load_applied_system(p, schema) for p in args.orig]
     copy_systems = [load_applied_system(p, schema) for p in args.copy]
     with open(args.plan, encoding="utf-8") as handle:
-        steps = parse_script(handle.read(), schema)
-    leaves = [s for s in steps if s.leaf is not None]
-    rules = [s for s in steps if s.leaf is None]
-    if not leaves or not rules:
+        leaves, plan = _leaves_and_plan(parse_script(handle.read(), schema))
+    if not leaves or not plan.steps:
         raise TndpqError("a preservation plan needs ATQUERY inputs and rule steps")
 
-    def inputs_for(systems):
-        return {
-            s.id: at_query(_covering(systems, s.leaf), s.leaf[0], s.leaf[1], s.leaf[2])
-            for s in leaves
-        }
-
-    def _covering(systems, leaf):
-        sigma, var, _ = leaf
+    def query(systems, sigma, var, atom):
         for system in systems:
             try:
-                at_query(system, sigma, var, system.atoms[0])
-                return system
+                return at_query(system, sigma, var, atom)
             except UnknownCondition:
                 continue
         raise UnknownCondition(f"no provided system covers {var!r} under the given context")
 
-    plan = Plan(
-        tuple(
-            PlanStep(s.id, s.rule, s.operands, direction=s.direction)
-            for s in rules
-        )
-    )
+    def inputs_for(systems):
+        return {name: query(systems, *leaf) for name, leaf in leaves.items()}
+
     kind = trust.TrustKind(args.kind.upper(), None if args.kind == "jt" else 1)
     report = verify_preservation(
         inputs_for(orig_systems),

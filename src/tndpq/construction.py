@@ -2,14 +2,14 @@
 
 Construction builds judgments for compound values using only right
 introduction rules; deconstruction recovers component judgments using only
-right elimination rules.  The module also provides the sub-value relation
-and the preservation checker that runs one plan against an original system
-and a copy and reports whether the chosen trust relation survives.
+right elimination rules.  Both restrict a plan's rules and run it through
+`calculus.run_plan`, whose `Plan` and `PlanStep` this module re-exports.
+The module also provides the sub-value relation and the preservation
+checker that runs one plan against an original system and a copy and
+reports whether the chosen trust relation survives.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     DerivationFailed,
@@ -18,7 +18,7 @@ from .errors import (
     TheoremDoesNotApply,
     TndpqError,
 )
-from .calculus import Derivation, RuleId, apply_rule, at_query
+from .calculus import Derivation, Plan, PlanStep, RuleId, apply_rule, at_query, run_plan
 from .syntax import (
     Arrow,
     Atom,
@@ -65,63 +65,25 @@ RIGHT_E_RULES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    id: str
-    rule: RuleId
-    operands: tuple[str, ...]
-    direction: str = "forward"
-    side: tuple = ()
-
-
-@dataclass(frozen=True)
-class Plan:
-    """An ordered list of rule applications over named inputs and steps."""
-
-    steps: tuple[PlanStep, ...]
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for step in self.steps:
-            if step.id in seen:
-                raise RuleNotAllowed(f"duplicate step id {step.id!r}")
-            seen.add(step.id)
-
-    @property
-    def result_id(self) -> str:
-        return self.steps[-1].id
-
-
-def _execute(inputs: dict, plan: Plan, schema, allowed, mode: str) -> Derivation:
-    env = dict(inputs)
+def _run_restricted(inputs: dict, plan: Plan, schema, allowed, kind: str) -> Derivation:
+    if not plan.steps:
+        raise RuleNotAllowed("empty plan")
     for step in plan.steps:
         if (step.rule, step.direction) not in allowed:
             raise RuleNotAllowed(
-                f"{step.rule.value} ({step.direction}) is not a right "
-                f"{'introduction' if mode == 'construct' else 'elimination'} rule"
+                f"{step.rule.value} ({step.direction}) is not a right {kind} rule"
             )
-        try:
-            premises = [env[name] for name in step.operands]
-        except KeyError as exc:
-            raise RuleNotAllowed(f"step {step.id!r} references unknown operand {exc}") from None
-        env[step.id] = apply_rule(
-            step.rule, premises, schema, side=step.side, direction=step.direction
-        )
-    return env[plan.result_id]
+    return run_plan(inputs, plan, schema)[plan.result_id]
 
 
 def construct(inputs: dict, plan: Plan, schema: AttributeSchema) -> Derivation:
     """Run a plan restricted to right introduction rules."""
-    if not plan.steps:
-        raise RuleNotAllowed("empty plan")
-    return _execute(inputs, plan, schema, RIGHT_I_RULES, "construct")
+    return _run_restricted(inputs, plan, schema, RIGHT_I_RULES, "introduction")
 
 
 def deconstruct(inputs: dict, plan: Plan, schema: AttributeSchema) -> Derivation:
     """Run a plan restricted to right elimination rules."""
-    if not plan.steps:
-        raise RuleNotAllowed("empty plan")
-    return _execute(inputs, plan, schema, RIGHT_E_RULES, "deconstruct")
+    return _run_restricted(inputs, plan, schema, RIGHT_E_RULES, "elimination")
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def _step_cases(beta, delta, base, note) -> bool:
         if isinstance(value, Neg) and isinstance(value.inner, Or):
             note(lambda: "negated disjunction: some disjunct must be exclusive")
             return any(
-                _step_cases(*((other, d) if flip else (d, other)), base, note)
+                _step_cases(*((other, Neg(d)) if flip else (Neg(d), other)), base, note)
                 for d in (value.inner.left, value.inner.right)
             )
     if isinstance(beta, Arrow) and isinstance(delta, Arrow):

@@ -124,6 +124,15 @@ def test_derive_script_error_paths(schema_file, csv_file, tmp_path, capsys):
     code = main(["derive", schema_file, csv_file, "--script", str(script)])
     assert code == 2
     assert "unknown rule" in capsys.readouterr().err
+    # a premise must be defined on an earlier line
+    script.write_text(
+        "pair = ProdI1 major minor\n"
+        "minor = ATQUERY Chickenpox : Extreme\n"
+        "major = ATQUERY Chickenpox : Extreme |> Hepatitis : Yes\n"
+    )
+    code = main(["derive", schema_file, csv_file, "--script", str(script)])
+    assert code == 2
+    assert "script line 1: unknown premise 'major'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["derive", "preserve"])
@@ -144,6 +153,29 @@ def test_script_rejects_a_duplicate_step_id(schema_file, csv_file, tmp_path, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert "script line 2: duplicate step id 'x'" in err
+
+
+@pytest.mark.parametrize("command", ["derive", "preserve"])
+def test_script_rejects_a_malformed_side_assertion(schema_file, csv_file, tmp_path, capsys, command):
+    # `preserve` used to drop side assertions unread and print a verdict
+    script = tmp_path / "proof.txt"
+    script.write_text(
+        "a = ATQUERY Chickenpox : Major\n"
+        "b = ATQUERY Chickenpox : Extreme\n"
+        "both = OrIR a b | nonsense\n"
+    )
+    if command == "derive":
+        argv = ["derive", schema_file, csv_file, "--script", str(script)]
+    else:
+        system = str(tmp_path / "orig.sys")
+        assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "-o", system]) == 0
+        capsys.readouterr()
+        argv = ["preserve", schema_file, "--orig", system, "--copy", system,
+                "--plan", str(script), "--kind", "jt", "--mode", "construct"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "VERDICT" not in out
+    assert "step both: side assertion must be" in err
 
 
 def test_chain_table(schema_file, csv_file, tmp_path, capsys):
@@ -365,3 +397,49 @@ def test_exclusive_conditional_antecedent_exits_2(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: conditional term [[X]Y]Z has the conditional antecedent [X]Y\n"
+
+
+@pytest.fixture
+def xy_systems(xyz_files, tmp_path):
+    """Unconditional systems learnt for X and for Y from the xyz table."""
+    schema, data = xyz_files
+    systems = []
+    for target in ("X", "Y"):
+        path = str(tmp_path / f"{target}.sys")
+        assert main(["learn", schema, data, "--target", target, "-o", path]) == 0
+        systems.append(path)
+    return schema, systems
+
+
+@pytest.mark.parametrize("assertion", ["assume-independent", "independent"])
+def test_preserve_reads_side_assertions(xy_systems, tmp_path, capsys, assertion):
+    # `preserve` used to drop the assertion, so ProdIIndep found no evidence
+    schema, systems = xy_systems
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        "y = ATQUERY Y : u\n"
+        "x = ATQUERY X : a\n"
+        f"xy = ProdIIndep y x | {assertion} X Y\n"
+    )
+    capsys.readouterr()
+    argv = ["preserve", schema, "--orig", *systems, "--copy", *systems,
+            "--plan", str(plan), "--kind", "jt", "--mode", "construct"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if assertion == "assume-independent":
+        assert code == 0
+        assert out.splitlines()[-1] == "VERDICT preserve-jt true"
+    else:
+        # there is no table to test independence on, only applied systems
+        assert code == 2
+        assert "VERDICT" not in out
+        assert "step xy: cannot verify independence without a training table" in err
+
+
+def test_exclusive_negated_disjunction_of_conditionals(tmp_path):
+    # ~((a->p)+(a->q)) is a->r, which overlaps a->r
+    schema = tmp_path / "xyz.txt"
+    schema.write_text("X = a | b | c\nY = u | v\nZ = p | q | r\n")
+    result = _run_cli("exclusive", str(schema), "[X]Z", "~((a->p)+(a->q))", "a->r")
+    assert result.returncode == 1
+    assert result.stdout == "not-exclusive\n"
