@@ -32,7 +32,7 @@ from .syntax import (
     Value,
     ValueAttribution,
     VariableTerm,
-    is_deterministic,
+    fit,
     print_term,
     print_value,
     reduce_projections,
@@ -126,12 +126,21 @@ def derive_value(
         ) from exc
 
 
+def _fits(term, value, schema) -> bool:
+    """Whether `value` fits `term`; over a variable, whether it is in class O."""
+    try:
+        fit(term, value, schema)
+    except TndpqError:
+        return False
+    return True
+
+
 def _derive(source, sigma, term, value, schema) -> Derivation:
     if (
         isinstance(value, (Neg, Or))
         and isinstance(term, Atom)
         and not isinstance(source, AppliedSystem)
-        and is_deterministic(value)
+        and _fits(term, value, schema)
     ):
         # every atom of the value queries the same distribution: learn it once
         ts, est = source
@@ -165,7 +174,7 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
             )
         left_term = reduce_projections(term.left)
         right_term = reduce_projections(term.right)
-        if isinstance(left_term, Atom) and is_deterministic(value.left):
+        if isinstance(left_term, Atom) and _fits(left_term, value.left, schema):
             try:
                 # conditional route: sigma, t:beta |> u:delta then I-times-1
                 minor = _derive(source, sigma, left_term, value.left, schema)

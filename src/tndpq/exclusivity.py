@@ -5,26 +5,24 @@ when their conjunction is refutable in classical logic extended with the
 per-variable exclusivity axioms (distinct atoms are incompatible) and
 exhaustivity axioms (some atom holds).
 
-`exclusive` is the recursive decision procedure: over an arrow-free term a
-value denotes a set of cells, held as one int bitmask, and two values are
-exclusive when their masks are disjoint; conditional terms are decided by
-antecedent matching.  `oracle_exclusive` decides the same question by
-enumerating every admissible assignment of atoms to variables; over
-conditional terms it shares the procedure's step cases.  Both accept
-linear terms only: a term naming a variable twice is ill-formed.  Neither
-accepts a conditional term below a pair, such as `<X,[Y]Z>`, nor one whose
-antecedent is conditional, such as `[[X]Y]Z`.  `cell_mask` gives the mask
-itself; over one variable, bit i stands for its (i+1)-th atom.
+`exclusive` is the recursive decision procedure: over an arrow-free term
+two values are exclusive when their cell masks (`syntax.fit`) are
+disjoint; conditional terms are decided by antecedent matching.
+`oracle_exclusive` decides the same question by enumerating every
+admissible assignment of atoms to variables; over conditional terms it
+shares the procedure's step cases.  Both start the same way: the term is
+reduced and must be linear (a term naming a variable twice is ill-formed),
+and both values must fit it.  Neither accepts a conditional term below a
+pair, such as `<X,[Y]Z>`, nor one whose antecedent is conditional, such as
+`[[X]Y]Z`: antecedents are compared by their masks, which only arrow-free
+terms have.  The step case for a negated disjunction is sound but not
+complete: `~((a->p)+(a->q))` against `a->(p+q)` over `[X]Z` is decided
+not exclusive, although the two are.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    IllFormed,
-    MixedVariables,
-    OracleTooLarge,
-    ShapeMismatch,
-)
+from .errors import OracleTooLarge, ShapeMismatch
 from .syntax import (
     Arrow,
     Atom,
@@ -37,75 +35,52 @@ from .syntax import (
     Prod,
     Value,
     VariableTerm,
+    fit,
     print_term,
     print_value,
     reduce_projections,
+    require_linear,
     term_atoms,
 )
 
 # ---------------------------------------------------------------------------
-# Shape discipline
+# Shared prologue
 
 
-def _check_shape(term, value, schema) -> None:
-    """Reject values whose connective structure does not fit the term.
+def _prologue(term, beta, delta, schema):
+    """The reduced term and the fits of both values to it (None over a conditional term).
 
-    Products belong under pair terms and conditionals under conditional
-    terms; negation and disjunction are transparent.  Arrow-free terms are
-    checked by the walk that computes their masks.
+    Each value is checked whole, since `_cond_exclusive` may stop before it
+    has seen every branch.  A conditional below a pair fits a judgment, so
+    the walk lets it through and the term check after it rejects it.
     """
-    if not isinstance(term, Cond):
-        _mask(term, value, schema)
-        return
-    while isinstance(value, (Neg, Or)):
-        if isinstance(value, Neg):
-            value = value.inner
-        else:
-            _check_shape(term, value.left, schema)
-            value = value.right
-    if not isinstance(value, Arrow):
-        raise ShapeMismatch(
-            f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}"
-        )
-    _check_shape(term.antecedent, value.left, schema)
-    _check_shape(term.consequent, value.right, schema)
+    term = reduce_projections(term)
+    require_linear(term)
+    b = fit(term, beta, schema)
+    d = fit(term, delta, schema)
+    if b is None:
+        below = _below_a_pair(term)
+        if below is not None:
+            raise ShapeMismatch(f"conditional term {print_term(below)} below a pair")
+        inner = term
+        while type(inner) is Cond:
+            if type(inner.antecedent) is Cond:
+                raise ShapeMismatch(
+                    f"conditional term {print_term(term)} has the conditional antecedent"
+                    f" {print_term(inner.antecedent)}"
+                )
+            inner = inner.consequent
+    return term, b, d
 
 
-def _require_arrow_free_antecedents(term) -> None:
-    """Reject a conditional term with a conditional antecedent, such as `[[X]Y]Z`.
-
-    Antecedents are compared by their cell masks, which only arrow-free
-    terms have; no rule builds such a term.
-    """
-    whole = term
-    while isinstance(term, Cond):
-        if isinstance(term.antecedent, Cond):
-            raise ShapeMismatch(
-                f"conditional term {print_term(whole)} has the conditional antecedent"
-                f" {print_term(term.antecedent)}"
-            )
-        term = term.consequent
-
-
-def _require_linear(term) -> None:
-    """Reject a reduced term that names a variable more than once."""
-    seen: set[str] = set()
-
-    def walk(t) -> None:
-        if isinstance(t, Atom):
-            if t.name in seen:
-                raise IllFormed(f"term {print_term(term)} names {t.name!r} more than once")
-            seen.add(t.name)
-        elif isinstance(t, Pair):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Cond):
-            walk(t.antecedent)
-            walk(t.consequent)
-        else:
-            walk(t.inner)
-
-    walk(term)
+def _below_a_pair(term, in_pair=False):
+    """The first conditional term below a pair in `term`, in text order, or None."""
+    kind = type(term)
+    if kind is Cond:
+        return term if in_pair else _below_a_pair(term.antecedent) or _below_a_pair(term.consequent)
+    if kind is Pair:
+        return _below_a_pair(term.left, True) or _below_a_pair(term.right, True)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -131,89 +106,22 @@ def exclusive(
     trace: list[str] | None = None,
 ) -> bool:
     """Decide mutual exclusivity of two values of the same linear variable term."""
-    term = reduce_projections(term)
-    _require_linear(term)
-    # `_cond_exclusive` may stop before it has seen every branch of a value,
-    # so values of conditional terms are checked whole first; over an
-    # arrow-free term the mask walk checks as it goes.
-    if isinstance(term, Cond):
-        _check_shape(term, beta, schema)
-        _check_shape(term, delta, schema)
-        _require_arrow_free_antecedents(term)
-    return _exclusive(term, beta, delta, schema, _Trace(trace))
+    term, b, d = _prologue(term, beta, delta, schema)
+    return _exclusive(term, beta, delta, schema, _Trace(trace), (b, d))
 
 
-def _exclusive(term, beta, delta, schema, trace) -> bool:
+def _exclusive(term, beta, delta, schema, trace, fits=None) -> bool:
+    """`fits` holds the two values' fits to `term` when the caller has them."""
     trace.note(lambda: f"{print_term(term)}: {print_value(beta)} vs {print_value(delta)}")
     trace.depth += 1
     try:
-        if isinstance(term, Cond):
+        if type(term) is Cond:
             return _cond_exclusive(term, beta, delta, schema, trace)
-        b, width = _mask(term, beta, schema)
-        d, _ = _mask(term, delta, schema)
+        (b, width), (d, _) = fits or (fit(term, beta, schema), fit(term, delta, schema))
         trace.note(lambda: _explain_masks(term, b, d, width, schema))
         return not b & d
     finally:
         trace.depth -= 1
-
-
-# Arrow-free terms.  A value over a linear arrow-free term denotes a set of
-# cells of the product of its variables' atom ranges, held as one int: an
-# atom sets bit `index - 1`, a product places the right component's mask at
-# offset i * width(right) for each set bit i of the left component's mask,
-# `+` is `|` and `~` is XOR with the term's universe.  Two values are
-# exclusive when their masks are disjoint and equal when the masks are.
-
-
-def _mask(term, value, schema) -> tuple[int, int]:
-    """The cell mask of `value` over the arrow-free `term`, and the term's width.
-
-    The walk also checks that the value fits the term: the first misfit it
-    meets raises `ShapeMismatch`, `MixedVariables` or `UnknownSymbol`.
-    """
-    if isinstance(value, Or):
-        left, width = _mask(term, value.left, schema)
-        right, _ = _mask(term, value.right, schema)
-        return left | right, width
-    if isinstance(value, Neg):
-        inner, width = _mask(term, value.inner, schema)
-        return ((1 << width) - 1) ^ inner, width
-    if isinstance(term, Atom):
-        if not isinstance(value, AtomVal):
-            raise ShapeMismatch(
-                f"{print_value(value)} is not a deterministic value for {term.name!r}"
-            )
-        if schema.owner(value.name) != term.name:
-            raise MixedVariables(
-                f"{value.name!r} is not an atomic value of {term.name!r}"
-            )
-        atoms = schema.atoms(term.name)
-        return 1 << atoms.index(value.name), len(atoms)
-    if isinstance(term, Pair):
-        if not isinstance(value, Prod):
-            raise ShapeMismatch(
-                f"pair term {print_term(term)} needs a product, got {print_value(value)}"
-            )
-        left, left_width = _mask(term.left, value.left, schema)
-        right, width = _mask(term.right, value.right, schema)
-        out = 0
-        while left:
-            low = left & -left
-            out |= right << (low.bit_length() - 1) * width
-            left ^= low
-        return out, left_width * width
-    if isinstance(term, Cond):
-        raise ShapeMismatch(f"conditional term {print_term(term)} below a pair")
-    raise ShapeMismatch(f"unreduced projection in term {print_term(term)}")
-
-
-def cell_mask(term: VariableTerm, value: Value, schema: AttributeSchema) -> int:
-    """The cell mask of `value` over the reduced arrow-free `term`.
-
-    Raises `ShapeMismatch`, `MixedVariables` or `UnknownSymbol` at the first
-    misfit between the value and the term.
-    """
-    return _mask(term, value, schema)[0]
 
 
 def _explain_masks(term, b: int, d: int, width: int, schema) -> str:
@@ -299,7 +207,7 @@ def _cond_exclusive(term, beta, delta, schema, trace) -> bool:
     antecedent = term.antecedent
 
     def base(b, d) -> bool:
-        equal = _mask(antecedent, b.left, schema)[0] == _mask(antecedent, d.left, schema)[0]
+        equal = fit(antecedent, b.left, schema) == fit(antecedent, d.left, schema)
         trace.note(lambda: f"antecedents {'equal' if equal else 'differ'}")
         return equal and _exclusive(term.consequent, b.right, d.right, schema, trace)
 
@@ -325,11 +233,7 @@ def oracle_exclusive(
     independently: enumerated antecedent equality and enumerated consequent
     exclusivity.
     """
-    term = reduce_projections(term)
-    _require_linear(term)
-    _check_shape(term, beta, schema)
-    _check_shape(term, delta, schema)
-    _require_arrow_free_antecedents(term)
+    term = _prologue(term, beta, delta, schema)[0]
     budget = sum(len(schema.atoms(v)) for v in term_atoms(term))
     if budget > ORACLE_ATOM_BUDGET:
         raise OracleTooLarge(f"{budget} atoms involved, budget {ORACLE_ATOM_BUDGET}")

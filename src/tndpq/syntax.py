@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import IllFormed, MixedVariables, ParseError, UnknownSymbol
+from .errors import IllFormed, MixedVariables, ParseError, ShapeMismatch, TndpqError, UnknownSymbol
 
 # ---------------------------------------------------------------------------
 # Schema
@@ -31,7 +31,7 @@ class AttributeSchema:
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
     _atoms_of: dict = field(init=False, repr=False, compare=False)
-    _owner_of: dict = field(init=False, repr=False, compare=False)
+    _owner_of: dict = field(init=False, repr=False, compare=False)  # atom -> (variable, its bit)
 
     def __post_init__(self):
         atoms_of, owner_of = {}, {}
@@ -46,7 +46,7 @@ class AttributeSchema:
             overlap = owner_of.keys() & set(atoms)
             if overlap:
                 raise IllFormed(f"atomic values shared across variables: {sorted(overlap)}")
-            owner_of.update(dict.fromkeys(atoms, name))
+            owner_of.update((atom, (name, 1 << i)) for i, atom in enumerate(atoms))
         object.__setattr__(self, "_atoms_of", atoms_of)
         object.__setattr__(self, "_owner_of", owner_of)
 
@@ -56,10 +56,6 @@ class AttributeSchema:
         items = mapping.items() if hasattr(mapping, "items") else mapping
         return cls(tuple((n, tuple(a)) for n, a in items))
 
-    @property
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.variables)
-
     def atoms(self, variable: str) -> tuple[str, ...]:
         try:
             return self._atoms_of[variable]
@@ -68,7 +64,7 @@ class AttributeSchema:
 
     def owner(self, atom: str) -> str:
         try:
-            return self._owner_of[atom]
+            return self._owner_of[atom][0]
         except KeyError:
             raise UnknownSymbol(f"unknown atomic value {atom!r}") from None
 
@@ -77,14 +73,6 @@ class AttributeSchema:
 
     def has_atom(self, name: str) -> bool:
         return name in self._owner_of
-
-    def atom_index(self, variable: str, atom: str) -> int:
-        """1-based position of `atom` within `variable`'s declared order."""
-        atoms = self.atoms(variable)
-        try:
-            return atoms.index(atom) + 1
-        except ValueError:
-            raise UnknownSymbol(f"{atom!r} is not an atomic value of {variable!r}") from None
 
 
 def load_schema(path) -> AttributeSchema:
@@ -103,12 +91,6 @@ def load_schema(path) -> AttributeSchema:
                 raise ParseError(f"schema line {lineno}: empty atomic value")
             variables.append((name.strip(), atoms))
     return AttributeSchema(tuple(variables))
-
-
-def save_schema(schema: AttributeSchema, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for name, atoms in schema.variables:
-            handle.write(f"{name} = {' | '.join(atoms)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +150,37 @@ def reduce_projections(term: VariableTerm) -> VariableTerm:
     raise TypeError(f"not a term: {term!r}")
 
 
+def _variables(term: VariableTerm) -> list[str]:
+    """The variable names of `term` in text order, repeats kept."""
+    kind = type(term)
+    if kind is Atom:
+        return [term.name]
+    if kind is Pair:
+        return _variables(term.left) + _variables(term.right)
+    if kind is Cond:
+        return _variables(term.antecedent) + _variables(term.consequent)
+    return _variables(term.inner)
+
+
 def term_atoms(term: VariableTerm) -> set[str]:
     """Atomic variable names occurring in a term (after projection reduction)."""
-    term = reduce_projections(term)
-    out: set[str] = set()
+    return set(_variables(reduce_projections(term)))
 
-    def walk(t: VariableTerm) -> None:
-        if isinstance(t, Atom):
-            out.add(t.name)
-        elif isinstance(t, Pair):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Cond):
-            walk(t.antecedent)
-            walk(t.consequent)
-        else:
-            walk(t.inner)
 
-    walk(term)
-    return out
+def require_linear(term: VariableTerm) -> None:
+    """Reject a reduced term that names a variable more than once."""
+    seen: set[str] = set()
+    for name in _variables(term):
+        if name in seen:
+            raise IllFormed(f"term {print_term(term)} names {name!r} more than once")
+        seen.add(name)
+
+
+def _require_declared(names, schema: AttributeSchema) -> None:
+    """Reject the first name, in order, that the schema does not declare as a variable."""
+    for name in names:
+        if not schema.has_variable(name):
+            raise UnknownSymbol(f"unknown variable {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,31 +221,94 @@ class Arrow(Value):
     right: Value
 
 
-def value_atoms(value: Value) -> set[str]:
-    if isinstance(value, AtomVal):
-        return {value.name}
-    if isinstance(value, Neg):
-        return value_atoms(value.inner)
-    return value_atoms(value.left) | value_atoms(value.right)
+def _subvalues(value: Value):
+    """`value` and every value inside it; the atoms come in text order."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        yield value
+        kind = type(value)
+        if kind is Neg:
+            stack.append(value.inner)
+        elif kind is not AtomVal:
+            stack += (value.right, value.left)
 
 
-def is_deterministic(value: Value) -> bool:
-    """True iff the value is in class O: no products, no conditionals."""
-    if isinstance(value, AtomVal):
-        return True
-    if isinstance(value, Neg):
-        return is_deterministic(value.inner)
-    if isinstance(value, Or):
-        return is_deterministic(value.left) and is_deterministic(value.right)
-    return False
+# ---------------------------------------------------------------------------
+# Fit of a value to a term
+#
+# A value fits a reduced term when its connectives follow the term: `~` and
+# `+` over any term, an atom of the variable under a variable, a product
+# under a pair and a conditional under a conditional term.  Over a linear
+# arrow-free term a fitting value denotes a set of cells of the product of
+# its variables' atom ranges, held as one int: an atom sets bit `index - 1`,
+# a product places the right component's mask at offset i * width(right) for
+# each set bit i of the left component's mask, `+` is `|` and `~` is XOR
+# with the term's universe.  Two values are exclusive when their masks are
+# disjoint and equal when the masks are.  An attribution `v : β` is in class
+# O exactly when β fits the term `v`.
 
 
-def single_variable_of(value: Value, schema: AttributeSchema) -> str:
-    """The unique variable owning every atom of `value`."""
-    owners = {schema.owner(a) for a in value_atoms(value)}
-    if len(owners) != 1:
-        raise MixedVariables(f"value mixes variables {sorted(owners)}")
-    return owners.pop()
+def fit(term: VariableTerm, value: Value, schema: AttributeSchema) -> tuple[int, int] | None:
+    """Check that `value` fits the reduced `term`, raising at the first misfit.
+
+    Returns the value's cell mask and the term's width over an arrow-free
+    term, and None over a term that holds a conditional.  The first misfit
+    the walk meets, left to right, raises `ShapeMismatch`, `MixedVariables`
+    or `UnknownSymbol`.
+    """
+    mask = _fit(term, value, schema)
+    return None if mask is None else (mask, _width(term, schema))
+
+
+def _fit(term, value, schema) -> int | None:
+    kind = type(value)
+    if kind is Or:
+        left = _fit(term, value.left, schema)
+        right = _fit(term, value.right, schema)
+        return None if left is None else left | right
+    if kind is Neg:
+        inner = _fit(term, value.inner, schema)
+        return None if inner is None else ((1 << _width(term, schema)) - 1) ^ inner
+    kind = type(term)
+    if kind is Atom:
+        if type(value) is not AtomVal:
+            raise ShapeMismatch(f"{print_value(value)} is not a deterministic value for {term.name!r}")
+        owner, bit = schema._owner_of.get(value.name, (None, 0))
+        if owner != term.name:
+            schema.owner(value.name)  # an unknown atom is named as such
+            raise MixedVariables(f"{value.name!r} is not an atomic value of {term.name!r}")
+        return bit
+    if kind is Pair:
+        if type(value) is not Prod:
+            raise ShapeMismatch(f"pair term {print_term(term)} needs a product, got {print_value(value)}")
+        left = _fit(term.left, value.left, schema)
+        right = _fit(term.right, value.right, schema)
+        if left is None or right is None:
+            return None
+        width = _width(term.right, schema)
+        out = 0
+        while left:
+            low = left & -left
+            out |= right << (low.bit_length() - 1) * width
+            left ^= low
+        return out
+    if kind is Cond:
+        if type(value) is not Arrow:
+            raise ShapeMismatch(
+                f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}"
+            )
+        _fit(term.antecedent, value.left, schema)
+        _fit(term.consequent, value.right, schema)
+        return None
+    raise ShapeMismatch(f"unreduced projection in term {print_term(term)}")
+
+
+def _width(term, schema) -> int:
+    """The number of cells of an arrow-free term whose value has been fitted."""
+    if type(term) is Atom:
+        return len(schema._atoms_of[term.name])
+    return _width(term.left, schema) * _width(term.right, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +322,32 @@ class ValueAttribution:
     variable: str
     value: Value
 
-    def validate(self, schema: AttributeSchema) -> "ValueAttribution":
+    def mask(self, schema: AttributeSchema) -> int:
+        """The value's cell mask over the variable: bit i for its (i+1)-th atom.
+
+        A value that does not fit is reported in σ's order: an unknown
+        variable, a product or conditional, an unknown atom (the first in
+        text order), atoms of several variables, atoms of another variable.
+        """
+        try:
+            return fit(Atom(self.variable), self.value, schema)[0]
+        except TndpqError:
+            fault = self._fault(schema)
+        raise fault
+
+    def _fault(self, schema) -> TndpqError:
         if not schema.has_variable(self.variable):
-            raise UnknownSymbol(f"unknown variable {self.variable!r}")
-        if not is_deterministic(self.value):
-            raise IllFormed(f"attribution to {self.variable!r} uses a non-deterministic value")
-        if single_variable_of(self.value, schema) != self.variable:
-            raise IllFormed(f"value atoms do not belong to {self.variable!r}")
+            return UnknownSymbol(f"unknown variable {self.variable!r}")
+        values = list(_subvalues(self.value))
+        if any(type(v) is Prod or type(v) is Arrow for v in values):
+            return IllFormed(f"attribution to {self.variable!r} uses a non-deterministic value")
+        owners = {schema.owner(v.name) for v in values if type(v) is AtomVal}
+        if len(owners) != 1:
+            return MixedVariables(f"value mixes variables {sorted(owners)}")
+        return IllFormed(f"value atoms do not belong to {self.variable!r}")
+
+    def validate(self, schema: AttributeSchema) -> "ValueAttribution":
+        self.mask(schema)
         return self
 
 
@@ -292,17 +368,17 @@ class Judgment:
             raise IllFormed("a variable appears twice in the antecedent")
 
     def validate(self, schema: AttributeSchema) -> "Judgment":
+        """Check the antecedent, then that the value fits the reduced, linear subject."""
         for va in self.antecedent:
             va.validate(schema)
-        subject_vars = term_atoms(self.subject)
-        for name in subject_vars:
-            if not schema.has_variable(name):
-                raise UnknownSymbol(f"unknown variable {name!r}")
-        if subject_vars & {va.variable for va in self.antecedent}:
+        subject = reduce_projections(self.subject)
+        names = _variables(subject)
+        _require_declared(names, schema)
+        if any(va.variable in names for va in self.antecedent):
             raise IllFormed("subject variable occurs in the antecedent")
-        for atom in value_atoms(self.value):
-            if not schema.has_atom(atom):
-                raise UnknownSymbol(f"unknown atomic value {atom!r}")
+        if len(set(names)) < len(names):
+            require_linear(subject)
+        _fit(subject, self.value, schema)
         return self
 
     def sigma_key(self):
@@ -490,9 +566,9 @@ def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
     value = parser.value()
     parser.expect("eof")
     if schema is not None:
-        for atom in value_atoms(value):
-            if not schema.has_atom(atom):
-                raise UnknownSymbol(f"unknown atomic value {atom!r}")
+        for node in _subvalues(value):
+            if type(node) is AtomVal:
+                schema.owner(node.name)  # names an unknown atom
     return value
 
 
@@ -501,9 +577,7 @@ def parse_term(text: str, schema: AttributeSchema | None = None) -> VariableTerm
     term = parser.term()
     parser.expect("eof")
     if schema is not None:
-        for name in term_atoms(term):
-            if not schema.has_variable(name):
-                raise UnknownSymbol(f"unknown variable {name!r}")
+        _require_declared(_variables(reduce_projections(term)), schema)
     return term
 
 
@@ -525,11 +599,7 @@ def parse_attribution_list(text: str, schema: AttributeSchema | None = None) -> 
 
 def parse_judgment(text: str, schema: AttributeSchema) -> Judgment:
     """Parse and validate one judgment against the schema."""
-    judgment = _Parser(text).judgment()
-    for va in judgment.antecedent:
-        if not is_deterministic(va.value):
-            raise IllFormed(f"antecedent attribution to {va.variable!r} is not deterministic")
-    return judgment.validate(schema)
+    return _Parser(text).judgment().validate(schema)
 
 
 # ---------------------------------------------------------------------------

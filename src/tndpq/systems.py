@@ -16,11 +16,8 @@ from .errors import (
     InvariantViolation,
     ParseError,
     SchemaMismatch,
-    TndpqError,
 )
-from .exclusivity import cell_mask
 from .syntax import (
-    Atom,
     AttributeSchema,
     ValueAttribution,
     parse_attribution_list,
@@ -153,22 +150,6 @@ def load_training_set(path, schema: AttributeSchema, id: str | None = None) -> T
     return TrainingSet(name, schema, tuple(rows))
 
 
-def _sigma_masks(schema: AttributeSchema, sigma) -> list[int]:
-    """Each attribution's cell mask: bit i set when the value holds at atom i.
-
-    The mask walk validates the attribution; when it fails, `validate`
-    names the fault, so the error is the one validation alone would raise.
-    """
-    masks = []
-    for va in sigma:
-        try:
-            masks.append(cell_mask(Atom(va.variable), va.value, schema))
-        except TndpqError:
-            va.validate(schema)
-            raise
-    return masks
-
-
 def _probabilities(ts: TrainingSet, est: Estimator, target: str, selected: int) -> list[float]:
     """P(target = each atom) among the rows in `selected`, of which "freq" needs one."""
     counts = [(selected & mask).bit_count() for mask in ts.column_masks(target)]
@@ -183,7 +164,7 @@ def _conditional(ts: TrainingSet, est: Estimator, sigma: tuple, target: str):
     """`conditional_distribution`, and the row bitset of the rows satisfying σ."""
     if any(va.variable == target for va in sigma):
         raise InvariantViolation(f"{target!r} is already attributed in sigma")
-    masks = _sigma_masks(ts.schema, sigma)
+    masks = [va.mask(ts.schema) for va in sigma]
     atoms = ts.schema.atoms(target)
     # a row satisfies an attribution when its atom's bit is in the value's
     # cell mask, and σ when it satisfies every attribution

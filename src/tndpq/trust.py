@@ -149,13 +149,6 @@ class TrustReport:
     def verdict(self) -> bool:
         return all(entry[-1] for entry in self.evidence)
 
-    @property
-    def failed_condition(self):
-        for entry in self.evidence:
-            if not entry[-1]:
-                return entry
-        return None
-
     def add(self, label, f, g, condition: str, satisfied: bool) -> None:
         self.evidence.append((label, f, g, condition, satisfied))
 

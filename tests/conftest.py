@@ -19,3 +19,30 @@ def loan_schema() -> AttributeSchema:
 @pytest.fixture
 def small_schema() -> AttributeSchema:
     return AttributeSchema.of([("X", ("a", "b", "c")), ("Y", ("u", "v")), ("Z", ("p", "q", "r"))])
+
+
+@pytest.fixture
+def conclusions_parse_back(monkeypatch):
+    """Record the conclusion of every rule applied during a test; each must parse back.
+
+    At teardown each conclusion is printed, parsed against its schema
+    (which validates it) and compared with itself.
+    """
+    from tndpq import calculus
+    from tndpq.syntax import parse_judgment, print_judgment
+
+    built = []
+
+    def recording(handler):
+        def wrapper(premises, schema, side, direction):
+            conclusion, evidence = handler(premises, schema, side, direction)
+            built.append((conclusion, schema))
+            return conclusion, evidence
+
+        return wrapper
+
+    for rule, handler in list(calculus._HANDLERS.items()):
+        monkeypatch.setitem(calculus._HANDLERS, rule, recording(handler))
+    yield
+    for conclusion, schema in built:
+        assert parse_judgment(print_judgment(conclusion), schema) == conclusion

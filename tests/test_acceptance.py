@@ -226,7 +226,7 @@ def test_criterion_3_exclusivity_oracle_equivalence():
     ]
     for _ in range(5000):
         schema = rng.choice(schemas)
-        var = rng.choice(schema.variable_names)
+        var = rng.choice([name for name, _ in schema.variables])
         atoms = schema.atoms(var)
         b = _random_class_o(rng, atoms, 4)
         d = _random_class_o(rng, atoms, 4)

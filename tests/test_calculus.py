@@ -22,6 +22,9 @@ from tndpq.errors import (
 from tndpq.syntax import AttributeSchema, parse_attribution_list, parse_judgment
 from tndpq.systems import Estimator, TrainingSet
 
+# every conclusion a rule builds in these tests must parse back
+pytestmark = pytest.mark.usefixtures("conclusions_parse_back")
+
 SCHEMA = AttributeSchema.of(
     [("X", ("a", "b", "c")), ("Y", ("u", "v")), ("Z", ("m", "n"))]
 )

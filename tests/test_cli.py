@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from tndpq.cli import main
+from tndpq.errors import TndpqError
+from tndpq.exclusivity import exclusive
+from tndpq.syntax import load_schema, parse_judgment, parse_term, parse_value
 
 
 @pytest.fixture
@@ -45,6 +48,60 @@ def test_parse_rejects_unknown_symbol(schema_file, capsys):
     code = main(["parse", schema_file, "|> Chickenpox : Mild @ 0.2"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def xyz_file(tmp_path):
+    path = tmp_path / "xyz.txt"
+    path.write_text("X = a | b\nY = u | v\nZ = p | q\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "judgment",
+    [
+        "|> X : u @ 0.5",  # an atom of Y
+        "|> <X,Y> : a @ 0.5",
+        "|> [X]Y : u @ 0.5",
+        "|> <X,X> : a*b @ 0.5",
+        "|> X : a->u @ 0.2",
+        "|> <X,Y> : a*p @ 0.2",  # an atom of Z
+    ],
+)
+def test_parse_rejects_what_exclusive_rejects(xyz_file, capsys, judgment):
+    # each of these printed back with exit 0, though no procedure reads it
+    schema = load_schema(xyz_file)
+    term, _, rest = judgment[len("|> "):].partition(" : ")
+    value = parse_value(rest.partition(" @ ")[0])
+    with pytest.raises(TndpqError) as expected:
+        exclusive(parse_term(term), value, value, schema)
+    with pytest.raises(TndpqError) as caught:
+        parse_judgment(judgment, schema)
+    assert type(caught.value) is type(expected.value)
+    assert str(caught.value) == str(expected.value)
+    assert main(["parse", xyz_file, judgment]) == 2
+    assert capsys.readouterr() == ("", f"error: {expected.value}\n")
+
+
+def test_parse_names_the_undeclared_antecedent_variable(xyz_file, capsys):
+    # a product under an undeclared variable was reported as not deterministic
+    assert main(["parse", xyz_file, "Q:a*b |> X : a @ 0.5"]) == 2
+    assert capsys.readouterr().err == "error: unknown variable 'Q'\n"
+
+
+@pytest.mark.parametrize(
+    "judgment, message",
+    [
+        ("X:w1+w2+w3 |> Y : u @ 0.5", "unknown atomic value 'w1'"),
+        ("|> <Q1,<Q2,Q3>> : u @ 0.5", "unknown variable 'Q1'"),
+    ],
+)
+def test_unknown_symbols_are_named_in_text_order(xyz_file, judgment, message):
+    # the first unknown name used to follow the order of a set, which
+    # changes with the hash seed
+    for seed in ("2", "1"):
+        result = _run_cli("parse", xyz_file, judgment, env={"PYTHONHASHSEED": seed})
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_learn_and_compare_reflexive(schema_file, csv_file, tmp_path, capsys):
@@ -254,9 +311,9 @@ def test_learn_missing_column_exits_2(xyz_files, tmp_path, capsys):
         assert "no column 'Z'" in capsys.readouterr().err
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, env=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
         [sys.executable, "-c", "import sys; from tndpq.cli import main; sys.exit(main())", *argv],
         capture_output=True, text=True, env=env, timeout=60,

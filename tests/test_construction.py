@@ -43,6 +43,9 @@ from tndpq.systems import Estimator, TrainingSet
 from tndpq.trust import at as at_kind
 from tndpq.trust import check_nonatomic, et, jt, wt
 
+# every conclusion a rule builds in these tests must parse back
+pytestmark = pytest.mark.usefixtures("conclusions_parse_back")
+
 
 @pytest.fixture
 def pox_schema():

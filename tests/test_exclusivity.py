@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tndpq import exclusivity
 from tndpq.errors import IllFormed, MixedVariables, OracleTooLarge, ShapeMismatch, UnknownSymbol
-from tndpq.exclusivity import cell_mask, exclusive, oracle_exclusive
+from tndpq.exclusivity import exclusive, oracle_exclusive
 from tndpq.syntax import (
     Arrow,
     Atom,
@@ -19,6 +19,7 @@ from tndpq.syntax import (
     Or,
     Pair,
     Prod,
+    fit,
     parse_term,
     parse_value,
     print_term,
@@ -30,6 +31,11 @@ FIVE = AttributeSchema.of([("V", ("a1", "a2", "a3", "a4", "a5"))])
 
 def v(text):
     return parse_value(text)
+
+
+def cell_mask(term, value, schema):
+    """The mask that `fit` returns over an arrow-free term."""
+    return fit(term, value, schema)[0]
 
 
 def test_cell_mask_singleton():
@@ -626,9 +632,7 @@ def test_shape_checks_raise_what_the_separate_walk_raised():
         value = _misfit(rng, term, 3)
         want = _outcome(lambda: _reference_check_shape(term, value, FOUR))
         misfits += want is not None
-        assert _outcome(lambda: exclusivity._check_shape(term, value, FOUR)) == want, (term, value)
-        if not isinstance(term, Cond):
-            assert _outcome(lambda: exclusivity._mask(term, value, FOUR)) == want, (term, value)
+        assert _outcome(lambda: fit(term, value, FOUR)) == want, (term, value)
     assert 500 < misfits < 2500, misfits
 
 

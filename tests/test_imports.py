@@ -67,7 +67,7 @@ def files(tmp_path):
 # Each command, and the layers it needs besides `errors` and `cli`.
 COMMANDS = {
     "parse": (["parse", "{schema}", "|> X : a + b @ 0.5"], {"syntax"}),
-    "learn": (["learn", "{schema}", "{data}", "--target", "X"], {"syntax", "exclusivity", "systems"}),
+    "learn": (["learn", "{schema}", "{data}", "--target", "X"], {"syntax", "systems"}),
     "derive": (
         ["derive", "{schema}", "{data}", "--script", "{script}", "--check"],
         {"syntax", "exclusivity", "systems", "calculus"},
@@ -75,11 +75,11 @@ COMMANDS = {
     "exclusive": (["exclusive", "{schema}", "X", "a + b", "c"], {"syntax", "exclusivity"}),
     "compare": (
         ["compare", "{schema}", "{system}", "{system}", "--kind", "at:1"],
-        {"syntax", "exclusivity", "systems", "trust"},
+        {"syntax", "systems", "trust"},
     ),
     "chain": (
         ["chain", "{schema}", "{system}", "--m", "1", "--k", "2", "--steps", "3"],
-        {"syntax", "exclusivity", "systems", "trust"},
+        {"syntax", "systems", "trust"},
     ),
     "preserve": (
         ["preserve", "{schema}", "--orig", "{system}", "--copy", "{system}", "--plan", "{script}",

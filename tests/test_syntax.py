@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from tndpq.errors import IllFormed, ParseError, UnknownSymbol
+from tndpq.errors import IllFormed, MixedVariables, ParseError, UnknownSymbol
 from tndpq.syntax import (
     Arrow,
     Atom,
@@ -24,7 +24,7 @@ from tndpq.syntax import (
     ValueAttribution,
     _TOKEN_RE,
     _tokenize,
-    is_deterministic,
+    fit,
     load_schema,
     parse_attribution_list,
     parse_judgment,
@@ -35,7 +35,6 @@ from tndpq.syntax import (
     print_value,
     reduce_projections,
     same_sigma,
-    save_schema,
     term_atoms,
 )
 
@@ -121,10 +120,12 @@ def test_subject_check_after_reduction(loan_schema):
         parse_judgment("Gen:f |> snd(<Loan,Gen>) : f @ 0.5", loan_schema)
 
 
-def test_is_deterministic():
-    assert is_deterministic(Or(AtomVal("a"), Neg(AtomVal("b"))))
-    assert not is_deterministic(Prod(AtomVal("a"), AtomVal("b")))
-    assert not is_deterministic(Arrow(AtomVal("a"), AtomVal("b")))
+def test_is_deterministic(small_schema):
+    # class O: the value fits its variable, so no products, no conditionals
+    assert ValueAttribution("X", Or(AtomVal("a"), Neg(AtomVal("b")))).validate(small_schema)
+    for value in (Prod(AtomVal("a"), AtomVal("b")), Arrow(AtomVal("a"), AtomVal("b"))):
+        with pytest.raises(IllFormed, match="non-deterministic"):
+            ValueAttribution("X", value).validate(small_schema)
 
 
 def test_schema_invariants():
@@ -139,12 +140,14 @@ def test_schema_invariants():
 def test_schema_lookups(small_schema):
     assert small_schema.atoms("Y") == ("u", "v")
     assert small_schema.owner("r") == "Z"
-    assert small_schema.atom_index("Z", "q") == 2
+    assert fit(Atom("Z"), AtomVal("q"), small_schema) == (0b010, 3)
     assert small_schema.has_variable("X") and not small_schema.has_variable("a")
     assert small_schema.has_atom("a") and not small_schema.has_atom("X")
-    for lookup, args in [("atoms", ("W",)), ("owner", ("w",)), ("atom_index", ("X", "u"))]:
+    for lookup, args in [("atoms", ("W",)), ("owner", ("w",))]:
         with pytest.raises(UnknownSymbol):
             getattr(small_schema, lookup)(*args)
+    with pytest.raises(MixedVariables):
+        fit(Atom("X"), AtomVal("u"), small_schema)
     # the lookup maps are derived, not part of the schema's value
     same = AttributeSchema(small_schema.variables)
     assert same == small_schema and hash(same) == hash(small_schema)
@@ -154,7 +157,7 @@ def test_schema_lookups(small_schema):
 
 def test_schema_file_round_trip(tmp_path, loan_schema):
     path = tmp_path / "schema.txt"
-    save_schema(loan_schema, path)
+    path.write_text("".join(f"{name} = {' | '.join(atoms)}\n" for name, atoms in loan_schema.variables))
     assert load_schema(path) == loan_schema
 
 

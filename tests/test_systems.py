@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from tndpq import systems
 from tndpq.calculus import at_query
 from tndpq.cli import main
 from tndpq.errors import (
@@ -326,16 +325,17 @@ def test_index_matches_row_counting():
 
 @pytest.mark.parametrize("n", [3, 3000])
 def test_one_cell_mask_per_attribution(monkeypatch, n):
-    real = systems.cell_mask
+    real = ValueAttribution.mask
     calls = []
 
-    def counting(term, value, schema):
-        calls.append(value)
-        return real(term, value, schema)
+    def counting(attribution, schema):
+        calls.append(attribution.value)
+        return real(attribution, schema)
 
-    monkeypatch.setattr(systems, "cell_mask", counting)
+    monkeypatch.setattr(ValueAttribution, "mask", counting)
     ts = _random_table(random.Random(n), n)
     context = parse_attribution_list("a:x+y, b:~u, c:~(p+q)", WIDE)
+    calls.clear()  # parsing validated each attribution through its mask
     conditional_distribution(ts, Estimator("L", "laplace", 1.0), context, "d")
     assert len(calls) == len(context)
     assert calls == [va.value for va in context]
@@ -343,14 +343,14 @@ def test_one_cell_mask_per_attribution(monkeypatch, n):
 
 @pytest.mark.parametrize("est", [FREQ, Estimator("L", "laplace", 1.0)])
 def test_independent_walks_sigma_once(monkeypatch, est):
-    real = systems.cell_mask
+    real = ValueAttribution.mask
     calls = []
 
-    def counting(term, value, schema):
-        calls.append(value)
-        return real(term, value, schema)
+    def counting(attribution, schema):
+        calls.append(attribution.value)
+        return real(attribution, schema)
 
-    monkeypatch.setattr(systems, "cell_mask", counting)
+    monkeypatch.setattr(ValueAttribution, "mask", counting)
     ts = _random_table(random.Random(5), 300)
     for text in ("", "a:x+y", "a:x+y, b:~u"):
         context = parse_attribution_list(text, WIDE)

@@ -76,7 +76,7 @@ def test_failed_condition_pinpointed():
     copy = system((0.2, 0.3, 0.3, 0.2, 0.0), estimator="B")
     report = check_local(ORIGINAL, copy, et(2))
     assert not report.verdict
-    assert report.failed_condition[0] == "Minor"
+    assert next(entry for entry in report.evidence if not entry[-1])[0] == "Minor"
 
 
 # ---------------------------------------------------------------------------
