@@ -181,12 +181,7 @@ def _exclusivity_evidence(term, left, right, schema, rule) -> dict:
             f"{rule.value}: {print_term(term)}: {print_value(left)} and "
             f"{print_value(right)} are not mutually exclusive"
         )
-    return {
-        "kind": "exclusive",
-        "term": print_term(term),
-        "left": print_value(left),
-        "right": print_value(right),
-    }
+    return {"kind": "exclusive", "term": term, "left": left, "right": right}
 
 
 def _independence_evidence(side, t, u, rule) -> dict:
@@ -211,7 +206,16 @@ def apply_rule(
     side=(),
     direction: str = "forward",
 ) -> Derivation:
-    """Apply one inference rule to premise derivations."""
+    """Apply one inference rule to premise derivations.
+
+    `direction` is "forward", or "backward" for the double-line rules ImpIE
+    and NegIER; anything else raises `RuleNotAllowed`.
+    """
+    if direction != "forward" and (direction != "backward" or rule not in _DOUBLE_LINE):
+        raise RuleNotAllowed(
+            f"{RuleId(rule).value}: direction {direction!r} is not allowed; "
+            "only ImpIE and NegIER also run 'backward'"
+        )
     premises = tuple(premises)
     provenance = _merge_provenance(premises)
     handler = _HANDLERS[rule]
@@ -545,6 +549,8 @@ def _rule_prod_i_indep(premises, schema, side, direction):
     )
     return conclusion, [evidence]
 
+
+_DOUBLE_LINE = frozenset((RuleId.ImpIE, RuleId.NegIER))
 
 _HANDLERS = {
     RuleId.ImpIE: _rule_imp_ie,

@@ -80,21 +80,32 @@ def _kind_label(kind: trust.TrustKind) -> str:
     return label if kind.m is None else f"{label}:{kind.m}"
 
 
+def _print_trust_report(report: trust.TrustReport, label: str) -> int:
+    """Print a trust report's evidence, warning and verdict; return the exit status."""
+    for name, f, g, condition, ok in report.evidence:
+        print(f"{name}\t{f!r}\t{g!r}\t{condition}\t{'ok' if ok else 'violated'}")
+    if report.warning:
+        print(f"WARNING\t{report.warning}")
+    print(f"VERDICT {label} {'true' if report.verdict else 'false'}")
+    return 0 if report.verdict else 1
+
+
 # ---------------------------------------------------------------------------
 # Proof scripts
 #
 # One step per line:  `id = RULE premise_ids... [| side assertions]`
 # Leaves:             `id = ATQUERY [attrlist |>] variable : atom`
-# A premise must be defined on an earlier line.  The two double-line rules
-# accept an optional `@backward` marker after the rule name.  Side
-# assertions: `independent t u` (verified on the training table under the
-# premises' context) or `assume-independent t u` (taken on faith).
+# A leaf is read by the judgment grammar against the schema.  A premise must
+# be defined on an earlier line.  An optional `@backward` marker after the
+# rule name is allowed only on the two double-line rules, ImpIE and NegIER.
+# Side assertions: `independent t u` (verified on the training table under
+# the premises' context) or `assume-independent t u` (taken on faith).
 
 
 def parse_script(text: str, schema: AttributeSchema) -> dict:
     """Map each step id, in script order, to a leaf `(sigma, variable, atom)` or a `PlanStep`."""
     from .calculus import PlanStep, RuleId
-    from .syntax import parse_attribution_list
+    from .syntax import AtomVal, parse_attribution_list
 
     steps: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -110,17 +121,15 @@ def parse_script(text: str, schema: AttributeSchema) -> dict:
         rest = rest.strip()
         rule_name, _, tail = rest.partition(" ")
         if rule_name.upper() == "ATQUERY":
-            leaf_text = tail.strip()
-            if "|>" in leaf_text:
-                sigma_text, leaf_text = leaf_text.split("|>", 1)
-                sigma = parse_attribution_list(sigma_text.strip())
-            else:
-                sigma = ()
-            var, _, atom = leaf_text.partition(":")
-            var, atom = var.strip(), atom.strip()
-            if not var or not atom:
+            sigma_text, _, query_text = tail.rpartition("|>")
+            try:
+                sigma = parse_attribution_list(sigma_text, schema)
+                query = parse_attribution_list(query_text, schema)
+            except TndpqError as exc:
+                raise type(exc)(f"script line {lineno}: {exc}") from None
+            if len(query) != 1 or type(query[0].value) is not AtomVal:
                 raise TndpqError(f"script line {lineno}: ATQUERY needs `variable : atom`")
-            steps[name] = (sigma, var, atom)
+            steps[name] = (sigma, query[0].variable, query[0].value.name)
             continue
         head, _, side_text = tail.partition("|")
         args = head.split()
@@ -248,12 +257,7 @@ def _cmd_compare(args) -> int:
     copy = load_applied_system(args.copy, schema)
     kind = _parse_kind(args.kind)
     report = trust.check_local(original, copy, kind, tol=args.tol)
-    for label, f, g, condition, ok in report.evidence:
-        print(f"{label}\t{f!r}\t{g!r}\t{condition}\t{'ok' if ok else 'violated'}")
-    if report.warning:
-        print(f"WARNING\t{report.warning}")
-    print(f"VERDICT {_kind_label(kind)} {'true' if report.verdict else 'false'}")
-    return 0 if report.verdict else 1
+    return _print_trust_report(report, _kind_label(kind))
 
 
 def _cmd_chain(args) -> int:
@@ -317,12 +321,7 @@ def _cmd_preserve(args) -> int:
         schema,
         tol=args.tol,
     )
-    for label, f, g, condition, ok in report.evidence:
-        print(f"{label}\t{f!r}\t{g!r}\t{condition}\t{'ok' if ok else 'violated'}")
-    if report.warning:
-        print(f"WARNING\t{report.warning}")
-    print(f"VERDICT preserve-{args.kind} {'true' if report.verdict else 'false'}")
-    return 0 if report.verdict else 1
+    return _print_trust_report(report, f"preserve-{args.kind}")
 
 
 # ---------------------------------------------------------------------------

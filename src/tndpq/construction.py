@@ -4,9 +4,9 @@ Construction builds judgments for compound values using only right
 introduction rules; deconstruction recovers component judgments using only
 right elimination rules.  Both restrict a plan's rules and run it through
 `calculus.run_plan`, whose `Plan` and `PlanStep` this module re-exports.
-The module also provides the sub-value relation and the preservation
-checker that runs one plan against an original system and a copy and
-reports whether the chosen trust relation survives.
+The module also provides the preservation checker that runs one plan
+against an original system and a copy and reports whether the chosen trust
+relation survives.
 """
 
 from __future__ import annotations
@@ -84,20 +84,6 @@ def construct(inputs: dict, plan: Plan, schema: AttributeSchema) -> Derivation:
 def deconstruct(inputs: dict, plan: Plan, schema: AttributeSchema) -> Derivation:
     """Run a plan restricted to right elimination rules."""
     return _run_restricted(inputs, plan, schema, RIGHT_E_RULES, "elimination")
-
-
-# ---------------------------------------------------------------------------
-# Sub-values
-
-
-def subvalues(value: Value) -> frozenset[Value]:
-    """The reflexive sub-value set."""
-    out = {value}
-    if isinstance(value, Neg):
-        out |= subvalues(value.inner)
-    elif isinstance(value, (Or, Prod, Arrow)):
-        out |= subvalues(value.left) | subvalues(value.right)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ class AttributeSchema:
     """Ordered variables, each with an ordered list of atomic values.
 
     Atomic-value names must be globally unique so every atom determines
-    its owning variable.
+    its owning variable.  Every name is one identifier or number token of
+    the grammar, so that whatever the printer writes parses back.
     """
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
@@ -36,6 +37,8 @@ class AttributeSchema:
     def __post_init__(self):
         atoms_of, owner_of = {}, {}
         for name, atoms in self.variables:
+            for word in (name, *atoms):
+                _require_word(word)
             if name in atoms_of:
                 raise IllFormed(f"duplicate variable {name!r}")
             atoms_of[name] = atoms
@@ -73,6 +76,16 @@ class AttributeSchema:
 
     def has_atom(self, name: str) -> bool:
         return name in self._owner_of
+
+
+def _require_word(word: str) -> None:
+    """Reject a name that the tokenizer does not read as exactly one identifier or number."""
+    try:
+        tokens = _tokenize(word)
+    except ParseError:
+        tokens = []
+    if len(tokens) != 2 or tokens[0][0] not in ("ident", "number") or tokens[0][1] != word:
+        raise IllFormed(f"name {word!r} is not one identifier or number of the grammar")
 
 
 def load_schema(path) -> AttributeSchema:
@@ -221,7 +234,7 @@ class Arrow(Value):
     right: Value
 
 
-def _subvalues(value: Value):
+def subvalues(value: Value):
     """`value` and every value inside it; the atoms come in text order."""
     stack = [value]
     while stack:
@@ -338,7 +351,7 @@ class ValueAttribution:
     def _fault(self, schema) -> TndpqError:
         if not schema.has_variable(self.variable):
             return UnknownSymbol(f"unknown variable {self.variable!r}")
-        values = list(_subvalues(self.value))
+        values = list(subvalues(self.value))
         if any(type(v) is Prod or type(v) is Arrow for v in values):
             return IllFormed(f"attribution to {self.variable!r} uses a non-deterministic value")
         owners = {schema.owner(v.name) for v in values if type(v) is AtomVal}
@@ -453,6 +466,14 @@ def _is_number(word: str) -> bool:
         return False
 
 
+# The binary value connectives, read by both the parser and the printer:
+# token -> (node class, binding power, right-associative).  `~` binds
+# tighter than all of them.
+_BINARY = {"->": (Arrow, 0, True), "+": (Or, 1, False), "*": (Prod, 2, False)}
+_SYMBOL = {cls: (op, power, right) for op, (cls, power, right) in _BINARY.items()}
+_NEG_POWER = 3
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -478,37 +499,25 @@ class _Parser:
             raise ParseError(f"expected identifier, found {text!r}", pos)
         return text
 
-    # values: arrow < or < prod < neg < primary
-    def value(self) -> Value:
-        left = self.value_or()
-        if self.peek() == "->":
-            self.next()
-            return Arrow(left, self.value())
-        return left
+    def value(self, floor: int = 0) -> Value:
+        """A value whose binary connectives bind at `floor` or tighter (precedence climbing)."""
+        node = self.operand()
+        while True:
+            entry = _BINARY.get(self.tokens[self.pos][0])
+            if entry is None or entry[1] < floor:
+                return node
+            cls, power, right = entry
+            self.pos += 1
+            node = cls(node, self.value(power if right else power + 1))
 
-    def value_or(self) -> Value:
-        node = self.value_prod()
-        while self.peek() == "+":
-            self.next()
-            node = Or(node, self.value_prod())
-        return node
-
-    def value_prod(self) -> Value:
-        node = self.value_neg()
-        while self.peek() == "*":
-            self.next()
-            node = Prod(node, self.value_neg())
-        return node
-
-    def value_neg(self) -> Value:
-        if self.peek() == "~":
-            self.next()
-            return Neg(self.value_neg())
-        return self.value_primary()
-
-    def value_primary(self) -> Value:
-        if self.peek() == "(":
-            self.next()
+    def operand(self) -> Value:
+        """A negation, a parenthesised value or an atom."""
+        kind = self.peek()
+        if kind == "~":
+            self.pos += 1
+            return Neg(self.operand())
+        if kind == "(":
+            self.pos += 1
             node = self.value()
             self.expect(")")
             return node
@@ -541,14 +550,19 @@ class _Parser:
         self.expect(":")
         return ValueAttribution(variable, self.value())
 
-    def judgment(self) -> Judgment:
-        attributions: list[ValueAttribution] = []
-        if self.peek() != "|>":
+    def attributions(self, end: str) -> tuple[ValueAttribution, ...]:
+        """Attributions separated by `,`, up to and including the token `end`."""
+        attributions = []
+        if self.peek() != end:
             attributions.append(self.attribution())
             while self.peek() == ",":
                 self.next()
                 attributions.append(self.attribution())
-        self.expect("|>")
+        self.expect(end)
+        return tuple(attributions)
+
+    def judgment(self) -> Judgment:
+        antecedent = self.attributions("|>")
         subject = self.term()
         self.expect(":")
         value = self.value()
@@ -558,7 +572,7 @@ class _Parser:
             raise ParseError(f"expected probability, found {text!r}", pos)
         probability = float(text)
         self.expect("eof")
-        return Judgment(tuple(attributions), subject, value, probability)
+        return Judgment(antecedent, subject, value, probability)
 
 
 def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
@@ -566,7 +580,7 @@ def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
     value = parser.value()
     parser.expect("eof")
     if schema is not None:
-        for node in _subvalues(value):
+        for node in subvalues(value):
             if type(node) is AtomVal:
                 schema.owner(node.name)  # names an unknown atom
     return value
@@ -582,19 +596,11 @@ def parse_term(text: str, schema: AttributeSchema | None = None) -> VariableTerm
 
 
 def parse_attribution_list(text: str, schema: AttributeSchema | None = None) -> tuple[ValueAttribution, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    parser = _Parser(text)
-    attributions = [parser.attribution()]
-    while parser.peek() == ",":
-        parser.next()
-        attributions.append(parser.attribution())
-    parser.expect("eof")
+    attributions = _Parser(text).attributions("eof")
     if schema is not None:
         for va in attributions:
             va.validate(schema)
-    return tuple(attributions)
+    return attributions
 
 
 def parse_judgment(text: str, schema: AttributeSchema) -> Judgment:
@@ -605,26 +611,18 @@ def parse_judgment(text: str, schema: AttributeSchema) -> Judgment:
 # ---------------------------------------------------------------------------
 # Printer
 
-_PREC_ARROW, _PREC_OR, _PREC_PROD, _PREC_NEG, _PREC_ATOM = 0, 1, 2, 3, 4
 
-
-def _print_value(value: Value, parent_prec: int = 0) -> str:
-    if isinstance(value, AtomVal):
+def _print_value(value: Value, floor: int = 0) -> str:
+    """`value` with the fewest parentheses under which `_Parser.value(floor)` reads it back."""
+    kind = type(value)
+    if kind is AtomVal:
         return value.name
-    if isinstance(value, Neg):
-        return "~" + _print_value(value.inner, _PREC_NEG)
-    if isinstance(value, Or):
-        prec, op = _PREC_OR, "+"
-    elif isinstance(value, Prod):
-        prec, op = _PREC_PROD, "*"
-    else:
-        prec, op = _PREC_ARROW, "->"
-    if isinstance(value, Arrow):
-        # right-associative
-        text = f"{_print_value(value.left, prec + 1)}{op}{_print_value(value.right, prec)}"
-    else:
-        text = f"{_print_value(value.left, prec)}{op}{_print_value(value.right, prec + 1)}"
-    return f"({text})" if prec < parent_prec else text
+    if kind is Neg:
+        return "~" + _print_value(value.inner, _NEG_POWER)
+    op, power, right = _SYMBOL[kind]
+    left_floor, right_floor = (power + 1, power) if right else (power, power + 1)
+    text = f"{_print_value(value.left, left_floor)}{op}{_print_value(value.right, right_floor)}"
+    return f"({text})" if power < floor else text
 
 
 def print_value(value: Value) -> str:
@@ -653,7 +651,8 @@ def print_judgment(judgment: Judgment) -> str:
     prefix = print_attribution_list(judgment.antecedent)
     if prefix:
         prefix += " "
+    # abs: a probability of -0.0 prints as 0.0, since the grammar has no sign
     return (
         f"{prefix}|> {print_term(judgment.subject)} : "
-        f"{print_value(judgment.value)} @ {judgment.probability!r}"
+        f"{print_value(judgment.value)} @ {abs(judgment.probability)!r}"
     )

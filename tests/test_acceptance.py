@@ -26,7 +26,7 @@ from fractions import Fraction
 import pytest
 
 from tndpq.calculus import Derivation, RuleId, apply_rule, at_query
-from tndpq.construction import Plan, PlanStep, subvalues, verify_preservation
+from tndpq.construction import Plan, PlanStep, verify_preservation
 from tndpq.exclusivity import exclusive, oracle_exclusive
 from tndpq.syntax import (
     Arrow,
@@ -40,6 +40,7 @@ from tndpq.syntax import (
     Prod,
     parse_attribution_list,
     parse_judgment,
+    subvalues,
 )
 from tndpq.systems import AppliedSystem, Estimator, TrainingSet
 from tndpq.trust import at, build_chain, check_local, compose_square, et, jt, verify_algebra, wt

@@ -15,11 +15,18 @@ from tndpq.calculus import (
 from tndpq.errors import (
     ConsistencyError,
     ProvenanceMismatch,
+    RuleNotAllowed,
     ShapeMismatch,
     SideConditionUnproved,
     ZeroDenominator,
 )
-from tndpq.syntax import AttributeSchema, parse_attribution_list, parse_judgment
+from tndpq.syntax import (
+    AttributeSchema,
+    parse_attribution_list,
+    parse_judgment,
+    parse_term,
+    parse_value,
+)
 from tndpq.systems import Estimator, TrainingSet
 
 # every conclusion a rule builds in these tests must parse back
@@ -103,6 +110,26 @@ def test_imp_ie_round_trip():
     assert backward.conclusion == p.conclusion
 
 
+@pytest.mark.parametrize(
+    "rule, premises, direction",
+    [
+        (RuleId.OrIR, ("|> X : a @ 0.2", "|> X : b @ 0.3"), "backward"),
+        (RuleId.ProdI1, ("X:a |> Y : u @ 0.5", "|> X : a @ 0.2"), "backward"),
+        (RuleId.NegIER, ("|> Y : ~u @ 0.3",), "sideways"),
+        (RuleId.ImpIE, ("X:a |> Y : u @ 0.3",), "Forward"),
+    ],
+)
+def test_direction_must_be_a_reading_of_the_rule(rule, premises, direction):
+    nodes = [leaf(text) for text in premises]
+    with pytest.raises(RuleNotAllowed, match=f"direction {direction!r} is not allowed"):
+        apply_rule(rule, nodes, SCHEMA, direction=direction)
+    good = apply_rule(rule, nodes, SCHEMA)
+    bad = dataclasses.replace(good, direction=direction)
+    assert check_derivation(good, SCHEMA).ok
+    (violation,) = check_derivation(bad, SCHEMA).violations
+    assert violation[:2] == ("root", "RuleNotAllowed")
+
+
 def test_or_ir_side_condition():
     p1 = leaf("|> X : a @ 0.2")
     p2 = leaf("|> X : b @ 0.3")
@@ -149,13 +176,14 @@ def test_or_ir_prints_only_its_evidence(monkeypatch):
     p2 = leaf("|> <X,Y> : c*~u @ 0.3")
     d = apply_rule(RuleId.OrIR, [p1, p2], SCHEMA)
     assert d.side_conditions == (
-        {"kind": "exclusive", "term": "<X,Y>", "left": "a*u+b*v", "right": "c*~u"},
+        {
+            "kind": "exclusive",
+            "term": parse_term("<X,Y>"),
+            "left": parse_value("a*u + b*v"),
+            "right": parse_value("c*~u"),
+        },
     )
-    assert sorted(calls) == [
-        ("print_term", "<X,Y>"),
-        ("print_value", "a*u+b*v"),
-        ("print_value", "c*~u"),
-    ]
+    assert calls == []
 
 
 def test_prod_i_indep_requires_evidence():

@@ -192,6 +192,66 @@ def test_derive_script_error_paths(schema_file, csv_file, tmp_path, capsys):
     assert "script line 1: unknown premise 'major'" in capsys.readouterr().err
 
 
+def test_derive_rejects_backward_on_a_single_line_rule(schema_file, csv_file, tmp_path, capsys):
+    # this used to print the step, record a backward OrIR and `CHECK\tok`
+    script = tmp_path / "proof.txt"
+    script.write_text(
+        "a = ATQUERY Chickenpox : Major\n"
+        "b = ATQUERY Chickenpox : Extreme\n"
+        "z = OrIR @backward a b\n"
+    )
+    assert main(["derive", schema_file, csv_file, "--script", str(script), "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: OrIR: direction 'backward' is not allowed; only ImpIE and NegIER also run 'backward'\n"
+
+
+@pytest.mark.parametrize(
+    "leaf, message",
+    [
+        ("Chickenpox : Major : Minor", "script line 1: expected 'eof', found ':' (at position 19)"),
+        ("Chickenpox : Major+Minor", "script line 1: ATQUERY needs `variable : atom`"),
+        ("Chickenpox : ~Major", "script line 1: ATQUERY needs `variable : atom`"),
+        ("Chickenpox : zz", "script line 1: unknown atomic value 'zz'"),
+        ("Hepatitis : Maybe |> Chickenpox : Major", "script line 1: unknown atomic value 'Maybe'"),
+        ("Hepatitis : Yes |> Chickenpox : Major, Hepatitis : No",
+         "script line 1: ATQUERY needs `variable : atom`"),
+        ("Chickenpox", "script line 1: expected ':', found '' (at position 10)"),
+        ("", "script line 1: ATQUERY needs `variable : atom`"),
+    ],
+)
+def test_atquery_leaves_are_read_by_the_grammar(schema_file, csv_file, tmp_path, capsys, leaf, message):
+    # the first four used to reach `at_query` and fail there, e.g. with
+    # "'Major : Minor' is not in the stored distribution"
+    script = tmp_path / "proof.txt"
+    script.write_text(f"a = ATQUERY {leaf}\nn = NegIER a\n")
+    assert main(["derive", schema_file, csv_file, "--script", str(script)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "learn", "derive", "exclusive", "compare", "chain", "preserve"])
+def test_a_schema_name_the_grammar_cannot_read_exits_2(tmp_path, command):
+    schema = tmp_path / "schema.txt"
+    schema.write_text("R = high-risk | low\nX = a | b\n")
+    data = tmp_path / "data.csv"
+    data.write_text("R,X\nlow,a\n")
+    schema, data, other = str(schema), str(data), str(tmp_path / "other")
+    argv = {
+        "parse": [schema, "|> X : a @ 0.5"],
+        "learn": [schema, data, "--target", "X"],
+        "derive": [schema, data, "--script", other],
+        "exclusive": [schema, "X", "a", "b"],
+        "compare": [schema, other, other, "--kind", "jt"],
+        "chain": [schema, other, "--m", "1", "--k", "1"],
+        "preserve": [schema, "--orig", other, "--copy", other, "--plan", other,
+                     "--kind", "jt", "--mode", "construct"],
+    }[command]
+    result = _run_cli(command, *argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: name 'high-risk' is not one identifier or number of the grammar\n"
+
+
 @pytest.mark.parametrize("command", ["derive", "preserve"])
 def test_script_rejects_a_duplicate_step_id(schema_file, csv_file, tmp_path, capsys, command):
     # the second `x` used to replace the leaf, so `derive --check` printed

@@ -12,7 +12,6 @@ from tndpq.construction import (
     construct,
     deconstruct,
     derive_value,
-    subvalues,
     verify_preservation,
     zero_probe_values,
 )
@@ -38,6 +37,7 @@ from tndpq.syntax import (
     parse_value,
     print_term,
     print_value,
+    subvalues,
 )
 from tndpq.systems import Estimator, TrainingSet
 from tndpq.trust import at as at_kind
@@ -149,7 +149,7 @@ def test_plan_reference_errors(product_pair, pox_schema):
 
 def test_subvalues():
     v = parse_value("~(Major + Extreme) * Minor")
-    subs = subvalues(v)
+    subs = set(subvalues(v))
     assert parse_value("Major") in subs
     assert parse_value("Major + Extreme") in subs
     assert parse_value("~(Major + Extreme)") in subs

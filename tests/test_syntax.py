@@ -137,6 +137,44 @@ def test_schema_invariants():
         AttributeSchema.of([("X", ("a", "b")), ("X", ("c", "d"))])
 
 
+@pytest.mark.parametrize("word", ["high-risk", "a b", " a", "a ", "", "x,y", "fst(X)", "a|b", "1e-"])
+@pytest.mark.parametrize("where", ["variable", "atom"])
+def test_schema_names_must_be_grammar_words(word, where):
+    # `high-risk` used to be accepted, and `derive` printed judgments that
+    # `parse` then rejected
+    variables = [(word, ("p", "q"))] if where == "variable" else [("X", ("p", word))]
+    with pytest.raises(IllFormed, match=re.escape(repr(word))):
+        AttributeSchema.of(variables)
+
+
+def test_schema_file_names_must_be_grammar_words(tmp_path):
+    path = tmp_path / "schema.txt"
+    path.write_text("X = a b | c\n")
+    with pytest.raises(IllFormed, match="'a b'"):
+        load_schema(path)
+
+
+def test_number_and_unicode_names_round_trip():
+    schema = AttributeSchema.of([("0.5", ("1e-5", "2", "1_0")), ("Größe", ("ñandú", "日本"))])
+    for text in (
+        "0.5:1e-5+1_0 |> Größe : ~ñandú @ 0.25",
+        "Größe:日本 |> 0.5 : ~(2+1e-5) @ 1e-05",
+        "|> <Größe,0.5> : ñandú*1_0 @ 0.0",
+        "|> [0.5]Größe : 1e-5->日本 @ 1.0",
+    ):
+        judgment = parse_judgment(text, schema)
+        printed = print_judgment(judgment)
+        assert parse_judgment(printed, schema) == judgment
+        assert print_judgment(parse_judgment(printed, schema)) == printed
+
+
+def test_negative_zero_probability_prints_as_a_number_the_grammar_reads(small_schema):
+    # a stored system may hold -0.0, and `@ -0.0` did not parse back
+    judgment = Judgment((), Atom("X"), AtomVal("a"), -0.0)
+    assert print_judgment(judgment).endswith(" @ 0.0")
+    assert parse_judgment(print_judgment(judgment), small_schema) == judgment
+
+
 def test_schema_lookups(small_schema):
     assert small_schema.atoms("Y") == ("u", "v")
     assert small_schema.owner("r") == "Z"
