@@ -11,13 +11,17 @@ re-verifies a tree node by node.
 
 Naming: I-rules introduce a connective in the conclusion, E-rules eliminate
 one; the trailing digit or letter distinguishes variants that conclude
-different premise slots.  ImpIE and NegIER are double-line rules usable in
-both directions.
+different premise slots.  The rule table `RULES` gives each rule but the
+axiom AtQuery its premise count, its handler and its kind, one of four: a
+right introduction or right elimination rule works on the conclusion's
+subject and value, a left rule on its antecedent, and a double-line rule
+(ImpIE, NegIER) introduces read forward and eliminates read backward.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -50,6 +54,7 @@ from .syntax import (
     print_term,
     print_value,
     reduce_projections,
+    require_linear,
     same_sigma,
 )
 from .systems import AppliedSystem, conditional_distribution, independent
@@ -90,6 +95,23 @@ class Derivation:
     side_conditions: tuple[dict, ...] = ()
     provenance: tuple[str, str] | None = None
     direction: str = "forward"
+
+
+class RuleKind(enum.Enum):
+    RIGHT_I = "right introduction"
+    RIGHT_E = "right elimination"
+    DOUBLE_LINE = "double-line"
+    LEFT = "left"
+
+
+@dataclass(frozen=True, slots=True)
+class Rule:
+    """One row of the rule table: a rule's premise count, handler and kind."""
+
+    id: RuleId
+    premises: int
+    handler: Callable
+    kind: RuleKind
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +159,6 @@ def _nonzero(x: float, rule: RuleId, what: str) -> float:
     if x == 0.0:
         raise ZeroDenominator(f"{rule.value}: {what} is zero")
     return x
-
-
-def _want(count: int, premises, rule: RuleId):
-    if len(premises) != count:
-        raise ShapeMismatch(f"{rule.value} takes {count} premises, got {len(premises)}")
-    return [p.conclusion for p in premises]
 
 
 def _extension(judgment: Judgment, base_sigma) -> ValueAttribution:
@@ -199,6 +215,14 @@ def _independence_evidence(side, t, u, rule) -> dict:
     )
 
 
+def independence_fact(source, sigma, t: str, u: str) -> dict:
+    """Test u for independence of t under sigma on a (TrainingSet, Estimator)
+    pair; return the side-condition fact that ProdIIndep reads."""
+    ts, est = source
+    verdict, witness = independent(ts, est, sigma, t, u)
+    return {"kind": "independent", "t": t, "u": u, "verdict": verdict, **witness}
+
+
 def apply_rule(
     rule: RuleId,
     premises,
@@ -206,30 +230,40 @@ def apply_rule(
     side=(),
     direction: str = "forward",
 ) -> Derivation:
-    """Apply one inference rule to premise derivations.
+    """Apply one inference rule, a `RuleId` or its name, to premise derivations.
 
     `direction` is "forward", or "backward" for the double-line rules ImpIE
     and NegIER; anything else raises `RuleNotAllowed`.
     """
-    if direction != "forward" and (direction != "backward" or rule not in _DOUBLE_LINE):
+    entry = RULES.get(rule)
+    if entry is None:
+        if rule == RuleId.AtQuery:
+            raise RuleNotAllowed("AtQuery is an axiom, not a rule over premises; use at_query")
+        raise RuleNotAllowed(f"no inference rule {rule!r}")
+    rule = entry.id
+    if direction != "forward" and (direction != "backward" or entry.kind is not RuleKind.DOUBLE_LINE):
         raise RuleNotAllowed(
-            f"{RuleId(rule).value}: direction {direction!r} is not allowed; "
+            f"{rule.value}: direction {direction!r} is not allowed; "
             "only ImpIE and NegIER also run 'backward'"
         )
     premises = tuple(premises)
     provenance = _merge_provenance(premises)
-    handler = _HANDLERS[rule]
-    conclusion, evidence = handler(premises, schema, side, direction)
+    if len(premises) != entry.premises:
+        raise ShapeMismatch(f"{rule.value} takes {entry.premises} premises, got {len(premises)}")
+    conclusion, evidence = entry.handler(
+        rule, [p.conclusion for p in premises], schema, side, direction
+    )
     return Derivation(conclusion, rule, premises, tuple(evidence), provenance, direction)
 
 
-# Each handler returns (conclusion judgment, side-condition evidence).
+# Each handler takes (rule, premise conclusions, schema, side, direction) and
+# returns (conclusion judgment, side-condition evidence).
 
 
-def _rule_imp_ie(premises, schema, side, direction):
-    (p,) = _want(1, premises, RuleId.ImpIE)
+def _rule_imp_ie(rule, conclusions, schema, side, direction):
+    (p,) = conclusions
     if direction == "forward":
-        _require(len(p.antecedent) >= 1, RuleId.ImpIE, "empty antecedent, nothing to discharge")
+        _require(len(p.antecedent) >= 1, rule, "empty antecedent, nothing to discharge")
         moved = p.antecedent[-1]
         conclusion = Judgment(
             p.antecedent[:-1],
@@ -239,9 +273,9 @@ def _rule_imp_ie(premises, schema, side, direction):
         )
         return conclusion, []
     term = reduce_projections(p.subject)
-    _require(isinstance(term, Cond), RuleId.ImpIE, "subject is not a conditional term")
-    _require(isinstance(p.value, Arrow), RuleId.ImpIE, "value is not a conditional")
-    antecedent_term = _as_atom(term.antecedent, RuleId.ImpIE)
+    _require(isinstance(term, Cond), rule, "subject is not a conditional term")
+    _require(isinstance(p.value, Arrow), rule, "value is not a conditional")
+    antecedent_term = _as_atom(term.antecedent, rule)
     conclusion = Judgment(
         p.antecedent + (ValueAttribution(antecedent_term.name, p.value.left),),
         term.consequent,
@@ -251,16 +285,15 @@ def _rule_imp_ie(premises, schema, side, direction):
     return conclusion, []
 
 
-def _rule_prod_i(premises, schema, side, direction, swapped):
-    rule = RuleId.ProdI2 if swapped else RuleId.ProdI1
-    major, minor = _want(2, premises, rule)
+def _rule_prod_i(rule, conclusions, schema, side, direction):
+    major, minor = conclusions
     sigma = minor.antecedent
     extra = _extension(major, sigma)
     minor_term = _as_atom(minor.subject, rule)
     _require(extra.variable == minor_term.name, rule, "antecedent extension does not match the minor premise subject")
     _require(extra.value == minor.value, rule, "antecedent extension value differs from the minor premise")
     f, g = minor.probability, major.probability
-    if swapped:
+    if rule == RuleId.ProdI2:
         # major: sigma, u:delta |> t:beta ; minor: sigma |> u:delta
         t_term, u_term = major.subject, minor.subject
         beta, delta = major.value, minor.value
@@ -274,14 +307,10 @@ def _rule_prod_i(premises, schema, side, direction, swapped):
     return conclusion, []
 
 
-def _rule_prod_e(premises, schema, side, direction, second, conditional_form):
-    rule = {
-        (False, False): RuleId.ProdE1a,
-        (False, True): RuleId.ProdE1b,
-        (True, False): RuleId.ProdE2a,
-        (True, True): RuleId.ProdE2b,
-    }[(second, conditional_form)]
-    major, minor = _want(2, premises, rule)
+def _rule_prod_e(rule, conclusions, schema, side, direction):
+    second = rule == RuleId.ProdE2a or rule == RuleId.ProdE2b
+    conditional_form = rule == RuleId.ProdE1b or rule == RuleId.ProdE2b
+    major, minor = conclusions
     _require(isinstance(major.value, Prod), rule, "major premise value is not a product")
     beta, delta = major.value.left, major.value.right
     t = major.subject
@@ -315,9 +344,8 @@ def _rule_prod_e(premises, schema, side, direction, second, conditional_form):
     return conclusion, []
 
 
-def _rule_or_ir(premises, schema, side, direction):
-    rule = RuleId.OrIR
-    p1, p2 = _want(2, premises, rule)
+def _rule_or_ir(rule, conclusions, schema, side, direction):
+    p1, p2 = conclusions
     _require(same_sigma(p1, p2), rule, "premise contexts differ")
     _require(_same_subject(p1.subject, p2.subject), rule, "premise subjects differ")
     evidence = _exclusivity_evidence(p1.subject, p1.value, p2.value, schema, rule)
@@ -330,9 +358,9 @@ def _rule_or_ir(premises, schema, side, direction):
     return conclusion, [evidence]
 
 
-def _rule_or_er(premises, schema, side, direction, second):
-    rule = RuleId.OrERb if second else RuleId.OrERa
-    p1, p2 = _want(2, premises, rule)
+def _rule_or_er(rule, conclusions, schema, side, direction):
+    second = rule == RuleId.OrERb
+    p1, p2 = conclusions
     _require(isinstance(p1.value, Or), rule, "major premise value is not a disjunction")
     _require(same_sigma(p1, p2), rule, "premise contexts differ")
     _require(_same_subject(p1.subject, p2.subject), rule, "premise subjects differ")
@@ -348,9 +376,8 @@ def _rule_or_er(premises, schema, side, direction, second):
     return conclusion, []
 
 
-def _rule_or_il(premises, schema, side, direction):
-    rule = RuleId.OrIL
-    p1, p2, p3, p4 = _want(4, premises, rule)
+def _rule_or_il(rule, conclusions, schema, side, direction):
+    p1, p2, p3, p4 = conclusions
     sigma = p3.antecedent
     _require(same_sigma(p3, p4), rule, "categorical premise contexts differ")
     _require(_same_subject(p3.subject, p4.subject), rule, "categorical premise subjects differ")
@@ -373,9 +400,9 @@ def _rule_or_il(premises, schema, side, direction):
     return conclusion, [evidence]
 
 
-def _rule_or_el_ab(premises, schema, side, direction, second):
-    rule = RuleId.OrELb if second else RuleId.OrELa
-    p1, p2, p3, p4 = _want(4, premises, rule)
+def _rule_or_el_ab(rule, conclusions, schema, side, direction):
+    second = rule == RuleId.OrELb
+    p1, p2, p3, p4 = conclusions
     sigma = p3.antecedent
     _require(same_sigma(p3, p4), rule, "categorical premise contexts differ")
     _require(_same_subject(p3.subject, p4.subject), rule, "categorical premise subjects differ")
@@ -402,9 +429,9 @@ def _rule_or_el_ab(premises, schema, side, direction, second):
     return conclusion, []
 
 
-def _rule_or_el_cd(premises, schema, side, direction, second):
-    rule = RuleId.OrELd if second else RuleId.OrELc
-    p1, p2, p3, p4 = _want(4, premises, rule)
+def _rule_or_el_cd(rule, conclusions, schema, side, direction):
+    second = rule == RuleId.OrELd
+    p1, p2, p3, p4 = conclusions
     sigma = p4.antecedent
     t_atom = _as_atom(p4.subject, rule)
     e1 = _extension(p1, sigma)
@@ -438,9 +465,8 @@ def _rule_or_el_cd(premises, schema, side, direction, second):
     return conclusion, []
 
 
-def _rule_neg_ier(premises, schema, side, direction):
-    rule = RuleId.NegIER
-    (p,) = _want(1, premises, rule)
+def _rule_neg_ier(rule, conclusions, schema, side, direction):
+    (p,) = conclusions
     if direction == "forward":
         value = Neg(p.value)
     else:
@@ -460,9 +486,8 @@ def _match_neg_triple(p_beta, p_cond, rule, negated):
     return t_atom
 
 
-def _rule_neg_il(premises, schema, side, direction):
-    rule = RuleId.NegIL
-    p1, p2, p3 = _want(3, premises, rule)
+def _rule_neg_il(rule, conclusions, schema, side, direction):
+    p1, p2, p3 = conclusions
     _require(same_sigma(p1, p2), rule, "categorical premise contexts differ")
     t_atom = _match_neg_triple(p1, p3, rule, negated=False)
     _require(_same_subject(p2.subject, p3.subject) and p2.value == p3.value, rule, "premises disagree on the queried attribution")
@@ -478,9 +503,8 @@ def _rule_neg_il(premises, schema, side, direction):
     return conclusion, []
 
 
-def _rule_neg_el_a(premises, schema, side, direction):
-    rule = RuleId.NegELa
-    p1, p2, p3 = _want(3, premises, rule)
+def _rule_neg_el_a(rule, conclusions, schema, side, direction):
+    p1, p2, p3 = conclusions
     _require(same_sigma(p1, p2), rule, "categorical premise contexts differ")
     t_atom = _match_neg_triple(p1, p3, rule, negated=True)
     _require(_same_subject(p2.subject, p3.subject) and p2.value == p3.value, rule, "premises disagree on the queried attribution")
@@ -494,9 +518,8 @@ def _rule_neg_el_a(premises, schema, side, direction):
     return conclusion, []
 
 
-def _rule_neg_el_b(premises, schema, side, direction):
-    rule = RuleId.NegELb
-    p1, p2, p3 = _want(3, premises, rule)
+def _rule_neg_el_b(rule, conclusions, schema, side, direction):
+    p1, p2, p3 = conclusions
     _match_neg_triple(p1, p2, rule, negated=False)
     _match_neg_triple(p1, p3, rule, negated=True)
     _require(_same_subject(p2.subject, p3.subject) and p2.value == p3.value, rule, "premises disagree on the queried attribution")
@@ -510,9 +533,8 @@ def _rule_neg_el_b(premises, schema, side, direction):
     return conclusion, []
 
 
-def _rule_neg_el_c(premises, schema, side, direction):
-    rule = RuleId.NegELc
-    p1, p2, p3 = _want(3, premises, rule)
+def _rule_neg_el_c(rule, conclusions, schema, side, direction):
+    p1, p2, p3 = conclusions
     sigma = p1.antecedent
     e2 = _extension(p2, sigma)
     e3 = _extension(p3, sigma)
@@ -533,13 +555,13 @@ def _rule_neg_el_c(premises, schema, side, direction):
     return conclusion, []
 
 
-def _rule_prod_i_indep(premises, schema, side, direction):
-    rule = RuleId.ProdIIndep
-    p1, p2 = _want(2, premises, rule)
+def _rule_prod_i_indep(rule, conclusions, schema, side, direction):
+    p1, p2 = conclusions
     _require(same_sigma(p1, p2), rule, "premise contexts differ")
-    u_name = print_term(reduce_projections(p1.subject))
-    t_name = print_term(reduce_projections(p2.subject))
-    evidence = _independence_evidence(side, t_name, u_name, rule)
+    u_term = reduce_projections(p1.subject)
+    t_term = reduce_projections(p2.subject)
+    require_linear(Pair(t_term, u_term))
+    evidence = _independence_evidence(side, print_term(t_term), print_term(u_term), rule)
     g, f = p1.probability, p2.probability
     conclusion = Judgment(
         p1.antecedent,
@@ -550,30 +572,31 @@ def _rule_prod_i_indep(premises, schema, side, direction):
     return conclusion, [evidence]
 
 
-_DOUBLE_LINE = frozenset((RuleId.ImpIE, RuleId.NegIER))
-
-_HANDLERS = {
-    RuleId.ImpIE: _rule_imp_ie,
-    RuleId.ProdI1: lambda p, s, c, d: _rule_prod_i(p, s, c, d, swapped=False),
-    RuleId.ProdI2: lambda p, s, c, d: _rule_prod_i(p, s, c, d, swapped=True),
-    RuleId.ProdE1a: lambda p, s, c, d: _rule_prod_e(p, s, c, d, second=False, conditional_form=False),
-    RuleId.ProdE1b: lambda p, s, c, d: _rule_prod_e(p, s, c, d, second=False, conditional_form=True),
-    RuleId.ProdE2a: lambda p, s, c, d: _rule_prod_e(p, s, c, d, second=True, conditional_form=False),
-    RuleId.ProdE2b: lambda p, s, c, d: _rule_prod_e(p, s, c, d, second=True, conditional_form=True),
-    RuleId.OrIR: _rule_or_ir,
-    RuleId.OrERa: lambda p, s, c, d: _rule_or_er(p, s, c, d, second=False),
-    RuleId.OrERb: lambda p, s, c, d: _rule_or_er(p, s, c, d, second=True),
-    RuleId.OrIL: _rule_or_il,
-    RuleId.OrELa: lambda p, s, c, d: _rule_or_el_ab(p, s, c, d, second=False),
-    RuleId.OrELb: lambda p, s, c, d: _rule_or_el_ab(p, s, c, d, second=True),
-    RuleId.OrELc: lambda p, s, c, d: _rule_or_el_cd(p, s, c, d, second=False),
-    RuleId.OrELd: lambda p, s, c, d: _rule_or_el_cd(p, s, c, d, second=True),
-    RuleId.NegIER: _rule_neg_ier,
-    RuleId.NegIL: _rule_neg_il,
-    RuleId.NegELa: _rule_neg_el_a,
-    RuleId.NegELb: _rule_neg_el_b,
-    RuleId.NegELc: _rule_neg_el_c,
-    RuleId.ProdIIndep: _rule_prod_i_indep,
+RULES = {
+    entry.id: entry
+    for entry in (
+        Rule(RuleId.ImpIE, 1, _rule_imp_ie, RuleKind.DOUBLE_LINE),
+        Rule(RuleId.ProdI1, 2, _rule_prod_i, RuleKind.RIGHT_I),
+        Rule(RuleId.ProdI2, 2, _rule_prod_i, RuleKind.RIGHT_I),
+        Rule(RuleId.ProdE1a, 2, _rule_prod_e, RuleKind.RIGHT_E),
+        Rule(RuleId.ProdE1b, 2, _rule_prod_e, RuleKind.RIGHT_E),
+        Rule(RuleId.ProdE2a, 2, _rule_prod_e, RuleKind.RIGHT_E),
+        Rule(RuleId.ProdE2b, 2, _rule_prod_e, RuleKind.RIGHT_E),
+        Rule(RuleId.OrIR, 2, _rule_or_ir, RuleKind.RIGHT_I),
+        Rule(RuleId.OrERa, 2, _rule_or_er, RuleKind.RIGHT_E),
+        Rule(RuleId.OrERb, 2, _rule_or_er, RuleKind.RIGHT_E),
+        Rule(RuleId.OrIL, 4, _rule_or_il, RuleKind.LEFT),
+        Rule(RuleId.OrELa, 4, _rule_or_el_ab, RuleKind.LEFT),
+        Rule(RuleId.OrELb, 4, _rule_or_el_ab, RuleKind.LEFT),
+        Rule(RuleId.OrELc, 4, _rule_or_el_cd, RuleKind.LEFT),
+        Rule(RuleId.OrELd, 4, _rule_or_el_cd, RuleKind.LEFT),
+        Rule(RuleId.NegIER, 1, _rule_neg_ier, RuleKind.DOUBLE_LINE),
+        Rule(RuleId.NegIL, 3, _rule_neg_il, RuleKind.LEFT),
+        Rule(RuleId.NegELa, 3, _rule_neg_el_a, RuleKind.LEFT),
+        Rule(RuleId.NegELb, 3, _rule_neg_el_b, RuleKind.LEFT),
+        Rule(RuleId.NegELc, 3, _rule_neg_el_c, RuleKind.LEFT),
+        Rule(RuleId.ProdIIndep, 2, _rule_prod_i_indep, RuleKind.RIGHT_I),
+    )
 }
 
 
@@ -633,10 +656,8 @@ def _tested(fact, step, premises, source) -> dict:
         return fact
     if not isinstance(source, tuple):
         raise TndpqError(f"step {step.id}: cannot verify independence without a training table")
-    ts, est = source
     sigma = premises[0].conclusion.antecedent if premises else ()
-    verdict, witness = independent(ts, est, sigma, fact["t"], fact["u"])
-    return {**fact, "verdict": verdict, **witness}
+    return {**fact, **independence_fact(source, sigma, fact["t"], fact["u"])}
 
 
 # ---------------------------------------------------------------------------
@@ -726,20 +747,20 @@ def _retest_independence(node, sources, report, path):
     """
     if not (sources and node.provenance and node.provenance[0] in sources):
         return
-    ts, est = sources[node.provenance[0]]
+    source = sources[node.provenance[0]]
     for fact in node.side_conditions:
         if fact.get("kind") != "independent" or "verdict" not in fact:
             continue
         t, u = fact["t"], fact["u"]
         try:
-            verdict, witness = independent(ts, est, node.conclusion.antecedent, t, u)
+            fresh = independence_fact(source, node.conclusion.antecedent, t, u)
         except TndpqError as exc:
             report.add(path, type(exc).__name__, str(exc))
             continue
-        if verdict != fact["verdict"]:
+        if fresh["verdict"] != fact["verdict"]:
             report.add(
                 path,
                 "SideConditionUnproved",
                 f"recorded independence verdict {fact['verdict']!r} for {t!r}, {u!r}; "
-                f"the source gives {verdict!r} (max deviation {witness['max_deviation']:.3g})",
+                f"the source gives {fresh['verdict']!r} (max deviation {fresh['max_deviation']:.3g})",
             )

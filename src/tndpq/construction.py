@@ -18,7 +18,9 @@ from .errors import (
     TheoremDoesNotApply,
     TndpqError,
 )
-from .calculus import Derivation, Plan, PlanStep, RuleId, apply_rule, at_query, run_plan
+from .calculus import (
+    RULES, Derivation, Plan, PlanStep, RuleId, RuleKind, apply_rule, at_query, independence_fact, run_plan,
+)
 from .syntax import (
     Arrow,
     Atom,
@@ -37,31 +39,20 @@ from .syntax import (
     print_value,
     reduce_projections,
 )
-from .systems import AppliedSystem, conditional_distribution, independent
+from .systems import AppliedSystem, conditional_distribution
 from .trust import TrustKind, TrustProfile, TrustReport
 
-# Rules admissible in each mode, as (rule, direction) pairs.
+# Rules admissible in each mode, as (rule, direction) pairs, read from the
+# rule table: a double-line rule introduces forward and eliminates backward.
 RIGHT_I_RULES = frozenset(
-    {
-        (RuleId.ProdI1, "forward"),
-        (RuleId.ProdI2, "forward"),
-        (RuleId.ProdIIndep, "forward"),
-        (RuleId.OrIR, "forward"),
-        (RuleId.NegIER, "forward"),
-        (RuleId.ImpIE, "forward"),
-    }
+    (rule, "forward")
+    for rule, entry in RULES.items()
+    if entry.kind in (RuleKind.RIGHT_I, RuleKind.DOUBLE_LINE)
 )
 RIGHT_E_RULES = frozenset(
-    {
-        (RuleId.ProdE1a, "forward"),
-        (RuleId.ProdE1b, "forward"),
-        (RuleId.ProdE2a, "forward"),
-        (RuleId.ProdE2b, "forward"),
-        (RuleId.OrERa, "forward"),
-        (RuleId.OrERb, "forward"),
-        (RuleId.NegIER, "backward"),
-        (RuleId.ImpIE, "backward"),
-    }
+    (rule, "backward" if entry.kind is RuleKind.DOUBLE_LINE else "forward")
+    for rule, entry in RULES.items()
+    if entry.kind in (RuleKind.RIGHT_E, RuleKind.DOUBLE_LINE)
 )
 
 
@@ -170,25 +161,15 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
             except TndpqError:
                 pass
         if isinstance(source, tuple) and isinstance(left_term, Atom) and isinstance(right_term, Atom):
-            ts, est = source
-            verdict, witness = independent(ts, est, sigma, left_term.name, right_term.name)
-            if not verdict:
+            fact = independence_fact(source, sigma, left_term.name, right_term.name)
+            if not fact["verdict"]:
                 raise DerivationFailed(
                     f"components of {print_value(value)} are neither conditionally "
-                    f"derivable nor independent (max deviation {witness['max_deviation']:.3g})"
+                    f"derivable nor independent (max deviation {fact['max_deviation']:.3g})"
                 )
-            side = [
-                {
-                    "kind": "independent",
-                    "t": left_term.name,
-                    "u": right_term.name,
-                    "verdict": True,
-                    **witness,
-                }
-            ]
             right_d = _derive(source, sigma, right_term, value.right, schema)
             left_d = _derive(source, sigma, left_term, value.left, schema)
-            return apply_rule(RuleId.ProdIIndep, [right_d, left_d], schema, side=side)
+            return apply_rule(RuleId.ProdIIndep, [right_d, left_d], schema, side=[fact])
         raise DerivationFailed(
             f"no introduction route for {print_value(value)} over {print_term(term)}"
         )
@@ -226,13 +207,6 @@ def zero_probe_values(term: VariableTerm, schema: AttributeSchema):
 # Preservation
 
 
-def _plan_uses(plan: Plan, rule: RuleId, direction: str | None = None) -> bool:
-    return any(
-        step.rule == rule and (direction is None or step.direction == direction)
-        for step in plan.steps
-    )
-
-
 def _preservation_guaranteed(kind: TrustKind, mode: str, plan: Plan) -> tuple[bool, str]:
     """Whether a theorem covers this kind/mode/plan combination."""
     if kind.name == "JT":
@@ -243,7 +217,7 @@ def _preservation_guaranteed(kind: TrustKind, mode: str, plan: Plan) -> tuple[bo
         return True, "deconstruction into sub-values preserves ET"
     if mode == "deconstruct":
         return False, f"no theorem covers {kind.name} under deconstruction"
-    if _plan_uses(plan, RuleId.NegIER, "forward"):
+    if any(step.rule == RuleId.NegIER and step.direction == "forward" for step in plan.steps):
         return False, f"{kind.name} preservation is proved for negation-free construction only"
     return True, f"negation-free construction preserves {kind.name}"
 

@@ -69,7 +69,8 @@ class Estimator:
     """A conditional-probability estimator over a training table.
 
     kind "freq" is plain relative frequency; kind "laplace" adds
-    `smoothing` pseudo-counts to every atom of the target variable.
+    `smoothing` pseudo-counts, finite and positive, to every atom of the
+    target variable.
     """
 
     id: str
@@ -79,8 +80,8 @@ class Estimator:
     def __post_init__(self):
         if self.kind not in ("freq", "laplace"):
             raise InvariantViolation(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "laplace" and not self.smoothing > 0:
-            raise InvariantViolation("laplace smoothing must be positive")
+        if self.kind == "laplace" and not 0 < self.smoothing < float("inf"):
+            raise InvariantViolation(f"laplace smoothing must be finite and positive, got {self.smoothing!r}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tndpq.syntax import AttributeSchema
@@ -34,15 +36,15 @@ def conclusions_parse_back(monkeypatch):
     built = []
 
     def recording(handler):
-        def wrapper(premises, schema, side, direction):
-            conclusion, evidence = handler(premises, schema, side, direction)
+        def wrapper(rule, conclusions, schema, side, direction):
+            conclusion, evidence = handler(rule, conclusions, schema, side, direction)
             built.append((conclusion, schema))
             return conclusion, evidence
 
         return wrapper
 
-    for rule, handler in list(calculus._HANDLERS.items()):
-        monkeypatch.setitem(calculus._HANDLERS, rule, recording(handler))
+    for rule, entry in list(calculus.RULES.items()):
+        monkeypatch.setitem(calculus.RULES, rule, dataclasses.replace(entry, handler=recording(entry.handler)))
     yield
     for conclusion, schema in built:
         assert parse_judgment(print_judgment(conclusion), schema) == conclusion

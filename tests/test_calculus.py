@@ -6,14 +6,18 @@ import random
 import pytest
 
 from tndpq.calculus import (
+    RULES,
     Derivation,
     RuleId,
     apply_rule,
     at_query,
     check_derivation,
+    independence_fact,
 )
+from tndpq.construction import RIGHT_E_RULES, RIGHT_I_RULES
 from tndpq.errors import (
     ConsistencyError,
+    IllFormed,
     ProvenanceMismatch,
     RuleNotAllowed,
     ShapeMismatch,
@@ -21,13 +25,18 @@ from tndpq.errors import (
     ZeroDenominator,
 )
 from tndpq.syntax import (
+    Atom,
+    AtomVal,
     AttributeSchema,
+    Judgment,
+    Pair,
+    Prod,
     parse_attribution_list,
     parse_judgment,
     parse_term,
     parse_value,
 )
-from tndpq.systems import Estimator, TrainingSet
+from tndpq.systems import Estimator, TrainingSet, independent
 
 # every conclusion a rule builds in these tests must parse back
 pytestmark = pytest.mark.usefixtures("conclusions_parse_back")
@@ -130,6 +139,67 @@ def test_direction_must_be_a_reading_of_the_rule(rule, premises, direction):
     assert violation[:2] == ("root", "RuleNotAllowed")
 
 
+def test_every_rule_but_the_axiom_has_one_table_entry():
+    assert set(RULES) == set(RuleId) - {RuleId.AtQuery}
+    assert all(entry.id is rule for rule, entry in RULES.items())
+
+
+def test_right_rule_sets_are_read_from_the_table():
+    assert RIGHT_I_RULES == {
+        (RuleId.ProdI1, "forward"),
+        (RuleId.ProdI2, "forward"),
+        (RuleId.ProdIIndep, "forward"),
+        (RuleId.OrIR, "forward"),
+        (RuleId.NegIER, "forward"),
+        (RuleId.ImpIE, "forward"),
+    }
+    assert RIGHT_E_RULES == {
+        (RuleId.ProdE1a, "forward"),
+        (RuleId.ProdE1b, "forward"),
+        (RuleId.ProdE2a, "forward"),
+        (RuleId.ProdE2b, "forward"),
+        (RuleId.OrERa, "forward"),
+        (RuleId.OrERb, "forward"),
+        (RuleId.NegIER, "backward"),
+        (RuleId.ImpIE, "backward"),
+    }
+
+
+@pytest.mark.parametrize(
+    "rule, count, given",
+    [
+        (RuleId.ImpIE, 1, 2),
+        (RuleId.NegIER, 1, 0),
+        ("OrIR", 2, 1),
+        (RuleId.ProdIIndep, 2, 3),
+        (RuleId.NegELb, 3, 2),
+        (RuleId.OrIL, 4, 3),
+        (RuleId.OrELd, 4, 5),
+    ],
+)
+def test_premise_count_message(rule, count, given):
+    nodes = [leaf("|> X : a @ 0.2")] * given
+    with pytest.raises(ShapeMismatch) as caught:
+        apply_rule(rule, nodes, SCHEMA)
+    assert str(caught.value) == f"{RuleId(rule).value} takes {count} premises, got {given}"
+
+
+def test_a_rule_with_no_table_entry_is_named():
+    with pytest.raises(RuleNotAllowed, match="AtQuery is an axiom.*use at_query"):
+        apply_rule(RuleId.AtQuery, [], SCHEMA)
+    with pytest.raises(RuleNotAllowed, match="no inference rule 'Nope'"):
+        apply_rule("Nope", [leaf("|> X : a @ 0.2")], SCHEMA)
+    node = Derivation(parse_judgment("|> X : a @ 0.2", SCHEMA), "Nope", (leaf("|> X : a @ 0.2"),))
+    (violation,) = check_derivation(node, SCHEMA).violations
+    assert violation[:2] == ("root", "RuleNotAllowed")
+
+
+def test_a_rule_given_by_name_is_stored_as_its_id():
+    d = apply_rule("OrIR", [leaf("|> X : a @ 0.2"), leaf("|> X : b @ 0.3")], SCHEMA)
+    assert d.rule is RuleId.OrIR
+    assert d == apply_rule(RuleId.OrIR, d.premises, SCHEMA)
+
+
 def test_or_ir_side_condition():
     p1 = leaf("|> X : a @ 0.2")
     p2 = leaf("|> X : b @ 0.3")
@@ -195,6 +265,27 @@ def test_prod_i_indep_requires_evidence():
     d = apply_rule(RuleId.ProdIIndep, [p1, p2], SCHEMA, side=side)
     assert d.conclusion.probability == pytest.approx(0.1)
     assert d.conclusion.value == parse_judgment("|> <X,Y> : a*u @ 0.1", SCHEMA).value
+
+
+def test_prod_i_indep_requires_a_linear_pair():
+    premises = [leaf("|> X : a @ 0.4"), leaf("|> X : b @ 0.4")]
+    side = [{"kind": "independent", "t": "X", "u": "X", "asserted": True}]
+    with pytest.raises(IllFormed, match="term <X,X> names 'X' more than once"):
+        apply_rule(RuleId.ProdIIndep, premises, SCHEMA, side=side)
+    # a hand-built node of that shape is reported by the checker
+    pair = Judgment((), Pair(Atom("X"), Atom("X")), Prod(AtomVal("b"), AtomVal("a")), 0.16)
+    node = Derivation(pair, RuleId.ProdIIndep, tuple(premises), tuple(side))
+    (violation,) = check_derivation(node, SCHEMA).violations
+    assert violation[:2] == ("root", "IllFormed")
+
+
+def test_independence_fact_records_the_test():
+    rows = tuple({"X": x, "Y": y, "Z": "m"} for x, y in (("a", "u"), ("a", "v"), ("b", "u"), ("c", "v")))
+    ts = TrainingSet("T", SCHEMA, rows)
+    sigma = parse_attribution_list("Z:m", SCHEMA)
+    verdict, witness = independent(ts, FREQ, sigma, "X", "Y")
+    fact = independence_fact((ts, FREQ), sigma, "X", "Y")
+    assert fact == {"kind": "independent", "t": "X", "u": "Y", "verdict": verdict, **witness}
 
 
 def test_zero_denominator():

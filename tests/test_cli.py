@@ -388,6 +388,7 @@ def _run_cli(*argv, env=None):
         ("compare", ["--kind", "et:x"]),
         ("compare", ["--kind", "wt:1.5"]),
         ("compare", ["--kind", "at:"]),
+        ("learn", ["--estimator", "laplace:inf"]),
     ],
 )
 def test_bad_spec_exits_2_without_traceback(schema_file, csv_file, tmp_path, command, option):
@@ -484,6 +485,26 @@ def test_derive_independence_with_an_unheld_atom(tmp_path, capsys):
     assert main(["derive", str(schema), str(data), "--script", str(script), "--check"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-2:] == ["xy\t|> <X,Y> : a*u @ 0.25", "CHECK\tok"]
+
+
+def test_derive_rejects_prod_i_indep_over_one_variable(tmp_path, capsys):
+    # X cannot be both a and b: the pair <X,X> is refused as parse refuses it
+    schema = tmp_path / "xy.txt"
+    schema.write_text("X = a | b | c\nY = u | v\n")
+    data = tmp_path / "xy.csv"
+    data.write_text("X,Y\n" + "\n".join(["a,u", "a,v", "b,u", "b,v"] * 2) + "\n")
+    script = tmp_path / "pair.txt"
+    script.write_text(
+        "x = ATQUERY X : a\n"
+        "y = ATQUERY X : b\n"
+        "xy = ProdIIndep y x | assume-independent X X\n"
+    )
+    assert main(["derive", str(schema), str(data), "--script", str(script), "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert "CHECK" not in out
+    assert err == "error: term <X,X> names 'X' more than once\n"
+    assert main(["parse", str(schema), "|> <X,X> : a*b @ 0.25"]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_exclusive_conditional_below_a_pair_exits_2(tmp_path):

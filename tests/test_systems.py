@@ -177,6 +177,13 @@ def test_independence_skips_an_unheld_atom():
     assert verdict
 
 
+@pytest.mark.parametrize("smoothing", [math.inf, 0.0, -1.0, math.nan])
+def test_laplace_smoothing_must_be_finite_and_positive(smoothing):
+    with pytest.raises(InvariantViolation) as caught:
+        Estimator("L", "laplace", smoothing)
+    assert str(caught.value) == f"laplace smoothing must be finite and positive, got {smoothing!r}"
+
+
 def test_applied_system_round_trip(tmp_path):
     system = conditional_distribution(THREE, FREQ, sigma("b:u"), "a")
     path = tmp_path / "sys.txt"
