@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     ConsistencyError,
@@ -50,9 +50,11 @@ from .syntax import (
     Snd,
     ValueAttribution,
     VariableTerm,
+    fresh,
     print_judgment,
     print_term,
     print_value,
+    record,
     reduce_projections,
     require_linear,
     same_sigma,
@@ -87,6 +89,7 @@ class RuleId(str, enum.Enum):
     ProdIIndep = "ProdIIndep"
 
 
+# Stays a dataclass: callers rebuild derivations with `dataclasses.replace`.
 @dataclass(frozen=True)
 class Derivation:
     conclusion: Judgment
@@ -104,7 +107,7 @@ class RuleKind(enum.Enum):
     LEFT = "left"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class Rule:
     """One row of the rule table: a rule's premise count, handler and kind."""
 
@@ -604,7 +607,7 @@ RULES = {
 # Plans
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlanStep:
     id: str
     rule: RuleId
@@ -613,7 +616,7 @@ class PlanStep:
     side: tuple = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Plan:
     """An ordered list of rule applications over named inputs and steps."""
 
@@ -664,9 +667,9 @@ def _tested(fact, step, premises, source) -> dict:
 # Checking
 
 
-@dataclass
+@record
 class CheckReport:
-    violations: list[tuple[str, str, str]] = field(default_factory=list)
+    violations: list[tuple[str, str, str]] = fresh(list)
 
     @property
     def ok(self) -> bool:
@@ -753,14 +756,14 @@ def _retest_independence(node, sources, report, path):
             continue
         t, u = fact["t"], fact["u"]
         try:
-            fresh = independence_fact(source, node.conclusion.antecedent, t, u)
+            retested = independence_fact(source, node.conclusion.antecedent, t, u)
         except TndpqError as exc:
             report.add(path, type(exc).__name__, str(exc))
             continue
-        if fresh["verdict"] != fact["verdict"]:
+        if retested["verdict"] != fact["verdict"]:
             report.add(
                 path,
                 "SideConditionUnproved",
                 f"recorded independence verdict {fact['verdict']!r} for {t!r}, {u!r}; "
-                f"the source gives {fresh['verdict']!r} (max deviation {fresh['max_deviation']:.3g})",
+                f"the source gives {retested['verdict']!r} (max deviation {retested['max_deviation']:.3g})",
             )

@@ -200,14 +200,14 @@ def _cmd_learn(args) -> int:
 
 def _cmd_derive(args) -> int:
     from .calculus import at_query, check_derivation, run_plan
-    from .syntax import load_schema, print_judgment
+    from .syntax import load_schema, open_text, print_judgment
     from .systems import load_training_set
 
     schema = load_schema(args.schema)
     ts = load_training_set(args.source, schema)
     est = _parse_estimator(args.estimator)
     source = (ts, est)
-    with open(args.script, encoding="utf-8") as handle:
+    with open_text(args.script) as handle:
         steps = parse_script(handle.read(), schema)
     leaves, plan = _leaves_and_plan(steps)
     env = {name: at_query(source, *leaf) for name, leaf in leaves.items()}
@@ -289,13 +289,13 @@ def _cmd_preserve(args) -> int:
     from . import trust
     from .calculus import at_query
     from .construction import verify_preservation
-    from .syntax import load_schema
+    from .syntax import load_schema, open_text
     from .systems import load_applied_system
 
     schema = load_schema(args.schema)
     orig_systems = [load_applied_system(p, schema) for p in args.orig]
     copy_systems = [load_applied_system(p, schema) for p in args.copy]
-    with open(args.plan, encoding="utf-8") as handle:
+    with open_text(args.plan) as handle:
         leaves, plan = _leaves_and_plan(parse_script(handle.read(), schema))
     if not leaves or not plan.steps:
         raise TndpqError("a preservation plan needs ATQUERY inputs and rule steps")

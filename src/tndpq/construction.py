@@ -61,9 +61,8 @@ def _run_restricted(inputs: dict, plan: Plan, schema, allowed, kind: str) -> Der
         raise RuleNotAllowed("empty plan")
     for step in plan.steps:
         if (step.rule, step.direction) not in allowed:
-            raise RuleNotAllowed(
-                f"{step.rule.value} ({step.direction}) is not a right {kind} rule"
-            )
+            name = step.rule.value if isinstance(step.rule, RuleId) else step.rule
+            raise RuleNotAllowed(f"{name} ({step.direction}) is not a right {kind} rule")
     return run_plan(inputs, plan, schema)[plan.result_id]
 
 

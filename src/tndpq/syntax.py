@@ -8,20 +8,116 @@ Concrete notation (ASCII):
 ``<t,u>`` pairs, ``fst(t)``/``snd(t)`` projections, ``[t]u`` conditional
 terms, ``|>`` separates the attribution list from the queried attribution
 and ``@`` carries the probability.
+
+The package's records are classes decorated with `record`, which gives
+them the subset of `dataclasses` that tndpq uses: `__init__` over the
+annotated fields with defaults, `fresh(make)` default factories and
+`__post_init__`; field-wise `__eq__` within one class; the dataclass
+`Name(field=value, ...)` repr; and, when frozen, immutability and
+`__hash__`.  Private (`_`-named) fields, such as the lookup maps of
+`AttributeSchema`, stay out of `__init__`, `__eq__` and `__repr__`.  One
+`exec` per class builds the methods, so importing a layer does not import
+`dataclasses` and `inspect`.  `calculus.Derivation` is the one dataclass.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import IllFormed, MixedVariables, ParseError, ShapeMismatch, TndpqError, UnknownSymbol
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+class fresh:
+    """A field default made anew for each record: `steps: list = fresh(list)`."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+def _refuse_set(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _repr(self):
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def record(cls=None, /, *, frozen=False):
+    """Give `cls` the methods of a record over its annotated fields, in order.
+
+    `__init__` takes the public fields, with their defaults, and calls
+    `__post_init__` when the class has one; a `fresh(make)` default calls
+    `make()` for each record.  A private (`_`-named) field is no parameter
+    and takes no part in `__eq__` or `__repr__`: it starts from its default
+    if it has one, else `__post_init__` sets it.  `__eq__` holds between
+    records of one class whose public fields are equal, and `__repr__`
+    reads `Name(field=value, ...)`.  A frozen record refuses assignment and
+    hashes its public fields; a mutable one is unhashable.  A method the
+    class defines itself is kept.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    # The generated code reads each default from `env` as `_d_<field>`.
+    env = {"_setattr": object.__setattr__}
+    assign = "_setattr(self, {name!r}, {value})" if frozen else "self.{name} = {value}"
+    params, body, public, missing = ["self"], [], [], object()
+    for name in cls.__dict__.get("__annotations__", {}):
+        default = env[f"_d_{name}"] = cls.__dict__.get(name, missing)
+        made = type(default) is fresh
+        if made:
+            delattr(cls, name)
+        if name.startswith("_"):
+            if made:
+                body.append(assign.format(name=name, value=f"_d_{name}.make()"))
+            continue
+        public.append(name)
+        params.append(name if default is missing else f"{name}=_d_{name}")
+        value = f"_d_{name}.make() if {name} is _d_{name} else {name}" if made else name
+        body.append(assign.format(name=name, value=value))
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    mine = "".join(f"self.{name}," for name in public)
+    theirs = "".join(f"other.{name}," for name in public)
+    source = [
+        f"def __init__({', '.join(params)}):",
+        *(f"    {line}" for line in body or ["pass"]),
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+    ]
+    if frozen:
+        source += ["def __hash__(self):", f"    return hash(({mine}))"]
+    exec("\n".join(source), env)
+    methods = {name: env[name] for name in ("__init__", "__eq__", "__hash__") if name in env}
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+    methods.update(__repr__=_repr, __match_args__=tuple(public))
+    if frozen:
+        methods.update(__setattr__=_refuse_set, __delattr__=_refuse_delete)
+    else:
+        methods["__hash__"] = None
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
 
 # ---------------------------------------------------------------------------
 # Schema
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttributeSchema:
     """Ordered variables, each with an ordered list of atomic values.
 
@@ -31,8 +127,8 @@ class AttributeSchema:
     """
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
-    _atoms_of: dict = field(init=False, repr=False, compare=False)
-    _owner_of: dict = field(init=False, repr=False, compare=False)  # atom -> (variable, its bit)
+    _atoms_of: dict
+    _owner_of: dict  # atom -> (variable, its bit)
 
     def __post_init__(self):
         atoms_of, owner_of = {}, {}
@@ -88,10 +184,29 @@ def _require_word(word: str) -> None:
         raise IllFormed(f"name {word!r} is not one identifier or number of the grammar")
 
 
+class open_text:
+    """`with open_text(path) as handle`: the file read as UTF-8 text.
+
+    A byte that does not decode raises a ParseError that names the file.
+    """
+
+    def __init__(self, path, newline=None):
+        self.path = path
+        self.handle = open(path, encoding="utf-8", newline=newline)
+
+    def __enter__(self):
+        return self.handle
+
+    def __exit__(self, kind, exc, traceback):
+        self.handle.close()
+        if isinstance(exc, UnicodeDecodeError):
+            raise ParseError(f"file {str(self.path)!r} is not UTF-8 text: {exc.reason}") from exc
+
+
 def load_schema(path) -> AttributeSchema:
     """Read a schema file: one `name = v1 | v2 | ...` line per variable."""
     variables = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -116,28 +231,28 @@ class VariableTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Atom(VariableTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pair(VariableTerm):
     left: VariableTerm
     right: VariableTerm
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Fst(VariableTerm):
     inner: VariableTerm
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Snd(VariableTerm):
     inner: VariableTerm
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cond(VariableTerm):
     antecedent: VariableTerm
     consequent: VariableTerm
@@ -206,29 +321,29 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AtomVal(Value):
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Neg(Value):
     inner: Value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or(Value):
     left: Value
     right: Value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Prod(Value):
     left: Value
     right: Value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Arrow(Value):
     left: Value
     right: Value
@@ -328,7 +443,7 @@ def _width(term, schema) -> int:
 # Attributions and judgments
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValueAttribution:
     """`variable : value` with a deterministic value over that variable."""
 
@@ -364,7 +479,7 @@ class ValueAttribution:
         return self
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Judgment:
     """sigma |> subject : value @ probability."""
 

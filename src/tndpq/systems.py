@@ -9,7 +9,6 @@ compare and derive from.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 from .errors import (
     EmptySupport,
@@ -20,14 +19,17 @@ from .errors import (
 from .syntax import (
     AttributeSchema,
     ValueAttribution,
+    fresh,
+    open_text,
     parse_attribution_list,
     print_attribution_list,
+    record,
 )
 
 _SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrainingSet:
     """An immutable table of fully observed rows over the schema.
 
@@ -40,7 +42,7 @@ class TrainingSet:
     id: str
     schema: AttributeSchema
     rows: tuple[dict, ...]
-    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _masks: dict = fresh(dict)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -64,7 +66,7 @@ class TrainingSet:
         return masks
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Estimator:
     """A conditional-probability estimator over a training table.
 
@@ -84,7 +86,7 @@ class Estimator:
             raise InvariantViolation(f"laplace smoothing must be finite and positive, got {self.smoothing!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AppliedSystem:
     """A system applied to a context: the induced distribution on one variable."""
 
@@ -119,34 +121,36 @@ class AppliedSystem:
 
 def load_training_set(path, schema: AttributeSchema, id: str | None = None) -> TrainingSet:
     """Read an RFC-4180 CSV whose header names schema variables."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
+            for column in header:
+                if not schema.has_variable(column):
+                    raise SchemaMismatch(f"header column {column!r} is not a schema variable")
+            if len(set(header)) != len(header):
+                raise ParseError("duplicate column in header")
+            allowed = [frozenset(schema.atoms(column)) for column in header]
+            rows = []
+            for lineno, cells in enumerate(reader, start=2):
+                if not cells or all(not c.strip() for c in cells):
+                    continue
+                if len(cells) != len(header):
+                    raise ParseError(f"row {lineno}: {len(cells)} cells, expected {len(header)}")
+                row = {}
+                for column, atoms, cell in zip(header, allowed, cells):
+                    atom = cell.strip()
+                    if atom not in atoms:
+                        raise SchemaMismatch(
+                            f"row {lineno}: {atom!r} is not an atomic value of {column!r}"
+                        )
+                    row[column] = atom
+                rows.append(row)
         except StopIteration:
             raise ParseError("empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        for column in header:
-            if not schema.has_variable(column):
-                raise SchemaMismatch(f"header column {column!r} is not a schema variable")
-        if len(set(header)) != len(header):
-            raise ParseError("duplicate column in header")
-        allowed = [frozenset(schema.atoms(column)) for column in header]
-        rows = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            if len(cells) != len(header):
-                raise ParseError(f"row {lineno}: {len(cells)} cells, expected {len(header)}")
-            row = {}
-            for column, atoms, cell in zip(header, allowed, cells):
-                atom = cell.strip()
-                if atom not in atoms:
-                    raise SchemaMismatch(
-                        f"row {lineno}: {atom!r} is not an atomic value of {column!r}"
-                    )
-                row[column] = atom
-            rows.append(row)
+        except csv.Error as exc:
+            # a cell over the `csv` module's field limit, say
+            raise ParseError(f"row {reader.line_num}: {exc}") from None
     name = id if id is not None else str(path)
     return TrainingSet(name, schema, tuple(rows))
 
@@ -227,7 +231,7 @@ def save_applied_system(system: AppliedSystem, path) -> None:
 
 
 def load_applied_system(path, schema: AttributeSchema | None = None) -> AppliedSystem:
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
     if len(lines) < 4:
         raise ParseError("applied-system file needs header lines and a distribution")

@@ -16,7 +16,6 @@ chains never re-enter JT).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 
@@ -26,11 +25,11 @@ from .errors import (
     NothingToCompare,
     PreconditionFailed,
 )
-from .syntax import AttributeSchema, VariableTerm, print_value, same_sigma
+from .syntax import AttributeSchema, VariableTerm, fresh, print_value, record, same_sigma
 from .systems import AppliedSystem, conditional_distribution
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrustKind:
     name: str  # JT, ET, WT, AT
     m: int | None = None
@@ -139,10 +138,10 @@ class TrustProfile:
         return prefix >= need and (not zeros or self.zeros)
 
 
-@dataclass
+@record
 class TrustReport:
     kind: TrustKind
-    evidence: list[tuple] = field(default_factory=list)
+    evidence: list[tuple] = fresh(list)
     warning: str | None = None
 
     @property
@@ -293,10 +292,10 @@ def check_nonatomic(
 # Relation algebra (fundamental properties and coordination principles)
 
 
-@dataclass
+@record
 class PropertyReport:
     checked: int = 0
-    failures: list[tuple] = field(default_factory=list)
+    failures: list[tuple] = fresh(list)
 
     @property
     def ok(self) -> bool:
@@ -389,10 +388,10 @@ def compose_square(
 # Diverging chains
 
 
-@dataclass
+@record
 class ChainReport:
     variant: str
-    steps: list[dict] = field(default_factory=list)
+    steps: list[dict] = fresh(list)
 
     @property
     def ok(self) -> bool:

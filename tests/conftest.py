@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from tndpq.syntax import AttributeSchema
@@ -44,7 +42,8 @@ def conclusions_parse_back(monkeypatch):
         return wrapper
 
     for rule, entry in list(calculus.RULES.items()):
-        monkeypatch.setitem(calculus.RULES, rule, dataclasses.replace(entry, handler=recording(entry.handler)))
+        wrapped = calculus.Rule(entry.id, entry.premises, recording(entry.handler), entry.kind)
+        monkeypatch.setitem(calculus.RULES, rule, wrapped)
     yield
     for conclusion, schema in built:
         assert parse_judgment(print_judgment(conclusion), schema) == conclusion

@@ -371,6 +371,36 @@ def test_learn_missing_column_exits_2(xyz_files, tmp_path, capsys):
         assert "no column 'Z'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["parse", "learn", "compare", "derive", "preserve"])
+def test_a_file_that_is_not_utf8_exits_2(schema_file, csv_file, tmp_path, capsys, command):
+    system = str(tmp_path / "orig.sys")
+    assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "-o", system]) == 0
+    script = tmp_path / "script.txt"
+    script.write_text("a = ATQUERY Chickenpox : Major\nb = ATQUERY Chickenpox : Extreme\nboth = OrIR a b\n")
+    good = {"parse": schema_file, "learn": csv_file, "compare": system, "derive": script, "preserve": script}
+    bad = tmp_path / "bad"
+    bad.write_bytes(Path(good[command]).read_bytes() + b"\xff\n")
+    bad = str(bad)
+    argv = {
+        "parse": [bad, "|> Chickenpox : Major @ 0.5"],
+        "learn": [schema_file, bad, "--target", "Chickenpox"],
+        "compare": [schema_file, system, bad, "--kind", "jt"],
+        "derive": [schema_file, csv_file, "--script", bad],
+        "preserve": [schema_file, "--orig", system, "--copy", system, "--plan", bad,
+                     "--kind", "jt", "--mode", "construct"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: file {bad!r} is not UTF-8 text: invalid start byte\n")
+
+
+def test_a_cell_over_the_csv_field_limit_exits_2(schema_file, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("Chickenpox,Hepatitis\nMajor,No\n" + "Minor" * 28_000 + ",Yes\n")
+    assert main(["learn", schema_file, str(data), "--target", "Chickenpox"]) == 2
+    assert capsys.readouterr().err.startswith("error: row 3: field larger than field limit")
+
+
 def _run_cli(*argv, env=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, **(env or {}), PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

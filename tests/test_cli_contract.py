@@ -1,8 +1,8 @@
 """The command-line exit contract over seeded random argument lists.
 
-`compare`, `preserve`, `chain` and `exclusive` run in-process on valid and
-malformed arguments; every run must end with exit code 0, 1 or 2 and no
-traceback.
+`learn`, `compare`, `preserve`, `chain` and `exclusive` run in-process on
+valid and malformed arguments and files; every run must end with exit code
+0, 1 or 2 and no traceback.
 """
 
 import contextlib
@@ -26,7 +26,7 @@ def contract_files(tmp_path_factory):
     data.write_text("Chickenpox,Hepatitis\n" + "\n".join(rows) + "\n")
     xyz = root / "xyz.txt"
     xyz.write_text("X = a | b | c\nY = u | v\nZ = p | q\nW = r | s\n")
-    files = {"schema": str(schema), "xyz": str(xyz), "missing": str(root / "missing.sys")}
+    files = {"schema": str(schema), "data": str(data), "xyz": str(xyz), "missing": str(root / "missing.sys")}
     with contextlib.redirect_stdout(io.StringIO()):
         for name, estimator in (("orig", "freq"), ("copy", "laplace:1")):
             files[name] = str(root / f"{name}.sys")
@@ -40,6 +40,12 @@ def contract_files(tmp_path_factory):
     }
     for name, text in plans.items():
         (root / name).write_text(text)
+        files[name] = str(root / name)
+    # malformed inputs: a byte that is not UTF-8, and a cell over the csv field limit
+    malformed = {"not_utf8": b"Chickenpox,Hepatitis\nMajor,No\n\xff,Yes\n",
+                 "huge_cell": b"Chickenpox,Hepatitis\nMajor,No\n" + b"Minor" * 28_000 + b",Yes\n"}
+    for name, content in malformed.items():
+        (root / name).write_bytes(content)
         files[name] = str(root / name)
     return files
 
@@ -55,13 +61,16 @@ STEP_TEXTS = ["1", "3", "6"] * 3 + ["0", "-5", "x", ""]
 @st.composite
 def _argv(draw, files):
     pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
-    command = pick(["compare", "preserve", "chain"])
-    system = lambda: files[pick(["orig", "copy", "missing"])]  # noqa: E731
-    if command == "compare":
+    command = pick(["compare", "preserve", "chain", "learn"])
+    system = lambda: files[pick(["orig", "copy", "missing", "not_utf8", "huge_cell"])]  # noqa: E731
+    if command == "learn":
+        table = files[pick(["data", "missing", "not_utf8", "huge_cell"])]
+        argv = ["learn", files["schema"], table, "--target", pick(["Chickenpox", "Hepatitis", "Nope"])]
+    elif command == "compare":
         argv = ["compare", files["schema"], system(), system(), "--kind", pick(KIND_TEXTS)]
     elif command == "preserve":
         argv = ["preserve", files["schema"], "--orig", system(), "--copy", system(),
-                "--plan", files[pick(["plan", "neg_plan", "bad_plan", "garbled_plan", "missing"])],
+                "--plan", files[pick(["plan", "neg_plan", "bad_plan", "garbled_plan", "missing", "not_utf8"])],
                 "--kind", pick(["jt", "et", "at", "wt", "xt"]),
                 "--mode", pick(["construct", "deconstruct", "both"])]
     else:
@@ -70,7 +79,7 @@ def _argv(draw, files):
         if draw(st.booleans()):
             argv += ["--l", pick(INT_TEXTS)]
         argv += ["--steps", pick(STEP_TEXTS)]
-    if command != "chain" and draw(st.booleans()):
+    if command in ("compare", "preserve") and draw(st.booleans()):
         argv += ["--tol", pick(TOL_TEXTS)]
     if draw(st.integers(0, 5)) == 5:
         del argv[draw(st.integers(1, len(argv) - 1))]
@@ -89,7 +98,7 @@ def test_exit_contract_holds_for_random_arguments(contract_files, data):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
-    if code in (0, 1):
+    if code in (0, 1) and argv[0] != "learn":
         verdict = out.getvalue().splitlines()[-1]
         assert verdict.startswith("VERDICT ") and verdict.endswith(("true", "false")[code])
 

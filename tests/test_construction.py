@@ -1,6 +1,7 @@
 """Tests for plan execution, sub-values, derived values, and preservation."""
 
 import random
+import re
 
 import pytest
 
@@ -118,6 +119,22 @@ def test_construct_rejects_elimination_rules(product_pair, pox_schema):
     plan = Plan((PlanStep("s", RuleId.NegIER, ("x",), direction="backward"),))
     with pytest.raises(RuleNotAllowed):
         construct({"x": leaf}, plan, pox_schema)
+
+
+@pytest.mark.parametrize(
+    "mode, rule, message",
+    [
+        (construct, "OrERa", "OrERa (forward) is not a right introduction rule"),
+        (construct, "Nope", "Nope (forward) is not a right introduction rule"),
+        (deconstruct, "OrIR", "OrIR (forward) is not a right elimination rule"),
+    ],
+)
+def test_a_rule_given_by_name_is_refused(product_pair, pox_schema, mode, rule, message):
+    source, _ = product_pair
+    leaf = at_query(source, (), "Chickenpox", "Extreme")
+    plan = Plan((PlanStep("s", rule, ("x", "y")),))
+    with pytest.raises(RuleNotAllowed, match=re.escape(message)):
+        mode({"x": leaf, "y": leaf}, plan, pox_schema)
 
 
 def test_deconstruct_rejects_introduction_rules(product_pair, pox_schema):

@@ -51,6 +51,16 @@ def test_import_cli_loads_only_errors():
     assert _tndpq(modules) == {"tndpq", "tndpq.cli", "tndpq.errors"}
 
 
+# `calculus.Derivation` is the one dataclass; a process that avoids
+# `calculus` loads neither `dataclasses` nor the `inspect` it imports.
+HEAVY = {"dataclasses", "inspect"}
+
+
+def test_layers_without_calculus_load_no_dataclasses():
+    modules, _ = _loaded("import tndpq.syntax, tndpq.systems, tndpq.exclusivity, tndpq.trust")
+    assert not modules & HEAVY
+
+
 @pytest.fixture
 def files(tmp_path):
     schema = tmp_path / "schema.txt"
@@ -100,6 +110,8 @@ def test_command_imports_only_its_layers(files, command):
     assert output, command
     assert _tndpq(modules) == {"tndpq", "tndpq.cli", "tndpq.errors"} | {f"tndpq.{m}" for m in layers}
     assert ("fractions" in modules) == (command in ("chain", "selftest"))
+    if "calculus" not in layers:
+        assert not modules & HEAVY, command
 
 
 def test_every_export_is_its_modules_object():

@@ -25,6 +25,7 @@ from tndpq.syntax import (
     _TOKEN_RE,
     _tokenize,
     fit,
+    fresh,
     load_schema,
     parse_attribution_list,
     parse_judgment,
@@ -33,6 +34,7 @@ from tndpq.syntax import (
     print_judgment,
     print_term,
     print_value,
+    record,
     reduce_projections,
     same_sigma,
     term_atoms,
@@ -417,3 +419,53 @@ def test_same_sigma_ignores_order_only():
     for other in others:
         assert not same_sigma(sigma, other)
         assert not same_sigma(other, judgment)
+
+
+def test_records_compare_by_class_and_fields():
+    assert Atom("X") == Atom("X") and hash(Atom("X")) == hash(Atom("X"))
+    assert Atom("X") != AtomVal("X") and Atom("X") != "X"
+    assert Pair(Atom("X"), Atom("Y")) != Pair(Atom("Y"), Atom("X"))
+    same = (parse_value("a + ~b"), parse_value("a + ~b"))
+    assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+    assert repr(Neg(AtomVal("a"))) == "Neg(inner=AtomVal(name='a'))"
+    with pytest.raises(TypeError, match=r"Atom\.__init__\(\) missing 1 required"):
+        Atom()
+
+
+def test_frozen_records_refuse_assignment():
+    atom = Atom("X")
+    with pytest.raises(AttributeError, match="cannot assign to field 'name'"):
+        atom.name = "Y"
+    with pytest.raises(AttributeError, match="cannot delete field 'name'"):
+        del atom.name
+    assert atom == Atom("X")
+
+
+def test_judgment_post_init_still_checks():
+    with pytest.raises(IllFormed, match=r"probability 1\.5 outside \[0, 1\]"):
+        Judgment((), Atom("X"), AtomVal("a"), 1.5)
+    twice = (ValueAttribution("Y", AtomVal("u")), ValueAttribution("Y", AtomVal("v")))
+    with pytest.raises(IllFormed, match="a variable appears twice"):
+        Judgment(twice, Atom("X"), AtomVal("a"), 0.5)
+
+
+def test_record_fields():
+    @record
+    class Tally:
+        name: str
+        count: int = 0
+        seen: list = fresh(list)
+        _cache: dict = fresh(dict)
+
+        def __repr__(self):
+            return f"<{self.name}>"
+
+    first, second = Tally("a"), Tally("a", 0, [])
+    assert first == second and first.seen is not second.seen and first._cache is not second._cache
+    first._cache["k"] = 1
+    first.count += 1
+    assert first != second and Tally("a", 1) == first
+    assert repr(first) == "<a>"
+    assert Tally.__hash__ is None
+    with pytest.raises(TypeError, match="_cache"):
+        Tally("a", _cache={})

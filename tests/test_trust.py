@@ -11,7 +11,10 @@ from tndpq.errors import IncomparableSystems, NothingToCompare, PreconditionFail
 from tndpq.syntax import Atom, AtomVal, AttributeSchema
 from tndpq.systems import AppliedSystem, Estimator, TrainingSet
 from tndpq.trust import (
+    ChainReport,
+    PropertyReport,
     TrustKind,
+    TrustReport,
     TrustProfile,
     at,
     build_chain,
@@ -500,3 +503,13 @@ def test_chain_entries_match_fraction_steps(probs, variant, kwargs, target):
         )
         assert step["jt_cross"] == _old_prefix_relation(want_a[i], want_b[i], "JT", None)
         assert step["et_cross"] == _old_prefix_relation(want_a[i], want_b[i], "ET", m)
+
+
+def test_each_report_gets_its_own_list():
+    for make, field in [(lambda: TrustReport(jt()), "evidence"), (PropertyReport, "failures"),
+                        (lambda: ChainReport("ET"), "steps")]:
+        first, second = make(), make()
+        getattr(first, field).append(("entry",))
+        assert getattr(second, field) == [] and first != second
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(first)
