@@ -1,7 +1,7 @@
 """Command-line interface.
 
 One binary with subcommands: parse, learn, derive, exclusive, compare,
-chain, preserve, and selftest.  Verdict-bearing commands end with a single
+chain and preserve.  Verdict-bearing commands end with a single
 machine-parseable `VERDICT` line; exit status 0 means the verdict is true
 (or the command simply succeeded), 1 means the verdict is false, and 2
 means a usage or data error.  All tabular output is tab-separated and
@@ -325,114 +325,6 @@ def _cmd_preserve(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Self test
-
-
-def _selftest_inversion(rng, cases, schema):
-    from .calculus import Derivation, RuleId, apply_rule
-    from .syntax import Atom, AtomVal, Judgment, ValueAttribution
-
-    failures = 0
-    for _ in range(cases):
-        f = rng.uniform(0.05, 0.95)
-        g = rng.uniform(0.05, 0.95)
-        sigma = ()
-        minor = Derivation(
-            Judgment(sigma, Atom("X"), AtomVal("a"), f), RuleId.AtQuery, (), ()
-        )
-        major = Derivation(
-            Judgment(
-                (ValueAttribution("X", AtomVal("a")),), Atom("Y"), AtomVal("u"), g
-            ),
-            RuleId.AtQuery,
-            (),
-            (),
-        )
-        pair = apply_rule(RuleId.ProdI1, [major, minor], schema)
-        back = apply_rule(RuleId.ProdE1a, [pair, major], schema)
-        if abs(back.conclusion.probability - f) > 1e-9:
-            failures += 1
-    return failures
-
-
-def _selftest_exclusivity(rng, cases, schema):
-    from .exclusivity import exclusive, oracle_exclusive
-    from .syntax import Atom, AtomVal, Neg, Or
-
-    atoms = [AtomVal(a) for a in schema.atoms("X")]
-
-    def rand_value(depth):
-        if depth == 0 or rng.random() < 0.4:
-            return rng.choice(atoms)
-        if rng.random() < 0.5:
-            return Neg(rand_value(depth - 1))
-        return Or(rand_value(depth - 1), rand_value(depth - 1))
-
-    failures = 0
-    for _ in range(cases):
-        beta, delta = rand_value(3), rand_value(3)
-        if exclusive(Atom("X"), beta, delta, schema) != oracle_exclusive(
-            Atom("X"), beta, delta, schema
-        ):
-            failures += 1
-    return failures
-
-
-def _selftest_trust(rng, cases):
-    from fractions import Fraction
-
-    from .systems import AppliedSystem
-    from .trust import verify_algebra
-
-    samples = []
-    for _ in range(cases):
-        triple = []
-        base = [Fraction(rng.randint(0, 6), 1) for _ in range(4)]
-        if sum(base) == 0:
-            base[0] = Fraction(1)
-        total = sum(base)
-        base = [p / total for p in base]
-        for _ in range(3):
-            probs = list(base)
-            if rng.random() < 0.5:
-                i, j = rng.sample(range(4), 2)
-                delta = min(probs[i], Fraction(1, 8))
-                probs[i] -= delta
-                probs[j] += delta
-            triple.append(
-                AppliedSystem(
-                    "t", "e", (), "X",
-                    tuple((a, float(p)) for a, p in zip("abcd", probs)),
-                )
-            )
-        samples.append(tuple(triple))
-    report = verify_algebra(samples)
-    return len(report.failures)
-
-
-def _cmd_selftest(args) -> int:
-    import random
-
-    from .syntax import AttributeSchema
-
-    rng = random.Random(args.seed)
-    print(f"SEED\t{args.seed}")
-    schema = AttributeSchema.of({"X": ("a", "b", "c", "d"), "Y": ("u", "v")})
-    suites = (
-        ("inversion", lambda: _selftest_inversion(rng, args.cases, schema)),
-        ("exclusivity-oracle", lambda: _selftest_exclusivity(rng, args.cases, schema)),
-        ("trust-algebra", lambda: _selftest_trust(rng, max(args.cases // 10, 5))),
-    )
-    bad = 0
-    for name, suite in suites:
-        failures = suite()
-        bad += failures
-        print(f"{'PASS' if failures == 0 else 'FAIL'}\t{name}\t{failures} failures")
-    print(f"VERDICT selftest {'true' if bad == 0 else 'false'}")
-    return 0 if bad == 0 else 1
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 
 
@@ -499,11 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("construct", "deconstruct"), required=True)
     p.add_argument("--tol", type=_tolerance, default=0.0)
     p.set_defaults(func=_cmd_preserve)
-
-    p = sub.add_parser("selftest", help="run the seeded property suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_positive_int, default=200)
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -280,7 +280,7 @@ def test_criterion_4_calculus_frequency_coherence():
         # guarantee both conditioning cells are inhabited
         for atom in (xa, xb):
             rows.append({n: (atom if n == x else rng.choice(schema.atoms(n))) for n in names})
-        ts = TrainingSet(f"T{case}", schema, tuple(rows))
+        ts = TrainingSet.from_rows(f"T{case}", schema, rows)
         src = (ts, FREQ)
         sig = lambda text: parse_attribution_list(text, schema)
         total = len(rows)

@@ -281,7 +281,7 @@ def test_prod_i_indep_requires_a_linear_pair():
 
 def test_independence_fact_records_the_test():
     rows = tuple({"X": x, "Y": y, "Z": "m"} for x, y in (("a", "u"), ("a", "v"), ("b", "u"), ("c", "v")))
-    ts = TrainingSet("T", SCHEMA, rows)
+    ts = TrainingSet.from_rows("T", SCHEMA, rows)
     sigma = parse_attribution_list("Z:m", SCHEMA)
     verdict, witness = independent(ts, FREQ, sigma, "X", "Y")
     fact = independence_fact((ts, FREQ), sigma, "X", "Y")
@@ -311,8 +311,8 @@ def test_shape_mismatch():
 
 def test_provenance_merge_and_mismatch():
     rows = tuple({"X": x, "Y": y} for x, y in (("a", "u"), ("a", "v"), ("b", "u")))
-    t1 = TrainingSet("T1", SCHEMA, rows)
-    t2 = TrainingSet("T2", SCHEMA, rows)
+    t1 = TrainingSet.from_rows("T1", SCHEMA, rows)
+    t2 = TrainingSet.from_rows("T2", SCHEMA, rows)
     d1 = at_query((t1, FREQ), (), "X", "a")
     d2 = at_query((t1, FREQ), (), "X", "b")
     merged = apply_rule(RuleId.OrIR, [d1, d2], SCHEMA)
@@ -414,7 +414,7 @@ def _random_table(rng, id="T"):
     # guarantee every X atom occurs so conditional contexts are evaluable
     for x in ("a", "b", "c"):
         rows.append({"X": x, "Y": rng.choice(("u", "v")), "Z": rng.choice(("m", "n"))})
-    return TrainingSet(id, SCHEMA, tuple(rows))
+    return TrainingSet.from_rows(id, SCHEMA, rows)
 
 
 def sigma(text):
@@ -486,7 +486,7 @@ def test_check_injected_formula_fault():
 
 def test_check_leaf_against_source():
     rows = tuple({"X": x, "Y": "u", "Z": "m"} for x in ("a", "a", "b"))
-    ts = TrainingSet("T", SCHEMA, rows)
+    ts = TrainingSet.from_rows("T", SCHEMA, rows)
     good = at_query((ts, FREQ), (), "X", "a")
     assert check_derivation(good, SCHEMA, sources={"T": (ts, FREQ)}).ok
     bad = dataclasses.replace(good, conclusion=good.conclusion.with_probability(0.5))
@@ -496,8 +496,8 @@ def test_check_leaf_against_source():
 
 def test_check_provenance_mixing():
     rows = tuple({"X": x, "Y": "u", "Z": "m"} for x in ("a", "a", "b"))
-    t1 = TrainingSet("T1", SCHEMA, rows)
-    t2 = TrainingSet("T2", SCHEMA, rows)
+    t1 = TrainingSet.from_rows("T1", SCHEMA, rows)
+    t2 = TrainingSet.from_rows("T2", SCHEMA, rows)
     d1 = at_query((t1, FREQ), (), "X", "a")
     d2 = at_query((t2, FREQ), (), "X", "b")
     tree = apply_rule(RuleId.OrIR, [d1, dataclasses.replace(d2, provenance=None)], SCHEMA)
@@ -508,7 +508,7 @@ def test_check_provenance_mixing():
 
 
 def _indep_tree(rows, evidence):
-    ts = TrainingSet("T", SCHEMA, tuple(rows))
+    ts = TrainingSet.from_rows("T", SCHEMA, rows)
     source = (ts, FREQ)
     premises = [at_query(source, (), "Y", "u"), at_query(source, (), "X", "a")]
     tree = apply_rule(RuleId.ProdIIndep, premises, SCHEMA, side=[{"kind": "independent", "t": "X", "u": "Y", **evidence}])

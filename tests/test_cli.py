@@ -341,15 +341,6 @@ def test_preserve_plan(schema_file, csv_file, tmp_path, capsys):
     assert out[-1] == "VERDICT preserve-jt true"
 
 
-def test_selftest(capsys):
-    code = main(["selftest", "--seed", "3", "--cases", "50"])
-    out = capsys.readouterr().out.strip().splitlines()
-    assert code == 0
-    assert out[0] == "SEED\t3"
-    assert out[-1] == "VERDICT selftest true"
-    assert sum(1 for line in out if line.startswith("PASS\t")) == 3
-
-
 @pytest.fixture
 def xyz_files(tmp_path):
     """A schema declaring Z, and a table in which, given Z=p, X and Y are
@@ -399,6 +390,29 @@ def test_a_cell_over_the_csv_field_limit_exits_2(schema_file, tmp_path, capsys):
     data.write_text("Chickenpox,Hepatitis\nMajor,No\n" + "Minor" * 28_000 + ",Yes\n")
     assert main(["learn", schema_file, str(data), "--target", "Chickenpox"]) == 2
     assert capsys.readouterr().err.startswith("error: row 3: field larger than field limit")
+
+
+# A bad line of each kind in an applied-system file, with the start of its echo.
+BAD_LINES = {
+    "system": ("system {huge} T A\nsigma\nvar Hepatitis\nNo 0.5\nYes 0.5\n", "bad system line: 'system xx"),
+    "sigma": ("system T A\n{huge}\nvar Hepatitis\nNo 0.5\nYes 0.5\n", "bad sigma line: 'xx"),
+    "var": ("system T A\nsigma\nvar Hepatitis {huge}\nNo 0.5\nYes 0.5\n", "bad var line: 'var Hepatitis xx"),
+    "distribution": ("system T A\nsigma\nvar Hepatitis\nNo 0.5 {huge}\nYes 0.5\n", "bad distribution line: 'No 0.5 xx"),
+    "probability": ("system T A\nsigma\nvar Hepatitis\nNo 0.5{huge}\nYes 0.5\n", "bad probability: '0.5xx"),
+}
+
+
+@pytest.mark.parametrize("line", BAD_LINES)
+def test_a_huge_bad_system_line_is_echoed_in_part(schema_file, tmp_path, capsys, line):
+    text, message = BAD_LINES[line]
+    good, bad = tmp_path / "good.sys", tmp_path / "bad.sys"
+    good.write_text("system T A\nsigma\nvar Hepatitis\nNo 0.5\nYes 0.5\n")
+    bad.write_text(text.format(huge="x" * 140_000))
+    assert main(["compare", schema_file, str(good), str(bad), "--kind", "jt"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {message}") and err.endswith("'...\n")
+    assert len(err.encode()) < 200
+    assert "VERDICT" not in out
 
 
 def _run_cli(*argv, env=None):
@@ -462,8 +476,6 @@ def test_derive_tests_independence_under_the_premises_context(xyz_files, tmp_pat
         ("preserve", ["--tol", "-1"]),
         ("chain", ["--steps", "0"]),
         ("chain", ["--steps", "-5"]),
-        ("selftest", ["--cases", "0"]),
-        ("selftest", ["--cases", "-5"]),
     ],
 )
 def test_bad_number_exits_2_without_traceback(schema_file, csv_file, tmp_path, command, option):
@@ -480,10 +492,8 @@ def test_bad_number_exits_2_without_traceback(schema_file, csv_file, tmp_path, c
         )
         argv = ["preserve", schema_file, "--orig", system, "--copy", system,
                 "--plan", str(plan), "--kind", "jt", "--mode", "construct"]
-    elif command == "chain":
-        argv = ["chain", schema_file, system, "--m", "1", "--k", "2"]
     else:
-        argv = ["selftest"]
+        argv = ["chain", schema_file, system, "--m", "1", "--k", "2"]
     result = _run_cli(*argv, *option)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr

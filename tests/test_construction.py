@@ -63,7 +63,7 @@ def _table(schema, counts):
     rows = []
     for row, n in counts:
         rows.extend([dict(row)] * n)
-    return TrainingSet("t", schema, tuple(rows))
+    return TrainingSet.from_rows("t", schema, rows)
 
 
 @pytest.fixture
@@ -377,7 +377,7 @@ ESTIMATORS = (Estimator("f", "freq"), Estimator("l", "laplace", 0.5))
 
 def _seeded_table(rng, n):
     rows = [{name: rng.choice(atoms) for name, atoms in XYZ.variables} for _ in range(n)]
-    return TrainingSet(f"T{n}", XYZ, tuple(rows))
+    return TrainingSet.from_rows(f"T{n}", XYZ, rows)
 
 
 def _deterministic_value(rng, atoms):
@@ -497,7 +497,7 @@ def test_derive_value_learns_one_distribution_per_deterministic_subvalue(monkeyp
 
 
 def test_derive_value_empty_support_message():
-    ts = TrainingSet("t", XYZ, ({"X": "x1", "Y": "y1", "Z": "z1"},))
+    ts = TrainingSet.from_rows("t", XYZ, ({"X": "x1", "Y": "y1", "Z": "z1"},))
     sigma = (ValueAttribution("Z", AtomVal("z2")),)
     value = parse_value("x1 + ~(x2 + x3)")
     with pytest.raises(DerivationFailed) as caught:

@@ -96,7 +96,6 @@ COMMANDS = {
          "--kind", "jt", "--mode", "construct"],
         LAYERS,
     ),
-    "selftest": (["selftest", "--cases", "20"], LAYERS - {"construction"}),
 }
 
 
@@ -109,7 +108,7 @@ def test_command_imports_only_its_layers(files, command):
     )
     assert output, command
     assert _tndpq(modules) == {"tndpq", "tndpq.cli", "tndpq.errors"} | {f"tndpq.{m}" for m in layers}
-    assert ("fractions" in modules) == (command in ("chain", "selftest"))
+    assert ("fractions" in modules) == (command == "chain")
     if "calculus" not in layers:
         assert not modules & HEAVY, command
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from tndpq.calculus import at_query
+from tndpq import systems
 from tndpq.cli import main
 from tndpq.errors import (
     EmptySupport,
@@ -41,7 +42,15 @@ FREQ = Estimator("A", "freq")
 
 
 def _ts(rows, schema=SCHEMA, id="T"):
-    return TrainingSet(id, schema, tuple(dict(r) for r in rows))
+    return TrainingSet.from_rows(id, schema, rows)
+
+
+def _rows(ts):
+    """The table's rows as dicts, decoded from its code strings."""
+    return [
+        {name: ts.schema.atoms(name)[ord(code)] for name, code in zip(ts.columns, codes)}
+        for codes in zip(*ts.columns.values())
+    ]
 
 
 THREE = _ts([{"a": "x", "b": "u"}, {"a": "x", "b": "v"}, {"a": "y", "b": "u"}])
@@ -56,7 +65,7 @@ def test_csv_round_trip(tmp_path):
     path.write_text("a,b\nx,u\nx,v\ny,u\n")
     ts = load_training_set(path, SCHEMA, id="T")
     assert len(ts) == 3
-    assert ts.rows[2] == {"a": "y", "b": "u"}
+    assert _rows(ts)[2] == {"a": "y", "b": "u"}
 
 
 def test_csv_unknown_atom(tmp_path):
@@ -69,7 +78,7 @@ def test_csv_unknown_atom(tmp_path):
 def test_csv_loader_error_contract(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(" a , b \n x ,u\ny, v \n")
-    assert load_training_set(path, SCHEMA).rows == ({"a": "x", "b": "u"}, {"a": "y", "b": "v"})
+    assert _rows(load_training_set(path, SCHEMA)) == [{"a": "x", "b": "u"}, {"a": "y", "b": "v"}]
     path.write_text("a,b\nx,u\n\nx,v\ny,w\n")
     with pytest.raises(SchemaMismatch) as caught:
         load_training_set(path, SCHEMA)
@@ -87,6 +96,20 @@ def test_csv_empty_data(tmp_path):
     assert len(ts) == 0
     with pytest.raises(EmptySupport):
         conditional_distribution(ts, FREQ, (), "a")
+
+
+def test_empty_table_without_the_column_has_empty_support(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a\n")
+    ts = load_training_set(path, SCHEMA)
+    with pytest.raises(EmptySupport):
+        conditional_distribution(ts, FREQ, (), "b")
+    with pytest.raises(EmptySupport):
+        conditional_distribution(ts, FREQ, sigma("b:u"), "a")
+    assert conditional_distribution(ts, Estimator("L", "laplace"), (), "b").distribution == (
+        ("u", 0.5),
+        ("v", 0.5),
+    )
 
 
 def test_conditional_distribution():
@@ -133,10 +156,10 @@ def test_laplace_converges_to_freq():
 
 def test_row_order_and_duplication_invariance():
     rng = random.Random(3)
-    rows = list(THREE.rows)
+    rows = _rows(THREE)
     rng.shuffle(rows)
     shuffled = _ts(rows)
-    doubled = _ts(list(THREE.rows) * 3)
+    doubled = _ts(_rows(THREE) * 3)
     base = conditional_distribution(THREE, FREQ, sigma("b:u"), "a")
     assert conditional_distribution(shuffled, FREQ, sigma("b:u"), "a").distribution == base.distribution
     assert conditional_distribution(doubled, FREQ, sigma("b:u"), "a").distribution == base.distribution
@@ -216,9 +239,9 @@ def test_missing_column_is_schema_mismatch(tmp_path):
 
 
 def test_cell_outside_the_atoms_is_schema_mismatch():
-    ts = _ts([{"a": "x", "b": "u"}, {"a": "w", "b": "u"}])
-    with pytest.raises(SchemaMismatch, match="'a'"):
-        conditional_distribution(ts, FREQ, (), "a")
+    with pytest.raises(SchemaMismatch) as caught:
+        _ts([{"a": "x", "b": "u"}, {"a": "w", "b": "u"}])
+    assert str(caught.value) == "row 3: 'w' is not an atomic value of 'a'"
 
 
 WIDE = AttributeSchema.of(
@@ -228,7 +251,7 @@ WIDE = AttributeSchema.of(
 
 def _random_table(rng, n):
     rows = [{name: rng.choice(atoms) for name, atoms in WIDE.variables} for _ in range(n)]
-    return TrainingSet(f"R{n}", WIDE, tuple(rows))
+    return TrainingSet.from_rows(f"R{n}", WIDE, rows)
 
 
 def _random_value(rng, atoms, depth=2):
@@ -248,13 +271,13 @@ def _star(value, atoms):
     return _star(value.left, atoms) | _star(value.right, atoms)
 
 
-def _naive_distribution(ts, est, sigma, target):
-    """Row-by-row counting; None where the frequency estimator has no support."""
+def _naive_distribution(table, schema, est, sigma, target):
+    """Row-by-row counting over row dicts; None where the frequency estimator has no support."""
     rows = [
-        row for row in ts.rows
-        if all(row[va.variable] in _star(va.value, ts.schema.atoms(va.variable)) for va in sigma)
+        row for row in table
+        if all(row[va.variable] in _star(va.value, schema.atoms(va.variable)) for va in sigma)
     ]
-    atoms = ts.schema.atoms(target)
+    atoms = schema.atoms(target)
     counts = [sum(1 for row in rows if row[target] == atom) for atom in atoms]
     if est.kind == "freq":
         if not rows:
@@ -265,12 +288,13 @@ def _naive_distribution(ts, est, sigma, target):
 
 
 def _naive_independent(ts, est, sigma, t, u):
-    base = _naive_distribution(ts, est, sigma, u)
+    rows = _rows(ts)
+    base = _naive_distribution(rows, ts.schema, est, sigma, u)
     if base is None:
         return None
     worst = (0.0, None, None)
     for tau in ts.schema.atoms(t):
-        given = _naive_distribution(ts, est, sigma + (ValueAttribution(t, AtomVal(tau)),), u)
+        given = _naive_distribution(rows, ts.schema, est, sigma + (ValueAttribution(t, AtomVal(tau)),), u)
         if given is None:  # no row holds t = tau under sigma: P(t=tau | sigma) = 0
             continue
         for (upsilon, p), (_, q) in zip(given, base):
@@ -297,7 +321,7 @@ def _negated_disjunctions(rng, atoms, depth=3):
 
 def _assert_counts_agree(ts, est, context, sigma, t, target):
     got = _outcome(lambda: conditional_distribution(ts, est, sigma, target).distribution)
-    assert got == _naive_distribution(ts, est, sigma, target), sigma
+    assert got == _naive_distribution(_rows(ts), ts.schema, est, sigma, target), sigma
     got = _outcome(lambda: independent(ts, est, context, t, target))
     assert got == _naive_independent(ts, est, context, t, target), context
 
@@ -411,8 +435,109 @@ def test_sigma_error_contract(tmp_path, capsys, text, target, error, message):
 
 
 def test_index_is_not_part_of_equality():
-    queried, fresh = _ts(THREE.rows), _ts(THREE.rows)
+    queried, fresh = _ts(_rows(THREE)), _ts(_rows(THREE))
     conditional_distribution(queried, FREQ, sigma("b:u"), "a")
     assert queried == fresh
     assert fresh == queried
     assert repr(queried) == repr(fresh)
+
+
+# ---------------------------------------------------------------------------
+# The column store against row-by-row counting, over CSV spellings
+
+MIXED = AttributeSchema.of(
+    [("a", ("x", "y", "z")), ("w", tuple(f"w{i}" for i in range(300))), ("b", ("u", "v"))]
+)
+
+
+def _spell(rng, header, rows):
+    """`rows` under `header` as CSV text, with padding, quotes, blank lines and CRLF at random."""
+
+    def cell(atom):
+        return rng.choice((atom, f" {atom}", f"{atom}\t ", f'"{atom}"', f'" {atom} "'))
+
+    def blank():
+        return rng.choice(("", " ", ",".join(" " * rng.randrange(3) for _ in header), '""'))
+
+    lines = [", ".join(header)]
+    for row in rows:
+        while rng.random() < 0.15:
+            lines.append(blank())
+        lines.append(",".join(cell(row[name]) for name in header))
+    lines += [blank() for _ in range(rng.randrange(3))]
+    end = rng.choice(("\n", "\r\n"))
+    return end.join(lines) + end
+
+
+def _reference_masks(rows, name, atoms):
+    masks = dict.fromkeys(atoms, 0)
+    for i, row in enumerate(rows):
+        masks[row[name]] |= 1 << i
+    return tuple(masks.values())
+
+
+def _random_sigma(rng, names):
+    return tuple(
+        ValueAttribution(name, _random_value(rng, MIXED.atoms(name)[:6]))
+        for name in rng.sample(names, rng.randint(0, len(names)))
+    )
+
+
+def test_loader_matches_row_by_row_reference(tmp_path):
+    rng = random.Random(16)
+    path = tmp_path / "t.csv"
+    estimators = (FREQ, Estimator("L", "laplace", 0.5))
+    for case in range(40):
+        header = rng.sample([name for name, _ in MIXED.variables], rng.randint(2, 3))
+        n = rng.choice((0, 1, 5, 64, 65, 300))
+        rows = [{name: rng.choice(MIXED.atoms(name)) for name in header} for _ in range(n)]
+        path.write_bytes(_spell(rng, header, rows).encode())
+        ts = load_training_set(path, MIXED, id="T")
+        assert len(ts) == n
+        for name in header:
+            assert ts.column_masks(name) == _reference_masks(rows, name, MIXED.atoms(name)), (case, name)
+        for est in estimators:
+            target, *rest = rng.sample(header, len(header))
+            sigma = _random_sigma(rng, rest)
+            assert _outcome(lambda: conditional_distribution(ts, est, sigma, target).distribution) == (
+                _naive_distribution(rows, MIXED, est, sigma, target)
+            ), (case, sigma)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("a,b\nx,u\nx\ny,w\n", ParseError, "row 3: 1 cells, expected 2"),
+        ("a,b\nx,w\n\nx\n", SchemaMismatch, "row 2: 'w' is not an atomic value of 'b'"),
+        ("a,b\n x , u \n , \ny, \n", SchemaMismatch, "row 4: '' is not an atomic value of 'b'"),
+        ('a,b\r\n"x",u\r\n"y\n",v\r\nx,u,\r\n', ParseError, "row 4: 3 cells, expected 2"),
+        ("a,b\nx,w\nx,{huge}\n", SchemaMismatch, "row 2: 'w' is not an atomic value of 'b'"),
+        ("a,b\nx,u\nx,{huge}\n", ParseError, "row 3: field larger than field limit (131072)"),
+    ],
+)
+def test_load_error_names_the_first_faulty_row(tmp_path, text, error, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text.replace("{huge}", "u" * 140_000))  # over the csv field limit
+    with pytest.raises(error) as caught:
+        load_training_set(path, SCHEMA)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_padding_and_empty_lines_stay_on_the_column_path(tmp_path, monkeypatch):
+    # only a padded cell, an all-blank row with cells, or a fault sends the
+    # load row by row
+    path = tmp_path / "t.csv"
+    path.write_text(' a , b \r\nx,"u"\r\n\r\ny,v\r\n\r\n')
+    monkeypatch.setattr(systems, "_clean_rows", None)
+    assert _rows(load_training_set(path, SCHEMA)) == [{"a": "x", "b": "u"}, {"a": "y", "b": "v"}]
+
+
+def test_from_rows_checks_as_the_loader_does():
+    with pytest.raises(SchemaMismatch, match="^header column 'q' is not a schema variable$"):
+        _ts([{"a": "x", "q": "u"}])
+    with pytest.raises(ParseError, match=r"^row 3: columns \['a'\], expected \['a', 'b'\]$"):
+        _ts([{"a": "x", "b": "u"}, {"a": "y"}])
+    empty = _ts([])
+    assert len(empty) == 0 and set(empty.columns) == {"a", "b"}
+    with pytest.raises(EmptySupport):
+        conditional_distribution(empty, FREQ, sigma("b:u"), "a")

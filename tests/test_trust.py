@@ -243,7 +243,7 @@ def test_chain_preconditions():
 
 def _source():
     rows = tuple({"Pox": atom} for atom in ("Absent", "Minor", "Minor", "Major"))
-    return TrainingSet("T", POX, rows), Estimator("A", "freq")
+    return TrainingSet.from_rows("T", POX, rows), Estimator("A", "freq")
 
 
 def test_empty_relevant_list_is_refused():
