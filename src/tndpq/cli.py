@@ -406,6 +406,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser, the fit and the printer recurse once per level of a
+        # value, so a value nested past the interpreter's limit lands here
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -449,6 +449,7 @@ class ValueAttribution:
 
     variable: str
     value: Value
+    _mask: tuple = (None, 0)  # the schema of the last mask worked out, and that mask
 
     def mask(self, schema: AttributeSchema) -> int:
         """The value's cell mask over the variable: bit i for its (i+1)-th atom.
@@ -456,11 +457,19 @@ class ValueAttribution:
         A value that does not fit is reported in σ's order: an unknown
         variable, a product or conditional, an unknown atom (the first in
         text order), atoms of several variables, atoms of another variable.
+        The mask is kept with its schema, so asking again under that schema
+        walks the value no more.
         """
+        known, mask = self._mask
+        if known is schema:
+            return mask
         try:
-            return fit(Atom(self.variable), self.value, schema)[0]
+            mask = _fit(Atom(self.variable), self.value, schema)
         except TndpqError:
             fault = self._fault(schema)
+        else:
+            object.__setattr__(self, "_mask", (schema, mask))
+            return mask
         raise fault
 
     def _fault(self, schema) -> TndpqError:
@@ -528,27 +537,36 @@ def same_sigma(a: Judgment | tuple, b: Judgment | tuple) -> bool:
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
-# One pattern scans the whole text (the tokenizer recipe of the `re` docs).
-# Each match is one token, tried in this order: whitespace is skipped; `|>`
-# and `->`; a numeral, unless an ASCII word character follows it; single
-# punctuation; a word of Unicode letters and digits, `_` and `.`, which is a
-# number when it starts with a digit or `.` and `float` reads it (`1_0`);
-# anything else is an error.  The numeral's look-ahead also refuses any
-# decimal digit (`1٣x`): the longest numeral is never followed by one, and
-# every shorter match stops before a digit, `.`, `e` or `E`, so a rejected
-# numeral is not retried shorter.  This does the work of an atomic group,
-# which `re` lacks before Python 3.11.
+# One pattern reads the whole text, and one `findall` gives the parser the
+# texts of its tokens in order, with no kinds or positions.  A token is the
+# pattern's one group, tried in this order: `|>`, `->` and single
+# punctuation; a numeral, unless an ASCII word character follows it; a word
+# of Unicode letters and digits, `_` and `.`, which is a number when it
+# starts with a digit or `.` and `float` reads it (`1_0`).  Whitespace
+# matches nothing and is skipped.  Any other character matches `\S` outside
+# the group and so comes out as an empty text, which no rule of the grammar
+# accepts.  Only once a parse has failed does `_tokenize` read the text
+# again with the same pattern, for the kind and position that the error
+# names, or for the first unexpected character.  The numeral's look-ahead
+# also refuses any decimal digit (`1٣x`): the longest numeral is never
+# followed by one, and every shorter match stops before a digit, `.`, `e` or
+# `E`, so a rejected numeral is not retried shorter and the word alternative
+# reads the whole word.  This does the work of an atomic group, which `re`
+# lacks before Python 3.11.
 _TOKEN_RE = re.compile(
     r"""
-    \s+
-    | (?P<punct>\|>|->|[,:+*~()<>\[\]@])
-    | (?P<number>(?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)(?![A-Za-z0-9_.]|\d))
-    | (?P<numeric>[\d.][\w.]*)
-    | (?P<ident>\w[\w.]*)
-    | (?P<bad>.)
+    ( \|> | -> | [,:+*~()<>\[\]@]
+    | (?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)(?![A-Za-z0-9_.]|\d)
+    | [\w.]+
+    )
+    | \S
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
+
+# The token texts that are not a word (identifier or number): punctuation,
+# the empty text of an unexpected character, and None, the end of the text.
+_NOT_WORD = frozenset(["|>", "->", *",:+*~()<>[]@", "", None])
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -558,16 +576,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        word = m.group()
-        if kind == "punct":
+        word = m.group(1)
+        if word is None:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if word in _NOT_WORD:
             kind = word
-        elif kind == "numeric":
-            kind = "number" if _is_number(word) else "ident"
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {word!r}", m.start())
+        elif (word[0] == "." or word[0].isdecimal()) and _is_number(word):
+            kind = "number"
+        else:
+            kind = "ident"
         tokens.append((kind, word, m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
@@ -590,110 +607,138 @@ _NEG_POWER = 3
 
 
 class _Parser:
+    """Top-down operator precedence over the token texts of one text.
+
+    `tokens` ends with None and `pos` indexes the next token.  A rule that
+    meets a token it cannot take raises `fail`, which names that token.
+    """
+
+    __slots__ = ("text", "tokens", "pos")
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append(None)
         self.pos = 0
 
-    def peek(self) -> str:
-        """The kind of the next token."""
-        return self.tokens[self.pos][0]
+    def fail(self, expected: str) -> ParseError:
+        """The error at the next token, or at the first unexpected character of the text."""
+        _, found, position = _tokenize(self.text)[self.pos]
+        return ParseError(f"expected {expected}, found {found!r}", position)
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> None:
-        found, text, pos = self.next()
-        if found != kind:
-            raise ParseError(f"expected {kind!r}, found {text!r}", pos)
-
-    def ident(self) -> str:
-        kind, text, pos = self.next()
-        if kind not in ("ident", "number"):
-            raise ParseError(f"expected identifier, found {text!r}", pos)
-        return text
+    def whole(self, rule):
+        """`rule()`, which must read up to the end of the text."""
+        node = rule()
+        if self.tokens[self.pos] is not None:
+            raise self.fail("'eof'")
+        return node
 
     def value(self, floor: int = 0) -> Value:
         """A value whose binary connectives bind at `floor` or tighter (precedence climbing)."""
-        node = self.operand()
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        self.pos = pos + 1
+        if tok == "~":
+            node = Neg(self.value(_NEG_POWER))
+        elif tok == "(":
+            node = self.value()
+            if tokens[self.pos] != ")":
+                raise self.fail("')'")
+            self.pos += 1
+        elif tok in _NOT_WORD:
+            self.pos = pos
+            raise self.fail("identifier")
+        else:
+            node = AtomVal(tok)
         while True:
-            entry = _BINARY.get(self.tokens[self.pos][0])
+            entry = _BINARY.get(tokens[self.pos])
             if entry is None or entry[1] < floor:
                 return node
             cls, power, right = entry
             self.pos += 1
             node = cls(node, self.value(power if right else power + 1))
 
-    def operand(self) -> Value:
-        """A negation, a parenthesised value or an atom."""
-        kind = self.peek()
-        if kind == "~":
-            self.pos += 1
-            return Neg(self.operand())
-        if kind == "(":
-            self.pos += 1
-            node = self.value()
-            self.expect(")")
-            return node
-        return AtomVal(self.ident())
-
     def term(self) -> VariableTerm:
-        kind = self.peek()
-        if kind == "<":
-            self.next()
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        self.pos = pos + 1
+        if tok == "<":
             left = self.term()
-            self.expect(",")
+            if tokens[self.pos] != ",":
+                raise self.fail("','")
+            self.pos += 1
             right = self.term()
-            self.expect(">")
+            if tokens[self.pos] != ">":
+                raise self.fail("'>'")
+            self.pos += 1
             return Pair(left, right)
-        if kind == "[":
-            self.next()
+        if tok == "[":
             antecedent = self.term()
-            self.expect("]")
+            if tokens[self.pos] != "]":
+                raise self.fail("']'")
+            self.pos += 1
             return Cond(antecedent, self.term())
-        name = self.ident()
-        if name in ("fst", "snd") and self.peek() == "(":
-            self.next()
+        if tok in _NOT_WORD:
+            self.pos = pos
+            raise self.fail("identifier")
+        if (tok == "fst" or tok == "snd") and tokens[pos + 1] == "(":
+            self.pos = pos + 2
             inner = self.term()
-            self.expect(")")
-            return Fst(inner) if name == "fst" else Snd(inner)
-        return Atom(name)
+            if tokens[self.pos] != ")":
+                raise self.fail("')'")
+            self.pos += 1
+            return Fst(inner) if tok == "fst" else Snd(inner)
+        return Atom(tok)
 
-    def attribution(self) -> ValueAttribution:
-        variable = self.ident()
-        self.expect(":")
-        return ValueAttribution(variable, self.value())
+    def attributions(self, end: str | None) -> tuple[ValueAttribution, ...]:
+        """Attributions separated by `,`, up to and including the token `end`.
 
-    def attributions(self, end: str) -> tuple[ValueAttribution, ...]:
-        """Attributions separated by `,`, up to and including the token `end`."""
+        `end` None stands for the end of the text.
+        """
+        tokens = self.tokens
         attributions = []
-        if self.peek() != end:
-            attributions.append(self.attribution())
-            while self.peek() == ",":
-                self.next()
-                attributions.append(self.attribution())
-        self.expect(end)
+        if tokens[self.pos] != end:
+            while True:
+                pos = self.pos
+                variable = tokens[pos]
+                if variable in _NOT_WORD:
+                    raise self.fail("identifier")
+                if tokens[pos + 1] != ":":
+                    self.pos = pos + 1
+                    raise self.fail("':'")
+                self.pos = pos + 2
+                attributions.append(ValueAttribution(variable, self.value()))
+                if tokens[self.pos] != ",":
+                    break
+                self.pos += 1
+        if tokens[self.pos] != end:
+            raise self.fail("'eof'" if end is None else repr(end))
+        self.pos += 1
         return tuple(attributions)
 
     def judgment(self) -> Judgment:
         antecedent = self.attributions("|>")
         subject = self.term()
-        self.expect(":")
+        tokens = self.tokens
+        if tokens[self.pos] != ":":
+            raise self.fail("':'")
+        self.pos += 1
         value = self.value()
-        self.expect("@")
-        kind, text, pos = self.next()
-        if kind not in ("number", "ident") or not _is_number(text):
-            raise ParseError(f"expected probability, found {text!r}", pos)
-        probability = float(text)
-        self.expect("eof")
-        return Judgment(antecedent, subject, value, probability)
+        if tokens[self.pos] != "@":
+            raise self.fail("'@'")
+        self.pos += 1
+        text = tokens[self.pos]
+        if text in _NOT_WORD or not _is_number(text):
+            raise self.fail("probability")
+        self.pos += 1
+        return Judgment(antecedent, subject, value, float(text))
 
 
 def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
     parser = _Parser(text)
-    value = parser.value()
-    parser.expect("eof")
+    value = parser.whole(parser.value)
     if schema is not None:
         for node in subvalues(value):
             if type(node) is AtomVal:
@@ -703,24 +748,24 @@ def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
 
 def parse_term(text: str, schema: AttributeSchema | None = None) -> VariableTerm:
     parser = _Parser(text)
-    term = parser.term()
-    parser.expect("eof")
+    term = parser.whole(parser.term)
     if schema is not None:
         _require_declared(_variables(reduce_projections(term)), schema)
     return term
 
 
 def parse_attribution_list(text: str, schema: AttributeSchema | None = None) -> tuple[ValueAttribution, ...]:
-    attributions = _Parser(text).attributions("eof")
+    attributions = _Parser(text).attributions(None)
     if schema is not None:
         for va in attributions:
-            va.validate(schema)
+            va.mask(schema)
     return attributions
 
 
 def parse_judgment(text: str, schema: AttributeSchema) -> Judgment:
     """Parse and validate one judgment against the schema."""
-    return _Parser(text).judgment().validate(schema)
+    parser = _Parser(text)
+    return parser.whole(parser.judgment).validate(schema)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ class TrainingSet:
     is stored as such.  Counting goes through a row-bitset index: for each
     variable, one int per atom whose bit i is set when row i holds that
     atom, read off the column by one `str.translate` and one `int(..., 2)`
-    per atom (about 20 ms for 8 columns of 5 atoms at 10^5 rows).  A column
-    is indexed at the first query that touches it and cached; the cache is
-    not part of the table's value.
+    per atom (about 20 ms for 8 columns of 5 atoms at 10^5 rows), or, for
+    a column holding an atom past the 128th, by one pass over its rows.  A
+    column is indexed at the first query that touches it and cached; the
+    cache is not part of the table's value.
     """
 
     id: str
@@ -82,10 +83,18 @@ class TrainingSet:
                 if len(self):
                     raise SchemaMismatch(f"training table {self.id!r} has no column {variable!r}")
                 codes = ""
-            codes = codes[::-1]
-            # translating through a string maps code i to that string's
-            # character i: "1" for atom i, "0" for every other atom
-            masks = tuple(int(codes.translate("0" * i + "1" + "0" * (n - 1 - i)) or "0", 2) for i in range(n))
+            if codes.isascii():
+                codes = codes[::-1]
+                # translating through a string maps code i to that string's
+                # character i: "1" for atom i, "0" for every other atom
+                masks = tuple(int(codes.translate("0" * i + "1" + "0" * (n - 1 - i)) or "0", 2) for i in range(n))
+            else:
+                # a code past 127 takes translate off its fast path, where
+                # it costs atoms x rows; so set each row's bit in one pass
+                bits = [bytearray((len(codes) + 7) // 8) for _ in range(n)]
+                for row, code in enumerate(map(ord, codes)):
+                    bits[code][row >> 3] |= 1 << (row & 7)
+                masks = tuple(int.from_bytes(b, "little") for b in bits)
             self._masks[variable] = masks
         return masks
 
@@ -308,7 +317,7 @@ def load_applied_system(path, schema: AttributeSchema | None = None) -> AppliedS
     head = lines[0].split()
     if len(head) != 3 or head[0] != "system":
         raise ParseError(f"bad system line: {_clip(lines[0])}")
-    if not lines[1].startswith("sigma"):
+    if lines[1][:6].rstrip() != "sigma":  # the word, then whitespace or the end of the line
         raise ParseError(f"bad sigma line: {_clip(lines[1])}")
     sigma = parse_attribution_list(lines[1][len("sigma") :].strip(), schema)
     var_parts = lines[2].split()

@@ -621,3 +621,51 @@ def test_exclusive_negated_disjunction_of_conditionals(tmp_path):
     result = _run_cli("exclusive", str(schema), "[X]Z", "~((a->p)+(a->q))", "a->r")
     assert result.returncode == 1
     assert result.stdout == "not-exclusive\n"
+
+
+_CHAIN = "+".join(["a"] * 1500)
+
+
+# A value nested past the interpreter's recursion limit, by shape and command.
+@pytest.mark.parametrize(
+    "command, value",
+    [
+        ("parse", "(" * 5000 + "a" + ")" * 5000),
+        ("parse", "~" * 1200 + "a"),
+        ("parse", _CHAIN),
+        ("exclusive", _CHAIN),
+    ],
+    ids=["parse-parentheses", "parse-negations", "parse-chain", "exclusive-chain"],
+)
+def test_a_value_nested_too_deeply_exits_2(tmp_path, command, value):
+    schema = tmp_path / "s.txt"
+    schema.write_text("X = a | b\n")
+    if command == "parse":
+        result = _run_cli("parse", str(schema), f"|> X : {value} @ 0.5")
+    else:
+        result = _run_cli("exclusive", str(schema), "X", value, "b")
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: input nested too deeply\n")
+
+
+def test_parentheses_take_one_parser_level_each(tmp_path):
+    # the parser takes one frame per parenthesis, so 600 stay under the
+    # recursion limit
+    schema = tmp_path / "s.txt"
+    schema.write_text("X = a | b\n")
+    result = _run_cli("parse", str(schema), "|> X : " + "(" * 600 + "a" + ")" * 600 + " @ 0.5")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "|> X : a @ 0.5\n", "")
+
+
+def test_the_sigma_header_is_the_word_then_space(tmp_path, capsys):
+    schema = tmp_path / "s.txt"
+    schema.write_text("V0 = a0 | b0\nV1 = c1 | d1\n")
+    good, glued = tmp_path / "good.sys", tmp_path / "glued.sys"
+    for line in ("sigma", "sigma\tV0:a0", "sigma  V0:a0 "):
+        good.write_text(f"system T A\n{line}\nvar V1\nc1 0.5\nd1 0.5\n")
+        assert main(["compare", str(schema), str(good), str(good), "--kind", "jt"]) == 0
+        assert capsys.readouterr().out.endswith("VERDICT jt true\n")
+    # a header glued to its first attribution is not read as `sigma V0:a0`
+    glued.write_text("system T A\nsigmaV0:a0\nvar V1\nc1 0.5\nd1 0.5\n")
+    assert main(["compare", str(schema), str(good), str(glued), "--kind", "jt"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: bad sigma line: 'sigmaV0:a0'\n")

@@ -7,7 +7,8 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from tndpq.errors import IllFormed, MixedVariables, ParseError, UnknownSymbol
+from tndpq import syntax
+from tndpq.errors import IllFormed, MixedVariables, ParseError, TndpqError, UnknownSymbol
 from tndpq.syntax import (
     Arrow,
     Atom,
@@ -22,7 +23,7 @@ from tndpq.syntax import (
     Prod,
     Snd,
     ValueAttribution,
-    _TOKEN_RE,
+    _is_number,
     _tokenize,
     fit,
     fresh,
@@ -128,6 +129,19 @@ def test_is_deterministic(small_schema):
     for value in (Prod(AtomVal("a"), AtomVal("b")), Arrow(AtomVal("a"), AtomVal("b"))):
         with pytest.raises(IllFormed, match="non-deterministic"):
             ValueAttribution("X", value).validate(small_schema)
+
+
+def test_attribution_mask_is_kept_for_its_schema_only():
+    va = parse_attribution_list("X:a+b")[0]
+    first = AttributeSchema.of([("X", ("a", "b", "c"))])
+    again = AttributeSchema.of([("X", ("c", "b", "a"))])  # equal names, other order
+    wrong = AttributeSchema.of([("X", ("b", "c"))])
+    for _ in range(2):
+        assert va.mask(first) == 0b011
+        assert va.mask(again) == 0b110
+        with pytest.raises(UnknownSymbol, match="'a'"):
+            va.mask(wrong)
+    assert va == ValueAttribution("X", va.value) and hash(va) == hash(ValueAttribution("X", va.value))
 
 
 def test_schema_invariants():
@@ -404,7 +418,178 @@ def test_tokenizer_matches_reference_on_every_character():
 def test_token_pattern_needs_no_python_3_11_syntax():
     # Atomic groups and possessive quantifiers are new in Python 3.11's `re`;
     # the package supports 3.10.
-    assert not re.search(r"\(\?>|[*+?}]\+", _TOKEN_RE.pattern)
+    patterns = [value for value in vars(syntax).values() if isinstance(value, re.Pattern)]
+    assert patterns
+    for pattern in patterns:
+        assert not re.search(r"\(\?>|[*+?}]\+", pattern.pattern), pattern
+
+
+# ---------------------------------------------------------------------------
+# Parser: a differential test against the recursive-descent parser over
+# (kind, text, position) tokens that the flat-token parser replaced
+
+
+_REF_BINARY = {"->": (Arrow, 0, True), "+": (Or, 1, False), "*": (Prod, 2, False)}
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos][0]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        found, text, pos = self.next()
+        if found != kind:
+            raise ParseError(f"expected {kind!r}, found {text!r}", pos)
+
+    def ident(self):
+        kind, text, pos = self.next()
+        if kind not in ("ident", "number"):
+            raise ParseError(f"expected identifier, found {text!r}", pos)
+        return text
+
+    def value(self, floor=0):
+        node = self.operand()
+        while True:
+            entry = _REF_BINARY.get(self.peek())
+            if entry is None or entry[1] < floor:
+                return node
+            cls, power, right = entry
+            self.pos += 1
+            node = cls(node, self.value(power if right else power + 1))
+
+    def operand(self):
+        kind = self.peek()
+        if kind == "~":
+            self.pos += 1
+            return Neg(self.operand())
+        if kind == "(":
+            self.pos += 1
+            node = self.value()
+            self.expect(")")
+            return node
+        return AtomVal(self.ident())
+
+    def term(self):
+        kind = self.peek()
+        if kind == "<":
+            self.next()
+            left = self.term()
+            self.expect(",")
+            right = self.term()
+            self.expect(">")
+            return Pair(left, right)
+        if kind == "[":
+            self.next()
+            antecedent = self.term()
+            self.expect("]")
+            return Cond(antecedent, self.term())
+        name = self.ident()
+        if name in ("fst", "snd") and self.peek() == "(":
+            self.next()
+            inner = self.term()
+            self.expect(")")
+            return Fst(inner) if name == "fst" else Snd(inner)
+        return Atom(name)
+
+    def attribution(self):
+        variable = self.ident()
+        self.expect(":")
+        return ValueAttribution(variable, self.value())
+
+    def attributions(self, end):
+        attributions = []
+        if self.peek() != end:
+            attributions.append(self.attribution())
+            while self.peek() == ",":
+                self.next()
+                attributions.append(self.attribution())
+        self.expect(end)
+        return tuple(attributions)
+
+    def judgment(self):
+        antecedent = self.attributions("|>")
+        subject = self.term()
+        self.expect(":")
+        value = self.value()
+        self.expect("@")
+        kind, text, pos = self.next()
+        if kind not in ("number", "ident") or not _is_number(text):
+            raise ParseError(f"expected probability, found {text!r}", pos)
+        probability = float(text)
+        self.expect("eof")
+        return Judgment(antecedent, subject, value, probability)
+
+    def whole(self, rule):
+        node = rule()
+        self.expect("eof")
+        return node
+
+
+# Names of `_PIECES` in a schema, so that some random judgments validate.
+_DIFF_SCHEMA = AttributeSchema.of([("x", ("a", "b", "ab")), ("E", ("e", "_", "0", "1_0")), ("X", ("y", "z"))])
+
+
+def _reference_parse(rule, text):
+    parser = _ReferenceParser(text)
+    if rule == "value":
+        return parser.whole(parser.value)
+    if rule == "term":
+        return parser.whole(parser.term)
+    if rule == "attributions":
+        return parser.attributions("eof")
+    return parser.judgment().validate(_DIFF_SCHEMA)
+
+
+_PARSE = {
+    "value": parse_value,
+    "term": parse_term,
+    "attributions": parse_attribution_list,
+    "judgment": lambda text: parse_judgment(text, _DIFF_SCHEMA),
+}
+
+
+def _outcome(parse, text):
+    try:
+        return ("parsed", parse(text))
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.position)
+    except TndpqError as exc:  # a validation error of a parsed judgment
+        return ("parsed", type(exc).__name__, str(exc))
+
+
+def test_parser_matches_reference_on_random_token_strings():
+    rng = random.Random(20261019)
+    pieces = _PIECES + ["|>", "@", "<", ">", "[", "]", ",", ":", "fst("]
+    parsed = dict.fromkeys(_PARSE, 0)
+
+    def pick(most):
+        return "".join(rng.choice(pieces) for _ in range(rng.randrange(0, most)))
+
+    def part(well_formed, most):
+        return rng.choice(well_formed) if rng.random() < 0.5 else pick(most)
+
+    for n in range(30000):
+        # every other text has the frame of a judgment, each of whose parts
+        # is well formed half the time, so that some judgments parse
+        text = pick(12) if n % 2 else (
+            f"{part(['', 'x:a+b', 'X:~y, x:ab'], 3)}|>{part(['E', '<x,X>', '[X]E'], 3)}"
+            f":{part(['e', '1_0*y', 'e->z'], 3)}@{part(['0.25', '1', '1.5'], 2)}"
+        )
+        for rule, parse in _PARSE.items():
+            got = _outcome(parse, text)
+            assert got == _outcome(lambda t: _reference_parse(rule, t), text), (rule, text)
+            parsed[rule] += got[0] == "parsed"
+    # every rule is met with texts it reads, not only with syntax errors
+    assert min(parsed.values()) > 100, parsed
 
 
 def test_same_sigma_ignores_order_only():
