@@ -262,19 +262,24 @@ def reduce_projections(term: VariableTerm) -> VariableTerm:
     """Apply fst(<t,u>)=t and snd(<t,u>)=u exhaustively.
 
     Projections on non-pairs are left symbolic; the result is a fixpoint.
+    A term with no projection to reduce below it is returned as it is.
     """
-    if isinstance(term, Atom):
+    kind = type(term)
+    if kind is Atom:
         return term
-    if isinstance(term, Pair):
-        return Pair(reduce_projections(term.left), reduce_projections(term.right))
-    if isinstance(term, Cond):
-        return Cond(reduce_projections(term.antecedent), reduce_projections(term.consequent))
-    if isinstance(term, Fst):
+    if kind is Pair:
+        left, right = reduce_projections(term.left), reduce_projections(term.right)
+        return term if left is term.left and right is term.right else Pair(left, right)
+    if kind is Cond:
+        antecedent, consequent = reduce_projections(term.antecedent), reduce_projections(term.consequent)
+        if antecedent is term.antecedent and consequent is term.consequent:
+            return term
+        return Cond(antecedent, consequent)
+    if kind is Fst or kind is Snd:
         inner = reduce_projections(term.inner)
-        return inner.left if isinstance(inner, Pair) else Fst(inner)
-    if isinstance(term, Snd):
-        inner = reduce_projections(term.inner)
-        return inner.right if isinstance(inner, Pair) else Snd(inner)
+        if type(inner) is Pair:
+            return inner.left if kind is Fst else inner.right
+        return term if inner is term.inner else kind(inner)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -736,9 +741,17 @@ class _Parser:
         return Judgment(antecedent, subject, value, float(text))
 
 
+# The parser, the fit walk and the printer recurse once per level of a value
+# or term, so the public entries turn a RecursionError into this message.
+_TOO_DEEP = "input nested too deeply"
+
+
 def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
     parser = _Parser(text)
-    value = parser.whole(parser.value)
+    try:
+        value = parser.whole(parser.value)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     if schema is not None:
         for node in subvalues(value):
             if type(node) is AtomVal:
@@ -748,24 +761,34 @@ def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
 
 def parse_term(text: str, schema: AttributeSchema | None = None) -> VariableTerm:
     parser = _Parser(text)
-    term = parser.whole(parser.term)
-    if schema is not None:
-        _require_declared(_variables(reduce_projections(term)), schema)
+    try:
+        term = parser.whole(parser.term)
+        if schema is not None:
+            _require_declared(_variables(reduce_projections(term)), schema)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     return term
 
 
 def parse_attribution_list(text: str, schema: AttributeSchema | None = None) -> tuple[ValueAttribution, ...]:
-    attributions = _Parser(text).attributions(None)
-    if schema is not None:
-        for va in attributions:
-            va.mask(schema)
+    parser = _Parser(text)
+    try:
+        attributions = parser.attributions(None)
+        if schema is not None:
+            for va in attributions:
+                va.mask(schema)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     return attributions
 
 
 def parse_judgment(text: str, schema: AttributeSchema) -> Judgment:
     """Parse and validate one judgment against the schema."""
     parser = _Parser(text)
-    return parser.whole(parser.judgment).validate(schema)
+    try:
+        return parser.whole(parser.judgment).validate(schema)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +809,10 @@ def _print_value(value: Value, floor: int = 0) -> str:
 
 
 def print_value(value: Value) -> str:
-    return _print_value(value)
+    try:
+        return _print_value(value)
+    except RecursionError:
+        raise IllFormed(_TOO_DEEP) from None
 
 
 def print_term(term: VariableTerm) -> str:

@@ -9,6 +9,7 @@ compare and derive from.
 from __future__ import annotations
 
 import csv
+from itertools import islice
 
 from .errors import (
     EmptySupport,
@@ -37,9 +38,11 @@ class TrainingSet:
     character i is row i's atom, as the code point of its index in the
     schema's order.  A column takes one byte per row while its variable has
     at most 256 atoms, so 10^5 rows over 8 variables take 0.8 MB; no row
-    is stored as such.  Counting goes through a row-bitset index: for each
-    variable, one int per atom whose bit i is set when row i holds that
-    atom, read off the column by one `str.translate` and one `int(..., 2)`
+    is stored as such, nor are all rows held while the table is built:
+    `load_training_set` and `from_rows` encode the rows a chunk at a time
+    and join each column's chunk strings once at the end.  Counting goes
+    through a row-bitset index: for each variable, one int per atom whose
+    bit i is set when row i holds that atom, read off the column by one `str.translate` and one `int(..., 2)`
     per atom (about 20 ms for 8 columns of 5 atoms at 10^5 rows), or, for
     a column holding an atom past the 128th, by one pass over its rows.  A
     column is indexed at the first query that touches it and cached; the
@@ -58,16 +61,17 @@ class TrainingSet:
         The first dict's keys are the header, and dict i is row i + 2 in
         error messages, as though the header were row 1 of a file.  With no
         rows the table has every variable of the schema as an empty column.
+        Every dict's keys are checked before any cell; the cells are then
+        encoded a chunk of rows at a time, as a CSV's are.
         """
         rows = tuple(rows)
         header = list(rows[0]) if rows else [name for name, _ in schema.variables]
         _check_header(schema, header)
-        records = []
         for lineno, row in enumerate(rows, start=2):
             if row.keys() != rows[0].keys():
                 raise ParseError(f"row {lineno}: columns {sorted(row)}, expected {sorted(header)}")
-            records.append([row[column] for column in header])
-        return _table(id, schema, header, records)
+        records = ([row[column] for column in header] for row in rows)
+        return cls(id, schema, _columns(schema, header, records))
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ""))
@@ -156,24 +160,23 @@ def load_training_set(path, schema: AttributeSchema, id: str | None = None) -> T
     """Read an RFC-4180 CSV whose header names schema variables.
 
     Cells are stripped of padding and blank rows are skipped.  An error
-    names the first faulty row, counting the header as row 1.
+    names the first faulty row, counting the header as row 1.  The rows
+    are read and encoded `_CHUNK` at a time, so the load holds the code
+    strings made so far and one chunk of `csv.reader` rows, not every
+    row of the file.
     """
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
-        records = []
         try:
             header = [h.strip() for h in next(reader)]
             _check_header(schema, header)
-            records.extend(reader)
+            columns = _columns(schema, header, reader)
         except StopIteration:
             raise ParseError("empty file, expected a header row") from None
         except csv.Error as exc:
-            # a cell over the `csv` module's field limit, say; a fault in
-            # a row read before it is named first
-            if records:
-                _clean_rows(schema, header, records)
+            # a cell over the `csv` module's field limit, say
             raise ParseError(f"row {reader.line_num}: {exc}") from None
-    return _table(id if id is not None else str(path), schema, header, records)
+    return TrainingSet(id if id is not None else str(path), schema, columns)
 
 
 def _check_header(schema: AttributeSchema, header: list) -> None:
@@ -184,39 +187,64 @@ def _check_header(schema: AttributeSchema, header: list) -> None:
         raise ParseError("duplicate column in header")
 
 
-def _table(id: str, schema: AttributeSchema, header: list, records: list) -> TrainingSet:
-    """The table of `records`, the cells of each row under `header`.
+# Rows read and encoded at a time.  A chunk of 256 rows of 8 cells takes
+# about 0.15 MB as `csv.reader` lists; 4096 would keep every row of a
+# 4000-row table alive, and smaller chunks load 10^5 rows no faster.
+_CHUNK = 256
 
-    The columns are checked and encoded whole.  Only when that fails are
-    the records walked row by row, to name the first faulty one, or to
-    strip padded cells and drop the blank rows that held cells.
+
+def _columns(schema: AttributeSchema, header: list, records) -> dict[str, str]:
+    """Each column's code string, from an iterator over the cells of each row under `header`.
+
+    The records are taken `_CHUNK` at a time, and each chunk's columns are
+    checked and encoded whole.  Only when that fails are the chunk's
+    records walked row by row, to name the first faulty one, or to strip
+    padded cells and drop the blank rows that held cells.  A `csv.Error`
+    while a chunk is read is raised once the rows read before it in that
+    chunk are checked, so a fault in any earlier row is named first.
     """
-    columns = _encode(schema, header, records)
-    if columns is None:
-        columns = _encode(schema, header, _clean_rows(schema, header, records))
-    return TrainingSet(id, schema, columns)
-
-
-def _encode(schema: AttributeSchema, header: list, records: list) -> dict | None:
-    """Each column's code string, or None when some row does not fit as it stands."""
-    rows = list(filter(None, records))  # csv reads a blank line as []
-    if set(map(len, rows)) - {len(header)}:
-        return None
-    columns = {}
-    for column, cells in zip(header, zip(*rows) if rows else [()] * len(header)):
-        code = {atom: chr(i) for i, atom in enumerate(schema.atoms(column))}
+    to_code = [{atom: chr(i) for i, atom in enumerate(schema.atoms(column))}.__getitem__ for column in header]
+    parts = [[] for _ in header]
+    first = 2  # the header is row 1
+    while True:
+        chunk = []
         try:
-            columns[column] = "".join(map(code.__getitem__, cells))
-        except KeyError:  # a padded or blank cell, or a stranger
-            return None
-    return columns
+            chunk.extend(islice(records, _CHUNK))
+        except csv.Error:
+            _clean_rows(schema, header, chunk, first)
+            raise
+        if not chunk:
+            return {column: "".join(part) for column, part in zip(header, parts)}
+        encoded = _encode(to_code, chunk)
+        if encoded is None:
+            encoded = _encode(to_code, _clean_rows(schema, header, chunk, first))
+        for part, text in zip(parts, encoded):
+            part.append(text)
+        first += len(chunk)
 
 
-def _clean_rows(schema: AttributeSchema, header: list, records: list) -> list:
-    """The non-blank records with their cells stripped; raises at the first faulty row."""
+def _encode(to_code: list, records: list) -> list | None:
+    """Each column's code string over `records`, or None when some row does not fit as it stands.
+
+    `to_code[j]` maps an atom of column j to its code, raising KeyError for any other cell.
+    """
+    rows = list(filter(None, records))  # csv reads a blank line as []
+    if set(map(len, rows)) - {len(to_code)}:
+        return None
+    try:
+        return ["".join(map(code, cells)) for code, cells in zip(to_code, zip(*rows))]
+    except KeyError:  # a padded or blank cell, or a stranger
+        return None
+
+
+def _clean_rows(schema: AttributeSchema, header: list, records: list, first: int) -> list:
+    """The non-blank records, the first being row `first`, with their cells stripped.
+
+    Raises at the first faulty row.
+    """
     allowed = [frozenset(schema.atoms(column)) for column in header]
     rows = []
-    for lineno, cells in enumerate(records, start=2):
+    for lineno, cells in enumerate(records, start=first):
         if not cells or all(not c.strip() for c in cells):
             continue
         if len(cells) != len(header):

@@ -115,6 +115,42 @@ def test_projection_reduction():
     assert reduce_projections(symbolic) == symbolic
 
 
+def test_a_projection_free_term_reduces_to_itself():
+    pair = Pair(Pair(Atom("A"), Atom("B")), Cond(Atom("C"), Atom("D")))
+    cond = Cond(Pair(Atom("A"), Atom("B")), Pair(Atom("C"), Fst(Atom("D"))))
+    assert reduce_projections(pair) is pair
+    assert reduce_projections(cond) is cond
+    # a projection that reduces rebuilds the records above it, and no others
+    mixed = Pair(pair, Snd(Pair(Atom("E"), Atom("F"))))
+    reduced = reduce_projections(mixed)
+    assert reduced == Pair(pair, Atom("F")) and reduced.left is pair
+
+
+_CHAIN = "+".join(["a"] * 1500)
+_DEEP = AttributeSchema.of([("X", ("a", "b"))])
+
+
+# Each public entry raises a TndpqError, not RecursionError, for input
+# nested past the interpreter's recursion limit.
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: parse_value("~" * 1200 + "a"), ParseError),
+        (lambda: parse_value("(" * 1200 + "a" + ")" * 1200), ParseError),
+        (lambda: parse_term("fst(" * 1200 + "X" + ")" * 1200), ParseError),
+        (lambda: parse_attribution_list("X:" + _CHAIN, _DEEP), ParseError),
+        (lambda: parse_judgment(f"|> X : {_CHAIN} @ 0.5", _DEEP), ParseError),
+        (lambda: print_value(parse_value(_CHAIN)), IllFormed),
+    ],
+    ids=["parse_value-negations", "parse_value-parentheses", "parse_term", "parse_attribution_list",
+         "parse_judgment-validation", "print_value"],
+)
+def test_input_nested_too_deeply_is_a_tndpq_error(call, error):
+    with pytest.raises(TndpqError) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == "input nested too deeply"
+
+
 def test_subject_check_after_reduction(loan_schema):
     # fst(<Loan,Gen>) reduces to Loan, so Gen may appear in the antecedent
     j = parse_judgment("Gen:f |> fst(<Loan,Gen>) : yes @ 0.5", loan_schema)

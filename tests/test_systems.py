@@ -1,7 +1,9 @@
 """Training tables, estimators and applied-system files."""
 
+import csv
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -541,3 +543,126 @@ def test_from_rows_checks_as_the_loader_does():
     assert len(empty) == 0 and set(empty.columns) == {"a", "b"}
     with pytest.raises(EmptySupport):
         conditional_distribution(empty, FREQ, sigma("b:u"), "a")
+
+
+# ---------------------------------------------------------------------------
+# Chunked loading against a row-by-row reference
+
+CHUNK = systems._CHUNK
+HUGE = "u" * 140_000  # over the csv field limit
+
+
+def _reference_load(path, schema):
+    """Loading one row at a time: the rows as dicts, or the first fault's (type, message)."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = [h.strip() for h in next(reader)]
+        rows = []
+        try:
+            for lineno, cells in enumerate(reader, start=2):
+                if all(not cell.strip() for cell in cells):
+                    continue
+                if len(cells) != len(header):
+                    return ParseError, f"row {lineno}: {len(cells)} cells, expected {len(header)}"
+                row = {column: cell.strip() for column, cell in zip(header, cells)}
+                for column, atom in row.items():
+                    if atom not in schema.atoms(column):
+                        return SchemaMismatch, f"row {lineno}: {atom!r} is not an atomic value of {column!r}"
+                rows.append(row)
+        except csv.Error as exc:
+            return ParseError, f"row {reader.line_num}: {exc}"
+    return rows
+
+
+# Each fault rewrites the line of a row of atoms (a, w, b); the blank ones drop the row.
+CHUNK_FAULTS = {
+    "unknown atom": lambda a, w, b: f"{a},{w},q",
+    "cell count": lambda a, w, b: f"{a},{w}",
+    "padded cell": lambda a, w, b: f" {a},{w}\t,{b} ",
+    "blank line": lambda a, w, b: "",
+    "all-blank row": lambda a, w, b: ' ,"",',
+    "embedded newline": lambda a, w, b: f'"{a}\n",{w},{b}',
+    "field limit": lambda a, w, b: f"{a},{w},{HUGE}",
+}
+
+def _chunk_places(n):
+    """(where the fault goes, where a csv.Error goes), by index among `n` rows.
+
+    The places are at the start of the last chunk, or, in a table of one
+    chunk, at its last row.
+    """
+    start = (n - 1) // CHUNK * CHUNK
+    if not start:
+        return {"last row of a chunk": (n - 1, None)}
+    places = {
+        "last row of a chunk": (start - 1, None),
+        "first row of the next chunk": (start, None),
+        "row before an error in the next chunk": (start - 1, start),
+    }
+    if start + 1 < n:
+        places["row before an error in its later chunk"] = (start, start + 1)
+    return places
+
+
+def test_chunk_boundaries_match_a_row_by_row_reference(tmp_path):
+    rng = random.Random(19)
+    header = ["a", "w", "b"]
+    path = tmp_path / "t.csv"
+    estimators = (FREQ, Estimator("L", "laplace", 0.5))
+    cases = [(0, None, None, None)]
+    for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
+        cases.append((n, None, None, None))
+        for at, error_at in _chunk_places(n).values():
+            cases += [(n, fault, at, error_at) for fault in CHUNK_FAULTS]
+    assert len(cases) == 1 + 4 + len(CHUNK_FAULTS) * (1 + 1 + 3 + 4)
+    errors = 0
+    for n, fault, at, error_at in cases:
+        case = (n, fault, at, error_at)
+        rows = [tuple(rng.choice(MIXED.atoms(name)) for name in header) for _ in range(n)]
+        lines = [",".join(row) for row in rows]
+        if fault is not None:
+            lines[at] = CHUNK_FAULTS[fault](*rows[at])
+        if error_at is not None:
+            lines[error_at] = CHUNK_FAULTS["field limit"](*rows[error_at])
+        end = rng.choice(("\n", "\r\n"))
+        path.write_bytes(end.join([",".join(header), *lines, ""]).encode())
+        expected = _reference_load(path, MIXED)
+        try:
+            ts = load_training_set(path, MIXED, id="T")
+        except (ParseError, SchemaMismatch) as exc:
+            assert (type(exc), str(exc)) == expected, case
+            errors += 1
+            continue
+        assert isinstance(expected, list), (case, expected)
+        assert len(ts) == len(expected)
+        for name in header:
+            assert ts.column_masks(name) == _reference_masks(expected, name, MIXED.atoms(name)), case
+        for est in estimators:
+            target, *rest = rng.sample(header, len(header))
+            sigma = _random_sigma(rng, rest)
+            assert _outcome(lambda: conditional_distribution(ts, est, sigma, target).distribution) == (
+                _naive_distribution(expected, MIXED, est, sigma, target)
+            ), (case, sigma)
+    # the unknown atom, the cell count and the field limit at each of the 9
+    # places, and every other fault before one of the 3 csv errors
+    assert errors == 3 * 9 + 4 * 3
+
+
+def test_load_memory_is_bounded_by_a_chunk(tmp_path):
+    names = [f"V{i}" for i in range(8)]
+    schema = AttributeSchema.of([(name, tuple(f"{name}a{j}" for j in range(5))) for name in names])
+    rng = random.Random(20)
+    path = tmp_path / "t.csv"
+    with open(path, "w") as handle:
+        handle.write(",".join(names) + "\n")
+        for _ in range(20_000):
+            handle.write(",".join(rng.choice(schema.atoms(name)) for name in names) + "\n")
+    tracemalloc.start()
+    try:
+        ts = load_training_set(path, schema)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 20_000
+    # the finished table keeps 8 code strings of 20 000 characters, 0.16 MiB
+    assert peak < 1 << 20, peak
