@@ -16,6 +16,14 @@ axiom AtQuery its premise count, its handler and its kind, one of four: a
 right introduction or right elimination rule works on the conclusion's
 subject and value, a left rule on its antecedent, and a double-line rule
 (ImpIE, NegIER) introduces read forward and eliminates read backward.
+
+The nine left rules share one handler, `_rule_left`, which reads their
+premise forms from a second table, `_LEFT`.  Every premise of a left rule,
+and its conclusion, is a judgment over one context σ, one atomic variable
+t and one query u : δ, in one of three forms: X is σ |> t : X, u is
+σ |> u : δ, and X| is σ, t : X |> u : δ, where X is γ, β, γ+β or ~β.  A
+row gives the forms of the premises f, g, h, i in order, the conclusion's
+form and the probability formula.
 """
 
 from __future__ import annotations
@@ -379,95 +387,6 @@ def _rule_or_er(rule, conclusions, schema, side, direction):
     return conclusion, []
 
 
-def _rule_or_il(rule, conclusions, schema, side, direction):
-    p1, p2, p3, p4 = conclusions
-    sigma = p3.antecedent
-    _require(same_sigma(p3, p4), rule, "categorical premise contexts differ")
-    _require(_same_subject(p3.subject, p4.subject), rule, "categorical premise subjects differ")
-    gamma, beta = p3.value, p4.value
-    e1 = _extension(p1, sigma)
-    e2 = _extension(p2, sigma)
-    t_atom = _as_atom(p3.subject, rule)
-    _require(e1.variable == t_atom.name and e1.value == gamma, rule, "first premise must condition on the gamma attribution")
-    _require(e2.variable == t_atom.name and e2.value == beta, rule, "second premise must condition on the beta attribution")
-    _require(_same_subject(p1.subject, p2.subject) and p1.value == p2.value, rule, "conditional premises disagree on the queried attribution")
-    evidence = _exclusivity_evidence(p3.subject, gamma, beta, schema, rule)
-    f, g, h, i = p1.probability, p2.probability, p3.probability, p4.probability
-    denom = _nonzero(h + i, rule, "h + i")
-    conclusion = Judgment(
-        sigma + (ValueAttribution(t_atom.name, Or(gamma, beta)),),
-        p1.subject,
-        p1.value,
-        _finish((f * h + g * i) / denom, rule),
-    )
-    return conclusion, [evidence]
-
-
-def _rule_or_el_ab(rule, conclusions, schema, side, direction):
-    second = rule == RuleId.OrELb
-    p1, p2, p3, p4 = conclusions
-    sigma = p3.antecedent
-    _require(same_sigma(p3, p4), rule, "categorical premise contexts differ")
-    _require(_same_subject(p3.subject, p4.subject), rule, "categorical premise subjects differ")
-    gamma, beta = p3.value, p4.value
-    t_atom = _as_atom(p3.subject, rule)
-    e1 = _extension(p1, sigma)
-    _require(e1.variable == t_atom.name and e1.value == Or(gamma, beta), rule, "major premise must condition on the disjunction")
-    e2 = _extension(p2, sigma)
-    minor_value = gamma if second else beta
-    concl_value = beta if second else gamma
-    _require(e2.variable == t_atom.name and e2.value == minor_value, rule, "second premise conditions on the wrong disjunct")
-    _require(_same_subject(p1.subject, p2.subject) and p1.value == p2.value, rule, "conditional premises disagree on the queried attribution")
-    f, g, h, i = p1.probability, p2.probability, p3.probability, p4.probability
-    if second:
-        p = (f * (h + i) - g * h) / _nonzero(i, rule, "i")
-    else:
-        p = (f * (h + i) - g * i) / _nonzero(h, rule, "h")
-    conclusion = Judgment(
-        sigma + (ValueAttribution(t_atom.name, concl_value),),
-        p1.subject,
-        p1.value,
-        _finish(p, rule),
-    )
-    return conclusion, []
-
-
-def _rule_or_el_cd(rule, conclusions, schema, side, direction):
-    second = rule == RuleId.OrELd
-    p1, p2, p3, p4 = conclusions
-    sigma = p4.antecedent
-    t_atom = _as_atom(p4.subject, rule)
-    e1 = _extension(p1, sigma)
-    e2 = _extension(p2, sigma)
-    e3 = _extension(p3, sigma)
-    gamma, beta = e1.value, e2.value
-    _require(e1.variable == t_atom.name and e2.variable == t_atom.name and e3.variable == t_atom.name, rule, "conditional premises must condition on the categorical premise's variable")
-    _require(e3.value == Or(gamma, beta), rule, "third premise must condition on the disjunction")
-    _require(p4.value == (gamma if second else beta), rule, "categorical premise attributes the wrong disjunct")
-    _require(
-        _same_subject(p1.subject, p2.subject)
-        and _same_subject(p2.subject, p3.subject)
-        and p1.value == p2.value == p3.value,
-        rule,
-        "conditional premises disagree on the queried attribution",
-    )
-    f, g, h, i = p1.probability, p2.probability, p3.probability, p4.probability
-    if second:
-        denominator = h - g
-        if denominator == 0.0:
-            raise ZeroDenominator(f"{rule.value}: h = g (no proviso is stated for this case)")
-        p = i * (f - h) / denominator
-        value = beta
-    else:
-        denominator = h - f
-        if denominator == 0.0:
-            raise ZeroDenominator(f"{rule.value}: h = f (no proviso is stated for this case)")
-        p = i * (g - h) / denominator
-        value = gamma
-    conclusion = Judgment(sigma, p4.subject, value, _finish(p, rule))
-    return conclusion, []
-
-
 def _rule_neg_ier(rule, conclusions, schema, side, direction):
     (p,) = conclusions
     if direction == "forward":
@@ -476,85 +395,6 @@ def _rule_neg_ier(rule, conclusions, schema, side, direction):
         _require(isinstance(p.value, Neg), rule, "value is not negated")
         value = p.value.inner
     conclusion = Judgment(p.antecedent, p.subject, value, _finish(1.0 - p.probability, rule))
-    return conclusion, []
-
-
-def _match_neg_triple(p_beta, p_cond, rule, negated):
-    """Check that p_cond extends p_beta's context by t:beta (or its negation)."""
-    sigma = p_beta.antecedent
-    extra = _extension(p_cond, sigma)
-    t_atom = _as_atom(p_beta.subject, rule)
-    expected = Neg(p_beta.value) if negated else p_beta.value
-    _require(extra.variable == t_atom.name and extra.value == expected, rule, "conditional premise conditions on the wrong attribution")
-    return t_atom
-
-
-def _rule_neg_il(rule, conclusions, schema, side, direction):
-    p1, p2, p3 = conclusions
-    _require(same_sigma(p1, p2), rule, "categorical premise contexts differ")
-    t_atom = _match_neg_triple(p1, p3, rule, negated=False)
-    _require(_same_subject(p2.subject, p3.subject) and p2.value == p3.value, rule, "premises disagree on the queried attribution")
-    f, g, h = p1.probability, p2.probability, p3.probability
-    if f == 1.0:
-        raise ZeroDenominator(f"{rule.value}: f = 1")
-    conclusion = Judgment(
-        p1.antecedent + (ValueAttribution(t_atom.name, Neg(p1.value)),),
-        p2.subject,
-        p2.value,
-        _finish((g - f * h) / (1.0 - f), rule),
-    )
-    return conclusion, []
-
-
-def _rule_neg_el_a(rule, conclusions, schema, side, direction):
-    p1, p2, p3 = conclusions
-    _require(same_sigma(p1, p2), rule, "categorical premise contexts differ")
-    t_atom = _match_neg_triple(p1, p3, rule, negated=True)
-    _require(_same_subject(p2.subject, p3.subject) and p2.value == p3.value, rule, "premises disagree on the queried attribution")
-    f, g, h = p1.probability, p2.probability, p3.probability
-    conclusion = Judgment(
-        p1.antecedent + (ValueAttribution(t_atom.name, p1.value),),
-        p2.subject,
-        p2.value,
-        _finish((g + h * (f - 1.0)) / _nonzero(f, rule, "f"), rule),
-    )
-    return conclusion, []
-
-
-def _rule_neg_el_b(rule, conclusions, schema, side, direction):
-    p1, p2, p3 = conclusions
-    _match_neg_triple(p1, p2, rule, negated=False)
-    _match_neg_triple(p1, p3, rule, negated=True)
-    _require(_same_subject(p2.subject, p3.subject) and p2.value == p3.value, rule, "premises disagree on the queried attribution")
-    f, g, h = p1.probability, p2.probability, p3.probability
-    conclusion = Judgment(
-        p1.antecedent,
-        p2.subject,
-        p2.value,
-        _finish(h - h * f + g * f, rule),
-    )
-    return conclusion, []
-
-
-def _rule_neg_el_c(rule, conclusions, schema, side, direction):
-    p1, p2, p3 = conclusions
-    sigma = p1.antecedent
-    e2 = _extension(p2, sigma)
-    e3 = _extension(p3, sigma)
-    _require(e2.variable == e3.variable and e3.value == Neg(e2.value), rule, "conditional premises must condition on an attribution and its negation")
-    _require(
-        _same_subject(p1.subject, p2.subject)
-        and _same_subject(p2.subject, p3.subject)
-        and p1.value == p2.value == p3.value,
-        rule,
-        "premises disagree on the queried attribution",
-    )
-    f, g, h = p1.probability, p2.probability, p3.probability
-    if g == h:
-        raise ZeroDenominator(f"{rule.value}: g = h (no proviso is stated for this case)")
-    conclusion = Judgment(
-        sigma, Atom(e2.variable), e2.value, _finish((f - h) / (g - h), rule)
-    )
     return conclusion, []
 
 
@@ -575,6 +415,123 @@ def _rule_prod_i_indep(rule, conclusions, schema, side, direction):
     return conclusion, [evidence]
 
 
+# ---------------------------------------------------------------------------
+# Left rules: the forms X, u and X| are those of the module docstring
+
+
+@record(frozen=True)
+class _Left:
+    """A left rule's premise forms f, g, h, i, its conclusion form and formula.
+
+    The formula has no value where `undefined(f, g, ...)` holds, and the
+    ZeroDenominator message then says `why`.
+    """
+
+    forms: tuple[str, ...]
+    concludes: str
+    formula: Callable
+    undefined: Callable | None = None
+    why: str = ""
+
+
+_LEFT = {
+    RuleId.OrIL: _Left(("γ|", "β|", "γ", "β"), "γ+β|", lambda f, g, h, i: (f * h + g * i) / (h + i),
+                       lambda f, g, h, i: h + i == 0.0, "h + i is zero"),
+    RuleId.OrELa: _Left(("γ+β|", "β|", "γ", "β"), "γ|", lambda f, g, h, i: (f * (h + i) - g * i) / h,
+                        lambda f, g, h, i: h == 0.0, "h is zero"),
+    RuleId.OrELb: _Left(("γ+β|", "γ|", "γ", "β"), "β|", lambda f, g, h, i: (f * (h + i) - g * h) / i,
+                        lambda f, g, h, i: i == 0.0, "i is zero"),
+    RuleId.OrELc: _Left(("γ|", "β|", "γ+β|", "β"), "γ", lambda f, g, h, i: i * (g - h) / (h - f),
+                        lambda f, g, h, i: h - f == 0.0, "h = f (no proviso is stated for this case)"),
+    RuleId.OrELd: _Left(("γ|", "β|", "γ+β|", "γ"), "β", lambda f, g, h, i: i * (f - h) / (h - g),
+                        lambda f, g, h, i: h - g == 0.0, "h = g (no proviso is stated for this case)"),
+    RuleId.NegIL: _Left(("β", "u", "β|"), "~β|", lambda f, g, h: (g - f * h) / (1.0 - f),
+                        lambda f, g, h: f == 1.0, "f = 1"),
+    RuleId.NegELa: _Left(("β", "u", "~β|"), "β|", lambda f, g, h: (g + h * (f - 1.0)) / f,
+                         lambda f, g, h: f == 0.0, "f is zero"),
+    RuleId.NegELb: _Left(("β", "β|", "~β|"), "u", lambda f, g, h: h - h * f + g * f),
+    RuleId.NegELc: _Left(("u", "β|", "~β|"), "β", lambda f, g, h: (f - h) / (g - h),
+                         lambda f, g, h: g == h, "g = h (no proviso is stated for this case)"),
+}
+
+
+def _parts(x: str, value):
+    """The (letter, value) pairs that `value` shows in form X, or None if it has not that form."""
+    if x == "γ+β":
+        return (("γ", value.left), ("β", value.right)) if isinstance(value, Or) else None
+    if x == "~β":
+        return (("β", value.inner),) if isinstance(value, Neg) else None
+    return ((x, value),)
+
+
+def _shown(x: str, values: dict):
+    """The value that form X shows for the bound γ and β."""
+    if x == "γ+β":
+        return Or(values["γ"], values["β"])
+    if x == "~β":
+        return Neg(values["β"])
+    return values[x]
+
+
+def _rule_left(rule, conclusions, schema, side, direction):
+    """Match the premises to the rule's forms in order, then apply its formula.
+
+    σ is the context of the first premise of form X or u.  The first premise
+    that shows t, γ, β or u : δ binds it, and each later one must agree.
+    """
+    row = _LEFT[rule]
+    k = next(n for n, form in enumerate(row.forms, 1) if not form.endswith("|"))
+    sigma = conclusions[k - 1].antecedent
+    bound = {}  # t, γ, β and u : δ: (what the first premise to show each shows, its number)
+    t_subject = query = None  # the first X premise's subject and the first u or X| premise
+    for n, (p, form) in enumerate(zip(conclusions, row.forms), 1):
+        x = form.rstrip("|")
+        conditional = x != form
+        shows = []  # (t, γ, β or u : δ, what premise n shows for it)
+        if not conditional and not same_sigma(p.antecedent, sigma):
+            raise ShapeMismatch(f"{rule.value}: premise {n}: the context differs from premise {k}'s")
+        if conditional or x == "u":
+            shows.append(("u : δ", (reduce_projections(p.subject), p.value)))
+            query = p if query is None else query
+        if conditional:  # σ, t : X |> u : δ
+            try:
+                extra = _extension(p, sigma)
+            except ShapeMismatch as exc:
+                raise ShapeMismatch(f"{rule.value}: premise {n}, with the context of premise {k}: {exc}") from None
+            name, value = extra.variable, extra.value
+        elif x != "u":  # σ |> t : X
+            term = reduce_projections(p.subject)
+            if not isinstance(term, Atom):
+                raise ShapeMismatch(f"{rule.value}: premise {n}: {print_term(term)} is not an atomic variable")
+            name, value = term.name, p.value
+            t_subject = p.subject if t_subject is None else t_subject
+        if x != "u":
+            parts = _parts(x, value)
+            if parts is None:
+                raise ShapeMismatch(f"{rule.value}: premise {n}: the value of {name} is not of the form {x}")
+            shows += [("t", name), *parts]
+        for key, shown in shows:
+            seen, m = bound.setdefault(key, (shown, n))
+            if m != n and seen != shown:
+                raise ShapeMismatch(f"{rule.value}: premise {n}: {key} differs from premise {m}'s")
+    values = {key: seen for key, (seen, _) in bound.items()}
+    x = row.concludes.rstrip("|")
+    evidence = []
+    if x == "γ+β":  # the conclusion's disjunction needs γ and β exclusive
+        evidence.append(_exclusivity_evidence(t_subject, values["γ"], values["β"], schema, rule))
+    probabilities = [p.probability for p in conclusions]
+    if row.undefined is not None and row.undefined(*probabilities):
+        raise ZeroDenominator(f"{rule.value}: {row.why}")
+    p = _finish(row.formula(*probabilities), rule)
+    if x == "u":
+        return Judgment(sigma, query.subject, query.value, p), evidence
+    if x != row.concludes:
+        attribution = ValueAttribution(values["t"], _shown(x, values))
+        return Judgment(sigma + (attribution,), query.subject, query.value, p), evidence
+    t_term = Atom(values["t"]) if t_subject is None else t_subject
+    return Judgment(sigma, t_term, _shown(x, values), p), evidence
+
+
 RULES = {
     entry.id: entry
     for entry in (
@@ -588,16 +545,8 @@ RULES = {
         Rule(RuleId.OrIR, 2, _rule_or_ir, RuleKind.RIGHT_I),
         Rule(RuleId.OrERa, 2, _rule_or_er, RuleKind.RIGHT_E),
         Rule(RuleId.OrERb, 2, _rule_or_er, RuleKind.RIGHT_E),
-        Rule(RuleId.OrIL, 4, _rule_or_il, RuleKind.LEFT),
-        Rule(RuleId.OrELa, 4, _rule_or_el_ab, RuleKind.LEFT),
-        Rule(RuleId.OrELb, 4, _rule_or_el_ab, RuleKind.LEFT),
-        Rule(RuleId.OrELc, 4, _rule_or_el_cd, RuleKind.LEFT),
-        Rule(RuleId.OrELd, 4, _rule_or_el_cd, RuleKind.LEFT),
         Rule(RuleId.NegIER, 1, _rule_neg_ier, RuleKind.DOUBLE_LINE),
-        Rule(RuleId.NegIL, 3, _rule_neg_il, RuleKind.LEFT),
-        Rule(RuleId.NegELa, 3, _rule_neg_el_a, RuleKind.LEFT),
-        Rule(RuleId.NegELb, 3, _rule_neg_el_b, RuleKind.LEFT),
-        Rule(RuleId.NegELc, 3, _rule_neg_el_c, RuleKind.LEFT),
+        *(Rule(rule, len(row.forms), _rule_left, RuleKind.LEFT) for rule, row in _LEFT.items()),
         Rule(RuleId.ProdIIndep, 2, _rule_prod_i_indep, RuleKind.RIGHT_I),
     )
 }

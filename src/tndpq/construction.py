@@ -15,7 +15,6 @@ from .errors import (
     DerivationFailed,
     PreconditionFailed,
     RuleNotAllowed,
-    TheoremDoesNotApply,
     TndpqError,
 )
 from .calculus import (
@@ -229,7 +228,6 @@ def verify_preservation(
     mode: str,
     schema: AttributeSchema,
     tol: float = 0.0,
-    strict: bool = False,
 ) -> TrustReport:
     """Run one plan on an original and a copy and check trust preservation.
 
@@ -237,8 +235,7 @@ def verify_preservation(
     input, like the result, is compared as a one-entry list, so the kind's
     prefix length plays no part.  The report's warning field marks verdicts
     that are merely empirical because no preservation theorem covers the
-    combination; with strict=True such combinations raise
-    TheoremDoesNotApply instead.
+    combination.
     """
     if mode not in ("construct", "deconstruct"):
         raise PreconditionFailed(f"unknown mode {mode!r}")
@@ -252,8 +249,6 @@ def verify_preservation(
                 f"inputs {name!r} do not stand in {kind}: original {f!r}, copy {g!r}"
             )
     guaranteed, reason = _preservation_guaranteed(kind, mode, plan)
-    if strict and not guaranteed:
-        raise TheoremDoesNotApply(reason)
     runner = construct if mode == "construct" else deconstruct
     result_orig = runner(orig_inputs, plan, schema)
     result_copy = runner(copy_inputs, plan, schema)

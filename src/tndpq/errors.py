@@ -83,9 +83,5 @@ class RuleNotAllowed(TndpqError):
     """A construction/deconstruction plan uses a rule outside its allowed set."""
 
 
-class TheoremDoesNotApply(TndpqError):
-    """The requested preservation guarantee is outside the proved theorems."""
-
-
 class NothingToCompare(TndpqError):
     """A trust check was given no atoms, probe values, contexts or targets."""

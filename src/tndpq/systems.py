@@ -28,6 +28,8 @@ from .syntax import (
 )
 
 _SUM_TOL = 1e-9
+# `independent` finds u independent of t when no conditional differs by more
+_INDEPENDENCE_TOL = 1e-9
 
 
 @record(frozen=True)
@@ -233,25 +235,26 @@ def _encode(to_code: list, records: list) -> list | None:
         return None
     try:
         return ["".join(map(code, cells)) for code, cells in zip(to_code, zip(*rows))]
-    except KeyError:  # a padded or blank cell, or a stranger
+    except (KeyError, TypeError):  # a padded or blank cell, or a stranger
         return None
 
 
 def _clean_rows(schema: AttributeSchema, header: list, records: list, first: int) -> list:
     """The non-blank records, the first being row `first`, with their cells stripped.
 
-    Raises at the first faulty row.
+    Raises at the first faulty row.  A cell that is not a string, which a
+    row dict may hold, is no atom.
     """
     allowed = [frozenset(schema.atoms(column)) for column in header]
     rows = []
     for lineno, cells in enumerate(records, start=first):
-        if not cells or all(not c.strip() for c in cells):
+        if not cells or all(isinstance(c, str) and not c.strip() for c in cells):
             continue
         if len(cells) != len(header):
             raise ParseError(f"row {lineno}: {len(cells)} cells, expected {len(header)}")
-        row = [cell.strip() for cell in cells]
+        row = [cell.strip() if isinstance(cell, str) else cell for cell in cells]
         for column, atoms, atom in zip(header, allowed, row):
-            if atom not in atoms:
+            if not isinstance(atom, str) or atom not in atoms:
                 raise SchemaMismatch(f"row {lineno}: {atom!r} is not an atomic value of {column!r}")
         rows.append(row)
     return rows
@@ -296,7 +299,7 @@ def conditional_distribution(
 
 
 def independent(
-    ts: TrainingSet, est: Estimator, sigma, t: str, u: str, tol: float = 1e-9
+    ts: TrainingSet, est: Estimator, sigma, t: str, u: str
 ):
     """Test conditional independence of u from t given σ.
 
@@ -319,7 +322,7 @@ def independent(
             deviation = abs(q - p)
             if deviation > worst[0]:
                 worst = (deviation, tau, upsilon)
-    verdict = worst[0] <= tol
+    verdict = worst[0] <= _INDEPENDENCE_TOL
     return verdict, {"max_deviation": worst[0], "t_atom": worst[1], "u_atom": worst[2]}
 
 

@@ -45,6 +45,9 @@ from tndpq.syntax import (
 from tndpq.systems import AppliedSystem, Estimator, TrainingSet
 from tndpq.trust import at, build_chain, check_local, compose_square, et, jt, verify_algebra, wt
 
+# every conclusion a rule builds in these criteria must parse back
+pytestmark = pytest.mark.usefixtures("conclusions_parse_back")
+
 SCHEMA = AttributeSchema.of(
     [("X", ("a", "b", "c")), ("Y", ("u", "v")), ("Z", ("m", "n"))]
 )

@@ -309,6 +309,79 @@ def test_shape_mismatch():
         apply_rule(RuleId.OrERa, [p1, p2], SCHEMA)
 
 
+# Each left rule's premises f, g, h, i in order, and its conclusion, each of
+# form X (Z:m |> X : X), u (Z:m |> Y : u) or X| (Z:m, X : X |> Y : u).  Under
+# Z:m, X is a, b, c with probability 0.3, 0.2, 0.5, and Y is u with
+# probability 0.5, 0.4, 0.6 given each; γ is a and β is b in the Or rules,
+# β is a in the Neg rules.
+LEFT_FORMS = {
+    RuleId.OrIL: (("γ|", "β|", "γ", "β"), "γ+β|"),
+    RuleId.OrELa: (("γ+β|", "β|", "γ", "β"), "γ|"),
+    RuleId.OrELb: (("γ+β|", "γ|", "γ", "β"), "β|"),
+    RuleId.OrELc: (("γ|", "β|", "γ+β|", "β"), "γ"),
+    RuleId.OrELd: (("γ|", "β|", "γ+β|", "γ"), "β"),
+    RuleId.NegIL: (("β", "u", "β|"), "~β|"),
+    RuleId.NegELa: (("β", "u", "~β|"), "β|"),
+    RuleId.NegELb: (("β", "β|", "~β|"), "u"),
+    RuleId.NegELc: (("u", "β|", "~β|"), "β"),
+}
+LEFT_SCHEMA = AttributeSchema.of(
+    [("X", ("a", "b", "c")), ("Y", ("u", "v")), ("Z", ("m", "n")), ("W", ("p", "q"))]
+)
+LEFT_PROBABILITY = {
+    "Or": {"γ": 0.3, "β": 0.2, "γ|": 0.5, "β|": 0.4, "γ+β|": 0.46},
+    "Neg": {"β": 0.3, "u": 0.53, "β|": 0.5, "~β|": 0.38 / 0.7},
+}
+# a wrong context, a wrong t, a wrong value or a different query
+WRONG = {"context": {"context": "Z:n"}, "t": {"t": "W", "g": "p", "b": "q"},
+         "value": {"g": "c", "b": "c"}, "query": {"query": "Y : v"}}
+
+
+def left_premise(rule, form, context="Z:m", t="X", g=None, b=None, query="Y : u"):
+    family = "Or" if rule.value.startswith("Or") else "Neg"
+    g, b = g or "a", b or ("b" if family == "Or" else "a")
+    x = form.rstrip("|")
+    value = {"γ": g, "β": b, "γ+β": f"{g}+{b}", "~β": f"~{b}", "u": None}[x]
+    p = LEFT_PROBABILITY[family][form]
+    if x == "u":
+        return leaf(f"{context} |> {query} @ {p}", LEFT_SCHEMA)
+    if form.endswith("|"):
+        return leaf(f"{context}, {t}:{value} |> {query} @ {p}", LEFT_SCHEMA)
+    return leaf(f"{context} |> {t} : {value} @ {p}", LEFT_SCHEMA)
+
+
+def test_left_rules_conclude_their_form():
+    for rule, (forms, concludes) in LEFT_FORMS.items():
+        assert RULES[rule].premises == len(forms)
+        derived = apply_rule(rule, [left_premise(rule, form) for form in forms], LEFT_SCHEMA).conclusion
+        expected = left_premise(rule, concludes).conclusion
+        assert derived == expected.with_probability(derived.probability)
+        assert derived.probability == pytest.approx(expected.probability)
+
+
+@pytest.mark.parametrize(
+    "rule, n, wrong",
+    [
+        (rule, n, wrong)
+        for rule, (forms, _) in LEFT_FORMS.items()
+        for n, form in enumerate(forms, 1)
+        for wrong in WRONG
+        if not (form == "u" and wrong in ("t", "value"))  # a u premise shows no t
+        and not (form in ("γ", "β") and wrong == "query")  # an X premise no query
+    ],
+)
+def test_left_rules_refuse_a_premise_of_the_wrong_form(rule, n, wrong):
+    premises = [
+        left_premise(rule, form, **(WRONG[wrong] if m == n else {}))
+        for m, form in enumerate(LEFT_FORMS[rule][0], 1)
+    ]
+    with pytest.raises(ShapeMismatch) as caught:
+        apply_rule(rule, premises, LEFT_SCHEMA)
+    message = str(caught.value)
+    assert message.startswith(f"{rule.value}: premise ")
+    assert f"premise {n}" in message
+
+
 def test_provenance_merge_and_mismatch():
     rows = tuple({"X": x, "Y": y} for x, y in (("a", "u"), ("a", "v"), ("b", "u")))
     t1 = TrainingSet.from_rows("T1", SCHEMA, rows)

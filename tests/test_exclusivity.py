@@ -163,6 +163,16 @@ def test_oracle_budget():
         oracle_exclusive(Pair(Atom("A"), Atom("B")), v("x1*y1"), v("x2*y2"), big)
 
 
+# the parser reads a+...+a in a loop, but the fit walks it once per term
+@pytest.mark.parametrize("decide", [exclusive, oracle_exclusive])
+def test_a_value_nested_too_deeply_is_ill_formed(decide):
+    schema = AttributeSchema.of([("X", ("a", "b"))])
+    chain = parse_value("+".join(["a"] * 1500))
+    with pytest.raises(IllFormed) as caught:
+        decide(parse_term("X", schema), chain, AtomVal("b"), schema)
+    assert str(caught.value) == "input nested too deeply"
+
+
 def test_explain_trace():
     schema = AttributeSchema.of([("A", ("a1", "a2")), ("B", ("a3", "a4"))])
     trace: list[str] = []

@@ -174,7 +174,7 @@ def test_independence_product_table():
         for b in ("u", "v")
     ]
     ts = _ts(rows)
-    verdict, witness = independent(ts, FREQ, (), "a", "b", tol=1e-9)
+    verdict, witness = independent(ts, FREQ, (), "a", "b")
     assert verdict
     assert witness["max_deviation"] <= 1e-9
 
@@ -183,11 +183,9 @@ def test_independence_copied_column():
     schema = AttributeSchema.of([("a", ("x", "y")), ("b", ("u", "v"))])
     rows = [{"a": "x", "b": "u"}, {"a": "x", "b": "u"}, {"a": "y", "b": "v"}, {"a": "y", "b": "v"}]
     ts = _ts(rows, schema)
-    verdict, witness = independent(ts, FREQ, (), "a", "b", tol=1e-9)
+    verdict, witness = independent(ts, FREQ, (), "a", "b")
     assert not verdict
     assert witness["max_deviation"] == pytest.approx(0.5)
-    verdict_loose, _ = independent(ts, FREQ, (), "a", "b", tol=1.0)
-    assert verdict_loose
 
 
 def test_independence_skips_an_unheld_atom():
@@ -543,6 +541,13 @@ def test_from_rows_checks_as_the_loader_does():
     assert len(empty) == 0 and set(empty.columns) == {"a", "b"}
     with pytest.raises(EmptySupport):
         conditional_distribution(empty, FREQ, sigma("b:u"), "a")
+
+
+@pytest.mark.parametrize("cell", [1, None, ["x"]])
+def test_from_rows_refuses_a_cell_that_is_not_a_string(cell):
+    with pytest.raises(SchemaMismatch) as caught:
+        _ts([{"a": cell, "b": "u"}])
+    assert str(caught.value) == f"row 2: {cell!r} is not an atomic value of 'a'"
 
 
 # ---------------------------------------------------------------------------
