@@ -67,7 +67,7 @@ from .syntax import (
     require_linear,
     same_sigma,
 )
-from .systems import AppliedSystem, conditional_distribution, independent
+from .systems import AppliedSystem, Learner, conditional_distribution, independent
 
 _TOL = 1e-9
 
@@ -173,11 +173,9 @@ def _nonzero(x: float, rule: RuleId, what: str) -> float:
 
 
 def _extension(judgment: Judgment, base_sigma) -> ValueAttribution:
-    """The single attribution extending base_sigma in the judgment's antecedent."""
-    base = {(va.variable, va.value) for va in base_sigma}
-    extra = [va for va in judgment.antecedent if (va.variable, va.value) not in base]
-    rest = [va for va in judgment.antecedent if (va.variable, va.value) in base]
-    if len(extra) != 1 or len(rest) != len(base):
+    """The one attribution the judgment's antecedent adds to base_sigma, neither naming a variable twice."""
+    extra = [va for va in judgment.antecedent if va not in base_sigma]
+    if len(extra) != 1 or len(judgment.antecedent) != len(base_sigma) + 1:
         raise ShapeMismatch(
             f"antecedent of {print_judgment(judgment)} does not extend the context by one attribution"
         )
@@ -639,32 +637,33 @@ def check_derivation(
     """
     report = CheckReport()
     tags = set()
-    _check_node(derivation, schema, sources, report, "root", tags)
+    learners = {id: Learner(pair) for id, pair in (sources or {}).items()}
+    _check_node(derivation, schema, learners, report, "root", tags)
     if len(tags) > 1:
         report.add("root", "ProvenanceMismatch", f"multiple provenance tags {sorted(tags)}")
     return report
 
 
-def _check_node(node, schema, sources, report, path, tags):
+def _check_node(node, schema, learners, report, path, tags):
     if node.provenance is not None:
         tags.add(node.provenance)
+    learn = learners.get(node.provenance[0]) if learners and node.provenance else None
     if node.rule == RuleId.AtQuery:
         if node.premises:
             report.add(path, "ShapeMismatch", "axiom node with premises")
-        if sources and node.provenance and node.provenance[0] in sources:
-            ts, est = sources[node.provenance[0]]
+        if learn is not None:
             try:
-                expected = at_query((ts, est), node.conclusion.antecedent,
-                                    _as_atom(node.conclusion.subject, RuleId.AtQuery).name,
-                                    node.conclusion.value.name)
+                variable = _as_atom(node.conclusion.subject, RuleId.AtQuery).name
+                atom = node.conclusion.value.name
+                expected = learn(node.conclusion.antecedent, variable).probability(atom)
             except Exception as exc:
                 report.add(path, "UnknownCondition", str(exc))
             else:
-                if abs(expected.conclusion.probability - node.conclusion.probability) > _TOL:
+                if abs(expected - node.conclusion.probability) > _TOL:
                     report.add(
                         path,
                         "FormulaViolation",
-                        f"leaf probability {node.conclusion.probability!r}, source gives {expected.conclusion.probability!r}",
+                        f"leaf probability {node.conclusion.probability!r}, source gives {expected!r}",
                     )
         return
     try:
@@ -687,25 +686,24 @@ def _check_node(node, schema, sources, report, path, tags):
         elif abs(expected.probability - actual.probability) > _TOL:
             report.add(path, "FormulaViolation",
                        f"probability {actual.probability!r}, formula gives {expected.probability!r}")
-        _retest_independence(node, sources, report, path)
+        _retest_independence(node, learn, report, path)
     for index, premise in enumerate(node.premises):
-        _check_node(premise, schema, sources, report, f"{path}.{index}", tags)
+        _check_node(premise, schema, learners, report, f"{path}.{index}", tags)
 
 
-def _retest_independence(node, sources, report, path):
-    """Re-run a recorded independence test against the node's source.
+def _retest_independence(node, learn, report, path):
+    """Re-run a recorded independence test against the node's source, if `learn` reads one.
 
     Asserted independence carries no verdict and is taken as given.
     """
-    if not (sources and node.provenance and node.provenance[0] in sources):
+    if learn is None:
         return
-    source = sources[node.provenance[0]]
     for fact in node.side_conditions:
         if fact.get("kind") != "independent" or "verdict" not in fact:
             continue
         t, u = fact["t"], fact["u"]
         try:
-            retested = independence_fact(source, node.conclusion.antecedent, t, u)
+            retested = independence_fact(learn.pair, node.conclusion.antecedent, t, u)
         except TndpqError as exc:
             report.add(path, type(exc).__name__, str(exc))
             continue

@@ -33,12 +33,11 @@ from .syntax import (
     Value,
     ValueAttribution,
     VariableTerm,
-    fit,
     print_term,
     print_value,
     reduce_projections,
 )
-from .systems import AppliedSystem, conditional_distribution
+from .systems import AppliedSystem, Learner
 from .trust import TrustKind, TrustProfile, TrustReport
 
 # Rules admissible in each mode, as (rule, direction) pairs, read from the
@@ -87,10 +86,13 @@ def derive_value(
     Atoms come from queries against the source; disjunctions use exclusive
     introduction, negations the double-line negation rule, conditionals the
     residuation rule, and products either the conditional introduction (for
-    an atomic left component) or the independence rule.
+    an atomic left component) or the independence rule.  A pair source is
+    read through a `Learner` for this call, or one the verdict's calls share.
     """
     term = reduce_projections(term)
     sigma = tuple(sigma)
+    if not isinstance(source, (AppliedSystem, Learner)):
+        source = Learner(source)
     try:
         return _derive(source, sigma, term, value, schema)
     except TndpqError as exc:
@@ -101,31 +103,14 @@ def derive_value(
         ) from exc
 
 
-def _fits(term, value, schema) -> bool:
-    """Whether `value` fits `term`; over a variable, whether it is in class O."""
-    try:
-        fit(term, value, schema)
-    except TndpqError:
-        return False
-    return True
-
-
 def _derive(source, sigma, term, value, schema) -> Derivation:
-    if (
-        isinstance(value, (Neg, Or))
-        and isinstance(term, Atom)
-        and not isinstance(source, AppliedSystem)
-        and _fits(term, value, schema)
-    ):
-        # every atom of the value queries the same distribution: learn it once
-        ts, est = source
-        source = conditional_distribution(ts, est, sigma, term.name)
     if isinstance(value, AtomVal):
         if not isinstance(term, Atom):
             raise DerivationFailed(
                 f"atomic value {value.name} for non-atomic term {print_term(term)}"
             )
-        return at_query(source, sigma, term.name, value.name)
+        system = source if isinstance(source, AppliedSystem) else source(sigma, term.name)
+        return at_query(system, sigma, term.name, value.name)
     if isinstance(value, Neg):
         inner = _derive(source, sigma, term, value.inner, schema)
         return apply_rule(RuleId.NegIER, [inner], schema)
@@ -149,7 +134,7 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
             )
         left_term = reduce_projections(term.left)
         right_term = reduce_projections(term.right)
-        if isinstance(left_term, Atom) and _fits(left_term, value.left, schema):
+        if isinstance(left_term, Atom):
             try:
                 # conditional route: sigma, t:beta |> u:delta then I-times-1
                 minor = _derive(source, sigma, left_term, value.left, schema)
@@ -158,8 +143,8 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
                 return apply_rule(RuleId.ProdI1, [major, minor], schema)
             except TndpqError:
                 pass
-        if isinstance(source, tuple) and isinstance(left_term, Atom) and isinstance(right_term, Atom):
-            fact = independence_fact(source, sigma, left_term.name, right_term.name)
+        if isinstance(source, Learner) and isinstance(left_term, Atom) and isinstance(right_term, Atom):
+            fact = independence_fact(source.pair, sigma, left_term.name, right_term.name)
             if not fact["verdict"]:
                 raise DerivationFailed(
                     f"components of {print_value(value)} are neither conditionally "

@@ -505,9 +505,7 @@ class Judgment:
     def __post_init__(self):
         if not -0.0 <= self.probability <= 1.0:
             raise IllFormed(f"probability {self.probability} outside [0, 1]")
-        variables = [va.variable for va in self.antecedent]
-        if len(set(variables)) != len(variables):
-            raise IllFormed("a variable appears twice in the antecedent")
+        require_distinct_variables(self.antecedent)
 
     def validate(self, schema: AttributeSchema) -> "Judgment":
         """Check the antecedent, then that the value fits the reduced, linear subject."""
@@ -523,20 +521,21 @@ class Judgment:
         _fit(subject, self.value, schema)
         return self
 
-    def sigma_key(self):
-        """Order-insensitive view of the antecedent, keyed by variable."""
-        return frozenset((va.variable, va.value) for va in self.antecedent)
-
     def with_probability(self, p: float) -> "Judgment":
         return Judgment(self.antecedent, self.subject, self.value, p)
 
 
+def require_distinct_variables(sigma) -> None:
+    """Reject a context σ in which two attributions name one variable."""
+    if len(sigma) > 1 and len({va.variable for va in sigma}) != len(sigma):
+        raise IllFormed("a variable appears twice in the antecedent")
+
+
 def same_sigma(a: Judgment | tuple, b: Judgment | tuple) -> bool:
-    if a is b or a == b:
-        return True
-    key_a = a.sigma_key() if isinstance(a, Judgment) else frozenset((v.variable, v.value) for v in a)
-    key_b = b.sigma_key() if isinstance(b, Judgment) else frozenset((v.variable, v.value) for v in b)
-    return key_a == key_b
+    """Whether two contexts, or judgments' antecedents, are equal as tuples or else as sets."""
+    a = a.antecedent if isinstance(a, Judgment) else a
+    b = b.antecedent if isinstance(b, Judgment) else b
+    return a == b or frozenset(a) == frozenset(b)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +773,7 @@ def parse_attribution_list(text: str, schema: AttributeSchema | None = None) -> 
     parser = _Parser(text)
     try:
         attributions = parser.attributions(None)
+        require_distinct_variables(attributions)
         if schema is not None:
             for va in attributions:
                 va.mask(schema)

@@ -25,6 +25,7 @@ from .syntax import (
     parse_attribution_list,
     print_attribution_list,
     record,
+    require_distinct_variables,
 )
 
 _SUM_TOL = 1e-9
@@ -272,6 +273,7 @@ def _probabilities(ts: TrainingSet, est: Estimator, target: str, selected: int) 
 
 def _conditional(ts: TrainingSet, est: Estimator, sigma: tuple, target: str):
     """`conditional_distribution`, and the row bitset of the rows satisfying σ."""
+    require_distinct_variables(sigma)
     if any(va.variable == target for va in sigma):
         raise InvariantViolation(f"{target!r} is already attributed in sigma")
     masks = [va.mask(ts.schema) for va in sigma]
@@ -296,6 +298,20 @@ def conditional_distribution(
 ) -> AppliedSystem:
     """Distribution of `target` among the rows classically satisfying σ."""
     return _conditional(ts, est, tuple(sigma), target)[0]
+
+
+class Learner:
+    """`conditional_distribution` over one (table, estimator) pair, learnt once per (σ, target) in one verdict."""
+
+    def __init__(self, pair):
+        self.pair = pair
+        self._systems = {}
+
+    def __call__(self, sigma: tuple, target: str) -> AppliedSystem:
+        system = self._systems.get((sigma, target))
+        if system is None:
+            system = self._systems[sigma, target] = conditional_distribution(*self.pair, sigma, target)
+        return system
 
 
 def independent(

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .syntax import AttributeSchema, VariableTerm, fresh, print_value, record, same_sigma
-from .systems import AppliedSystem, conditional_distribution
+from .systems import AppliedSystem, Learner, conditional_distribution
 
 
 @record(frozen=True)
@@ -269,9 +269,10 @@ def check_nonatomic(
     values = list(values)
     if not values:
         raise NothingToCompare("no probe values to compare")
+    sigma = tuple(sigma)
+    sources = [s if isinstance(s, AppliedSystem) else Learner(s) for s in (original_source, copy_source)]
 
     def entry(value):
-        sources = (original_source, copy_source)
         f, g = (derive_value(s, sigma, term, value, schema).conclusion.probability for s in sources)
         return print_value(value), f, g
 

@@ -1,5 +1,6 @@
 """Rule engine: worked examples, inversion round trips, coherence."""
 
+import collections
 import dataclasses
 import random
 
@@ -9,6 +10,7 @@ from tndpq.calculus import (
     RULES,
     Derivation,
     RuleId,
+    _extension,
     apply_rule,
     at_query,
     check_derivation,
@@ -29,12 +31,16 @@ from tndpq.syntax import (
     AtomVal,
     AttributeSchema,
     Judgment,
+    Neg,
+    Or,
     Pair,
     Prod,
+    ValueAttribution,
     parse_attribution_list,
     parse_judgment,
     parse_term,
     parse_value,
+    same_sigma,
 )
 from tndpq.systems import Estimator, TrainingSet, independent
 
@@ -597,3 +603,59 @@ def test_check_retests_recorded_independence():
     assert _indep_tree(moving, {"asserted": True}).ok
     product = [{"X": x, "Y": y, "Z": "m"} for x in ("a", "b", "c") for y in ("u", "v")]
     assert _indep_tree(product, {"verdict": True}).ok
+
+
+def _set_extension(antecedent, base):
+    """The attribution extending `base` in `antecedent`, read by sets of (variable, value); None if none does."""
+    known = {(va.variable, va.value) for va in base}
+    extra = [va for va in antecedent if (va.variable, va.value) not in known]
+    rest = [va for va in antecedent if (va.variable, va.value) in known]
+    return extra[0] if len(extra) == 1 and len(rest) == len(known) else None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_context_comparison_matches_the_set_reading(seed):
+    """`same_sigma` and `_extension` read contexts as sets, over permuted, extended and foreign σ."""
+    schema = AttributeSchema.of([(f"V{i}", (f"a{i}", f"b{i}", f"c{i}")) for i in range(5)])
+    rng = random.Random(seed)
+
+    def value(i):
+        atoms = [AtomVal(a) for a in schema.atoms(f"V{i}")]
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.choice(atoms)
+        if kind == 1:
+            return Neg(rng.choice(atoms))
+        left, right = rng.sample(atoms, 2)
+        return Or(left, right)
+
+    def context(variables):
+        return tuple(ValueAttribution(f"V{i}", value(i)) for i in variables)
+
+    def pairs(sigma):
+        return frozenset((va.variable, va.value) for va in sigma)
+
+    outcomes = collections.Counter()
+    for _ in range(300):
+        variables = rng.sample(range(4), rng.randint(0, 3))  # V4 is the judgments' subject
+        sigma = context(variables)
+        unused = [i for i in range(4) if i not in variables]
+        permuted = tuple(rng.sample(sigma, len(sigma)))
+        others = [permuted, sigma + context(unused[:1]), context(variables)]
+        if unused:
+            others.append(tuple(rng.sample(permuted + context(unused[:1]), len(sigma) + 1)))
+            others.append(sigma + context(unused[:2]))
+        if sigma:
+            others += [permuted[1:], permuted[1:] + context(unused[:1])]
+        for other in others:
+            same = same_sigma(sigma, other)
+            assert same == (pairs(sigma) == pairs(other)) == same_sigma(other, sigma)
+            judgment = Judgment(other, Atom("V4"), AtomVal("a4"), 0.5)
+            assert same_sigma(judgment, sigma) == same
+            try:
+                extra = _extension(judgment, sigma)
+            except ShapeMismatch:
+                extra = None
+            assert extra == _set_extension(other, sigma)
+            outcomes[same, extra is not None] += 1
+    assert min(outcomes[key] for key in ((True, False), (False, True), (False, False))) > 100, outcomes

@@ -1,5 +1,7 @@
 """Tests for plan execution, sub-values, derived values, and preservation."""
 
+import collections
+import dataclasses
 import random
 import re
 
@@ -41,7 +43,7 @@ from tndpq.syntax import (
 )
 from tndpq.systems import Estimator, TrainingSet
 from tndpq.trust import at as at_kind
-from tndpq.trust import check_nonatomic, et, jt, wt
+from tndpq.trust import TrustReport, check_nonatomic, et, jt, wt
 
 # every conclusion a rule builds in these tests must parse back
 pytestmark = pytest.mark.usefixtures("conclusions_parse_back")
@@ -415,8 +417,7 @@ def _atom_by_atom(source, sigma, term, value, schema):
 
 
 def _derivation_cases(seed):
-    """(source, sigma, term, value, distributions) over seeded tables, where
-    `distributions` counts the value's deterministic subvalues."""
+    """(source, sigma, term, value) over seeded tables."""
     rng = random.Random(seed)
     atoms = {name: list(a) for name, a in XYZ.variables}
     for _ in range(40):
@@ -427,22 +428,20 @@ def _derivation_cases(seed):
                 sigma = (ValueAttribution("Z", _deterministic_value(rng, atoms["Z"])),)
             shape = rng.randrange(3)
             if shape == 0:
-                term, value, count = Atom("X"), _deterministic_value(rng, atoms["X"]), 1
+                term, value = Atom("X"), _deterministic_value(rng, atoms["X"])
             elif shape == 1:
                 term = Cond(Atom("X"), Atom("Y"))
                 value = Arrow(_deterministic_value(rng, atoms["X"]), _deterministic_value(rng, atoms["Y"]))
-                count = 1
             else:
                 term = Pair(Atom("X"), Atom("Y"))
                 value = Prod(_deterministic_value(rng, atoms["X"]), _deterministic_value(rng, atoms["Y"]))
-                count = 2
-            yield (ts, est), sigma, term, value, count
+            yield (ts, est), sigma, term, value
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_derive_value_matches_atom_by_atom_queries(seed):
     derived = failed = 0
-    for source, sigma, term, value, _ in _derivation_cases(seed):
+    for source, sigma, term, value in _derivation_cases(seed):
         try:
             expected = _atom_by_atom(source, sigma, term, value, XYZ)
         except TndpqError as exc:
@@ -463,27 +462,149 @@ def test_derive_value_matches_atom_by_atom_queries(seed):
 
 
 def test_derive_value_learns_one_distribution_per_deterministic_subvalue(monkeypatch):
+    """Each (σ, target) a `derive_value` call reads is learnt exactly once, on either product route."""
     calls = []
     real = systems.conditional_distribution
 
     def counting(ts, est, sigma, target):
-        calls.append(target)
+        calls.append((tuple(sigma), target))
         return real(ts, est, sigma, target)
 
+    # calculus too, so that a leaf learnt through `at_query` with a pair is counted
+    monkeypatch.setattr(systems, "conditional_distribution", counting)
     monkeypatch.setattr(calculus, "conditional_distribution", counting)
-    monkeypatch.setattr(construction, "conditional_distribution", counting)
-    checked = 0
-    for source, sigma, term, value, count in _derivation_cases(4):
+    routes = collections.Counter()
+    for source, sigma, term, value in _derivation_cases(4):
         calls.clear()
         try:
-            derive_value(source, sigma, term, value, XYZ)
+            d = derive_value(source, sigma, term, value, XYZ)
         except DerivationFailed:
             continue
-        if isinstance(term, Pair) and calls.count("X") != 1:
-            continue  # the independence route tests independence first
-        assert len(calls) == count, (term, value)
-        checked += 1
-    assert checked > 20
+        if isinstance(term, Atom):
+            expected = {(sigma, "X")}
+        elif isinstance(term, Cond):
+            expected = {(sigma + (ValueAttribution("X", value.left),), "Y")}
+        else:
+            # the conditional route is tried first; the independence route
+            # then reads P(Y | σ) and takes P(X | σ) from the learner
+            expected = {(sigma, "X"), (sigma + (ValueAttribution("X", value.left),), "Y")}
+            if d.rule == RuleId.ProdIIndep:
+                expected.add((sigma, "Y"))
+        assert len(calls) == len(expected) and set(calls) == expected, (term, value, calls)
+        routes[d.rule] += 1
+    assert routes[RuleId.ProdI1] > 5 and routes[RuleId.ProdIIndep] > 0 and sum(routes.values()) > 20, routes
+
+
+class _Relearning:
+    """`systems.Learner` without its memo: every call learns its distribution afresh."""
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def __call__(self, sigma, target):
+        ts, est = self.pair
+        return systems.conditional_distribution(ts, est, sigma, target)
+
+
+def _nodes(node, path=()):
+    """(path, node) for every node of a derivation, the root first."""
+    yield path, node
+    for index, premise in enumerate(node.premises):
+        yield from _nodes(premise, path + (index,))
+
+
+def _claiming(node, path, p):
+    """The tree with the node at `path` claiming probability p."""
+    if not path:
+        return dataclasses.replace(node, conclusion=node.conclusion.with_probability(p))
+    premises = list(node.premises)
+    premises[path[0]] = _claiming(premises[path[0]], path[1:], p)
+    return dataclasses.replace(node, premises=tuple(premises))
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_check_derivation_with_sources_matches_relearning_every_leaf(seed, monkeypatch):
+    rng = random.Random(seed)
+    cases = []
+    for source, sigma, term, value in _derivation_cases(seed):
+        try:
+            tree = derive_value(source, sigma, term, value, XYZ)
+        except DerivationFailed:
+            continue
+        nodes = list(_nodes(tree))
+        leaf = rng.choice([path for path, node in nodes if node.rule == RuleId.AtQuery])
+        path = rng.choice([path for path, _ in nodes])
+        cases.append((source, tree))
+        for path in (leaf, path):
+            p = dict(nodes)[path].conclusion.probability
+            cases.append((source, _claiming(tree, path, p / 2 if p > 0.02 else p + 0.01)))
+    # the checker-fault tree: an independence verdict recorded as True over dependent X and Y
+    rows = [{"X": x, "Y": y, "Z": "z1"} for x, y in (("x1", "y1"), ("x1", "y1"), ("x2", "y2"), ("x1", "y2"))]
+    fault = (TrainingSet.from_rows("fault", XYZ, rows), ESTIMATORS[0])
+    side = [{"kind": "independent", "t": "X", "u": "Y", "verdict": True}]
+    leaves = [at_query(fault, (), "Y", "y1"), at_query(fault, (), "X", "x1")]
+    cases.append((fault, apply_rule(RuleId.ProdIIndep, leaves, XYZ, side=side)))
+
+    def violations():
+        return [check_derivation(tree, XYZ, sources={source[0].id: source}).violations for source, tree in cases]
+
+    got = violations()
+    monkeypatch.setattr(calculus, "Learner", _Relearning)
+    assert got == violations()
+    assert sum(not v for v in got) > 20 and sum(bool(v) for v in got) > 40
+    assert any(kind == "SideConditionUnproved" for _, kind, _ in got[-1])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_check_nonatomic_evidence_matches_fresh_derivations(seed):
+    """One learner per side gives the evidence of a fresh `derive_value` call per probe, bit for bit."""
+    rng = random.Random(seed)
+    atoms = {name: list(a) for name, a in XYZ.variables}
+    shapes = (
+        (Atom("X"), lambda: _deterministic_value(rng, atoms["X"])),
+        (Cond(Atom("X"), Atom("Y")),
+         lambda: Arrow(_deterministic_value(rng, atoms["X"]), _deterministic_value(rng, atoms["Y"]))),
+        (Pair(Atom("X"), Atom("Y")),
+         lambda: Prod(_deterministic_value(rng, atoms["X"]), _deterministic_value(rng, atoms["Y"]))),
+    )
+    kinds = (jt(), et(1), at_kind(2), wt(1), wt(2))
+
+    def outcome(run):
+        try:
+            return repr(run())
+        except DerivationFailed as exc:
+            return f"DerivationFailed: {exc}"
+
+    reports = failures = 0
+    for _ in range(60):
+        sources = [(_seeded_table(rng, rng.choice((6, 30, 90))), rng.choice(ESTIMATORS)) for _ in range(2)]
+        sigma = (ValueAttribution("Z", _deterministic_value(rng, atoms["Z"])),) if rng.random() < 0.5 else ()
+        term, make = rng.choice(shapes)
+        values = [make() for _ in range(rng.randint(1, 4))]
+        kind, tol = rng.choice(kinds), rng.choice((0.0, 0.05))
+
+        def fresh():
+            def entry(value):
+                f, g = (derive_value(s, sigma, term, value, XYZ).conclusion.probability for s in sources)
+                return print_value(value), f, g
+
+            inspected = [entry(value) for value in values]
+            zero_pattern = []
+            if kind.name == "WT":
+                for value in zero_probe_values(term, XYZ):
+                    try:
+                        zero_pattern.append(entry(value))
+                    except DerivationFailed:
+                        continue
+            report = TrustReport(kind)
+            report.record(inspected, zero_pattern, tol)
+            return report.evidence
+
+        got = outcome(lambda: check_nonatomic(*sources, term, sigma, values, kind, XYZ, tol).evidence)
+        assert got == outcome(fresh), (term, values, kind)
+        failures += got.startswith("DerivationFailed")
+        reports += not got.startswith("DerivationFailed")
+    assert reports > 20 and failures > 5
 
 
 def test_derive_value_empty_support_message():

@@ -20,8 +20,10 @@ from tndpq.errors import (
     UnknownSymbol,
 )
 from tndpq.syntax import (
+    Atom,
     AtomVal,
     AttributeSchema,
+    Judgment,
     Neg,
     Or,
     ValueAttribution,
@@ -432,6 +434,33 @@ def test_sigma_error_contract(tmp_path, capsys, text, target, error, message):
     code = main(["learn", str(schema_path), str(csv_path), "--target", target, "--sigma", text])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_sigma_naming_a_variable_twice_is_ill_formed(tmp_path, capsys):
+    # such a σ was read as the meet of its attributions, here as a:x
+    message = "a variable appears twice in the antecedent"
+    twice = (ValueAttribution("a", Or(AtomVal("x"), AtomVal("y"))), ValueAttribution("a", AtomVal("x")))
+    for call in (
+        lambda: parse_attribution_list("a:x+y, a:x"),
+        lambda: parse_attribution_list("a:x+y, a:x", SCHEMA),
+        lambda: conditional_distribution(THREE, FREQ, twice, "b"),
+        lambda: at_query((THREE, FREQ), twice, "b", "u"),
+        lambda: Judgment(twice, Atom("b"), AtomVal("u"), 0.5),
+    ):
+        with pytest.raises(IllFormed) as caught:
+            call()
+        assert str(caught.value) == message
+    schema_path, csv_path, system = tmp_path / "s.txt", tmp_path / "t.csv", tmp_path / "s.sys"
+    schema_path.write_text("a = x | y\nb = u | v\n")
+    csv_path.write_text("a,b\nx,u\ny,v\nx,v\n")
+    learn = ["learn", str(schema_path), str(csv_path), "--target", "b", "--sigma"]
+    assert main([*learn, "a:x+y, a:x"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main([*learn, "a:x", "-o", str(system)]) == 0
+    capsys.readouterr()
+    system.write_text(system.read_text().replace("sigma a:x\n", "sigma a:x+y, a:x\n"))
+    assert main(["compare", str(schema_path), str(system), str(system), "--kind", "jt"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_index_is_not_part_of_equality():
