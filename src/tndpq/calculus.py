@@ -67,7 +67,7 @@ from .syntax import (
     require_linear,
     same_sigma,
 )
-from .systems import AppliedSystem, Learner, conditional_distribution, independent
+from .systems import AppliedSystem, Learner, conditional_distribution
 
 _TOL = 1e-9
 
@@ -97,7 +97,7 @@ class RuleId(str, enum.Enum):
     ProdIIndep = "ProdIIndep"
 
 
-# Stays a dataclass: callers rebuild derivations with `dataclasses.replace`.
+# Stays a dataclass: the benchmark's worker rebuilds derivations with `dataclasses.replace`.
 @dataclass(frozen=True)
 class Derivation:
     conclusion: Judgment
@@ -226,9 +226,10 @@ def _independence_evidence(side, t, u, rule) -> dict:
 
 def independence_fact(source, sigma, t: str, u: str) -> dict:
     """Test u for independence of t under sigma on a (TrainingSet, Estimator)
-    pair; return the side-condition fact that ProdIIndep reads."""
-    ts, est = source
-    verdict, witness = independent(ts, est, sigma, t, u)
+    pair, or through a verdict's `Learner`, whose P(u | sigma) the test then
+    shares with the leaves; return the side-condition fact that ProdIIndep reads."""
+    learner = source if isinstance(source, Learner) else Learner(source)
+    verdict, witness = learner.independent(tuple(sigma), t, u)
     return {"kind": "independent", "t": t, "u": u, "verdict": verdict, **witness}
 
 
@@ -703,7 +704,7 @@ def _retest_independence(node, learn, report, path):
             continue
         t, u = fact["t"], fact["u"]
         try:
-            retested = independence_fact(learn.pair, node.conclusion.antecedent, t, u)
+            retested = independence_fact(learn, node.conclusion.antecedent, t, u)
         except TndpqError as exc:
             report.add(path, type(exc).__name__, str(exc))
             continue

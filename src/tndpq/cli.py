@@ -6,13 +6,21 @@ machine-parseable `VERDICT` line; exit status 0 means the verdict is true
 (or the command simply succeeded), 1 means the verdict is false, and 2
 means a usage or data error.  All tabular output is tab-separated and
 deterministically ordered.
+
+Each command's arguments are stated once, in `_COMMANDS`.  `main` reads an
+argument list of the plain form against that table itself: the command
+name, exactly its positionals, then its options by their exact flags, each
+at most once, no value starting with `-`.  Every other list goes unchanged
+to the argparse parser built from the same table, and argparse is imported
+only then: `-h`, usage errors, abbreviated flags and `--opt=value` are read
+by argparse, and their help and error texts are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+from types import SimpleNamespace
 
 from .errors import TndpqError, UnknownCondition
 
@@ -61,6 +69,8 @@ def _tolerance(text: str) -> float:
     except ValueError:
         tol = math.nan
     if not math.isfinite(tol) or tol < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
     return tol
 
@@ -71,6 +81,8 @@ def _positive_int(text: str) -> int:
     except ValueError:
         n = 0
     if n < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return n
 
@@ -325,79 +337,175 @@ def _cmd_preserve(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# Command table, and the entry point that reads it
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Option:
+    """One option of a command, as argparse's `add_argument` is given it.
+
+    `nargs` is None for one value, "+" for one or more, and 0 for a flag
+    that takes none and stores True (argparse's `store_true`).
+    """
+
+    def __init__(self, *flags, type=None, choices=None, default=None, required=False, nargs=None, help=None):
+        self.flags = flags
+        self.dest = flags[-1].lstrip("-")  # argparse's: each option's last flag is its long one
+        self.type = type
+        self.choices = choices
+        self.default = False if nargs == 0 else default
+        self.required = required
+        self.nargs = nargs
+        self.help = help
+
+
+# name: (help, positionals as (name, help), options, runner)
+_COMMANDS = {
+    "parse": ("round-trip a judgment through the grammar", [("schema", None), ("judgment", None)], [], _cmd_parse),
+    "learn": (
+        "estimate a conditional distribution from a CSV",
+        [("schema", None), ("csv", None)],
+        [
+            _Option("--sigma", default=""),
+            _Option("--target", required=True),
+            _Option("--estimator", default="freq"),
+            _Option("-o", "--output"),
+        ],
+        _cmd_learn,
+    ),
+    "derive": (
+        "run a proof script against a training table",
+        [("schema", None), ("source", "training CSV")],
+        [
+            _Option("--script", required=True),
+            _Option("--estimator", default="freq"),
+            _Option("--check", nargs=0),
+        ],
+        _cmd_derive,
+    ),
+    "exclusive": (
+        "decide mutual exclusivity of two values",
+        [("schema", None), ("term", None), ("value1", None), ("value2", None)],
+        [_Option("--explain", nargs=0)],
+        _cmd_exclusive,
+    ),
+    "compare": (
+        "check a trust relation between two systems",
+        [("schema", None), ("original", None), ("copy", None)],
+        [
+            _Option("--kind", required=True, help="jt | et:<m> | wt:<m> | at:<m>"),
+            _Option("--tol", type=_tolerance, default=0.0),
+        ],
+        _cmd_compare,
+    ),
+    "chain": (
+        "build diverging trust chains from one system",
+        [("schema", None), ("system", None)],
+        [
+            _Option("--variant", choices=("at", "wt", "et"), default="at"),
+            _Option("--m", type=int, required=True),
+            _Option("--k", type=int, required=True),
+            _Option("--l", type=int),
+            _Option("--steps", type=_positive_int, default=10),
+        ],
+        _cmd_chain,
+    ),
+    "preserve": (
+        "check trust preservation along a plan",
+        [("schema", None)],
+        [
+            _Option("--orig", nargs="+", required=True),
+            _Option("--copy", nargs="+", required=True),
+            _Option("--plan", required=True),
+            _Option("--kind", choices=("jt", "et", "at", "wt"), required=True),
+            _Option("--mode", choices=("construct", "deconstruct"), required=True),
+            _Option("--tol", type=_tolerance, default=0.0),
+        ],
+        _cmd_preserve,
+    ),
+}
+
+
+def _read(argv):
+    """`argv`'s arguments, as argparse would give them, when it has the plain form; else None.
+
+    The plain form is a command name, exactly that command's positionals,
+    then its options by their exact flags, each at most once.  No
+    positional or value starts with `-`; a flag of nargs "+" takes the
+    values up to the next flag.  Each value must pass the option's type and
+    choices, and every required option must be given.  Whatever deviates
+    (`-h`, an abbreviated flag, `--opt=value`, `--`, a repeated option, a
+    bad value) is left to argparse, which reads it or says what is wrong.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positionals, options, run = _COMMANDS[argv[0]]
+    i = 1 + len(positionals)
+    if len(argv) < i or any(text.startswith("-") for text in argv[1:i]):
+        return None
+    args = {"command": argv[0], "func": run}
+    args.update(zip((name for name, _ in positionals), argv[1:i]))
+    by_flag = {flag: option for option in options for flag in option.flags}
+    given = {}
+    while i < len(argv):
+        option = by_flag.get(argv[i])
+        if option is None or option in given:
+            return None
+        i += 1
+        if option.nargs == 0:
+            given[option] = True
+            continue
+        end = i
+        while end < len(argv) and not argv[end].startswith("-") and (end == i or option.nargs == "+"):
+            end += 1
+        if end == i:
+            return None
+        values = []
+        for text in argv[i:end]:
+            try:
+                value = text if option.type is None else option.type(text)
+            except Exception:  # ValueError, TypeError or argparse's ArgumentTypeError; argparse names the fault
+                return None
+            if option.choices is not None and value not in option.choices:
+                return None
+            values.append(value)
+        given[option] = values if option.nargs == "+" else values[0]
+        i = end
+    for option in options:
+        if option not in given:
+            if option.required:
+                return None
+            given[option] = option.default
+    args.update((option.dest, value) for option, value in given.items())
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tndpq", description="probabilistic judgment calculus toolbox"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="round-trip a judgment through the grammar")
-    p.add_argument("schema")
-    p.add_argument("judgment")
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("learn", help="estimate a conditional distribution from a CSV")
-    p.add_argument("schema")
-    p.add_argument("csv")
-    p.add_argument("--sigma", default="")
-    p.add_argument("--target", required=True)
-    p.add_argument("--estimator", default="freq")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_learn)
-
-    p = sub.add_parser("derive", help="run a proof script against a training table")
-    p.add_argument("schema")
-    p.add_argument("source", help="training CSV")
-    p.add_argument("--script", required=True)
-    p.add_argument("--estimator", default="freq")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser("exclusive", help="decide mutual exclusivity of two values")
-    p.add_argument("schema")
-    p.add_argument("term")
-    p.add_argument("value1")
-    p.add_argument("value2")
-    p.add_argument("--explain", action="store_true")
-    p.set_defaults(func=_cmd_exclusive)
-
-    p = sub.add_parser("compare", help="check a trust relation between two systems")
-    p.add_argument("schema")
-    p.add_argument("original")
-    p.add_argument("copy")
-    p.add_argument("--kind", required=True, help="jt | et:<m> | wt:<m> | at:<m>")
-    p.add_argument("--tol", type=_tolerance, default=0.0)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("chain", help="build diverging trust chains from one system")
-    p.add_argument("schema")
-    p.add_argument("system")
-    p.add_argument("--variant", choices=("at", "wt", "et"), default="at")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int)
-    p.add_argument("--steps", type=_positive_int, default=10)
-    p.set_defaults(func=_cmd_chain)
-
-    p = sub.add_parser("preserve", help="check trust preservation along a plan")
-    p.add_argument("schema")
-    p.add_argument("--orig", nargs="+", required=True)
-    p.add_argument("--copy", nargs="+", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--kind", choices=("jt", "et", "at", "wt"), required=True)
-    p.add_argument("--mode", choices=("construct", "deconstruct"), required=True)
-    p.add_argument("--tol", type=_tolerance, default=0.0)
-    p.set_defaults(func=_cmd_preserve)
-
+    for name, (text, positionals, options, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for positional, positional_help in positionals:
+            p.add_argument(positional, help=positional_help)
+        for option in options:
+            if option.nargs == 0:
+                p.add_argument(*option.flags, action="store_true", help=option.help)
+            else:
+                p.add_argument(
+                    *option.flags, type=option.type, choices=option.choices, default=option.default,
+                    required=option.required, nargs=option.nargs, help=option.help,
+                )
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TndpqError as exc:

@@ -144,7 +144,7 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
             except TndpqError:
                 pass
         if isinstance(source, Learner) and isinstance(left_term, Atom) and isinstance(right_term, Atom):
-            fact = independence_fact(source.pair, sigma, left_term.name, right_term.name)
+            fact = independence_fact(source, sigma, left_term.name, right_term.name)
             if not fact["verdict"]:
                 raise DerivationFailed(
                     f"components of {print_value(value)} are neither conditionally "

@@ -8,7 +8,6 @@ compare and derive from.
 
 from __future__ import annotations
 
-import csv
 from itertools import islice
 
 from .errors import (
@@ -137,6 +136,7 @@ class AppliedSystem:
     distribution: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
+        require_distinct_variables(self.sigma)
         total = sum(p for _, p in self.distribution)
         if abs(total - 1.0) > _SUM_TOL:
             raise InvariantViolation(f"distribution sums to {total!r}, not 1")
@@ -168,12 +168,14 @@ def load_training_set(path, schema: AttributeSchema, id: str | None = None) -> T
     strings made so far and one chunk of `csv.reader` rows, not every
     row of the file.
     """
+    import csv
+
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
             _check_header(schema, header)
-            columns = _columns(schema, header, reader)
+            columns = _columns(schema, header, reader, csv.Error)
         except StopIteration:
             raise ParseError("empty file, expected a header row") from None
         except csv.Error as exc:
@@ -196,15 +198,16 @@ def _check_header(schema: AttributeSchema, header: list) -> None:
 _CHUNK = 256
 
 
-def _columns(schema: AttributeSchema, header: list, records) -> dict[str, str]:
+def _columns(schema: AttributeSchema, header: list, records, read_error=()) -> dict[str, str]:
     """Each column's code string, from an iterator over the cells of each row under `header`.
 
     The records are taken `_CHUNK` at a time, and each chunk's columns are
     checked and encoded whole.  Only when that fails are the chunk's
     records walked row by row, to name the first faulty one, or to strip
-    padded cells and drop the blank rows that held cells.  A `csv.Error`
-    while a chunk is read is raised once the rows read before it in that
-    chunk are checked, so a fault in any earlier row is named first.
+    padded cells and drop the blank rows that held cells.  A `read_error`
+    (`csv.Error` for a CSV) while a chunk is read is raised once the rows
+    read before it in that chunk are checked, so a fault in any earlier row
+    is named first.
     """
     to_code = [{atom: chr(i) for i, atom in enumerate(schema.atoms(column))}.__getitem__ for column in header]
     parts = [[] for _ in header]
@@ -213,7 +216,7 @@ def _columns(schema: AttributeSchema, header: list, records) -> dict[str, str]:
         chunk = []
         try:
             chunk.extend(islice(records, _CHUNK))
-        except csv.Error:
+        except read_error:
             _clean_rows(schema, header, chunk, first)
             raise
         if not chunk:
@@ -301,17 +304,44 @@ def conditional_distribution(
 
 
 class Learner:
-    """`conditional_distribution` over one (table, estimator) pair, learnt once per (σ, target) in one verdict."""
+    """`conditional_distribution` over one (table, estimator) pair, learnt once per (σ, target) in one verdict.
+
+    Each learnt system is kept with the row bitset of σ, so that an
+    independence test of the verdict takes P(u | σ) from the same learn.
+    """
 
     def __init__(self, pair):
         self.pair = pair
-        self._systems = {}
+        self._learnt = {}
+
+    def _learn(self, sigma: tuple, target: str):
+        learnt = self._learnt.get((sigma, target))
+        if learnt is None:
+            learnt = self._learnt[sigma, target] = _conditional(*self.pair, sigma, target)
+        return learnt
 
     def __call__(self, sigma: tuple, target: str) -> AppliedSystem:
-        system = self._systems.get((sigma, target))
-        if system is None:
-            system = self._systems[sigma, target] = conditional_distribution(*self.pair, sigma, target)
-        return system
+        return self._learn(sigma, target)[0]
+
+    def independent(self, sigma: tuple, t: str, u: str):
+        """`independent` on this learner's pair, P(u | σ) read through the learner."""
+        base, selected = self._learn(sigma, u)
+        if t == u:
+            raise InvariantViolation(f"{u!r} is already attributed in sigma")
+        ts, est = self.pair
+        worst = (0.0, None, None)
+        # σ extended by t = τ selects the rows of σ that hold τ
+        for tau, rows in zip(ts.schema.atoms(t), ts.column_masks(t)):
+            rows &= selected
+            if est.kind == "freq" and not rows:
+                continue
+            given = _probabilities(ts, est, u, rows)
+            for (upsilon, p), q in zip(base.distribution, given):
+                deviation = abs(q - p)
+                if deviation > worst[0]:
+                    worst = (deviation, tau, upsilon)
+        verdict = worst[0] <= _INDEPENDENCE_TOL
+        return verdict, {"max_deviation": worst[0], "t_atom": worst[1], "u_atom": worst[2]}
 
 
 def independent(
@@ -324,22 +354,7 @@ def independent(
     the frequency estimator an atom τ that no row holds under σ has
     P(t=τ | σ) = 0 and no conditional to compare; it is skipped.
     """
-    base, selected = _conditional(ts, est, tuple(sigma), u)
-    if t == u:
-        raise InvariantViolation(f"{u!r} is already attributed in sigma")
-    worst = (0.0, None, None)
-    # σ extended by t = τ selects the rows of σ that hold τ
-    for tau, rows in zip(ts.schema.atoms(t), ts.column_masks(t)):
-        rows &= selected
-        if est.kind == "freq" and not rows:
-            continue
-        given = _probabilities(ts, est, u, rows)
-        for (upsilon, p), q in zip(base.distribution, given):
-            deviation = abs(q - p)
-            if deviation > worst[0]:
-                worst = (deviation, tau, upsilon)
-    verdict = worst[0] <= _INDEPENDENCE_TOL
-    return verdict, {"max_deviation": worst[0], "t_atom": worst[1], "u_atom": worst[2]}
+    return Learner((ts, est)).independent(tuple(sigma), t, u)
 
 
 def save_applied_system(system: AppliedSystem, path) -> None:

@@ -1,7 +1,6 @@
 """Rule engine: worked examples, inversion round trips, coherence."""
 
 import collections
-import dataclasses
 import random
 
 import pytest
@@ -139,7 +138,7 @@ def test_direction_must_be_a_reading_of_the_rule(rule, premises, direction):
     with pytest.raises(RuleNotAllowed, match=f"direction {direction!r} is not allowed"):
         apply_rule(rule, nodes, SCHEMA, direction=direction)
     good = apply_rule(rule, nodes, SCHEMA)
-    bad = dataclasses.replace(good, direction=direction)
+    bad = Derivation(good.conclusion, good.rule, good.premises, good.side_conditions, good.provenance, direction)
     assert check_derivation(good, SCHEMA).ok
     (violation,) = check_derivation(bad, SCHEMA).violations
     assert violation[:2] == ("root", "RuleNotAllowed")
@@ -556,8 +555,8 @@ def test_check_sound_tree():
 
 def test_check_injected_formula_fault():
     tree = _sound_tree()
-    bad = dataclasses.replace(
-        tree, conclusion=tree.conclusion.with_probability(0.9)
+    bad = Derivation(
+        tree.conclusion.with_probability(0.9), tree.rule, tree.premises, tree.side_conditions, tree.provenance
     )
     report = check_derivation(bad, SCHEMA)
     assert any(kind == "FormulaViolation" for _, kind, _ in report.violations)
@@ -568,7 +567,7 @@ def test_check_leaf_against_source():
     ts = TrainingSet.from_rows("T", SCHEMA, rows)
     good = at_query((ts, FREQ), (), "X", "a")
     assert check_derivation(good, SCHEMA, sources={"T": (ts, FREQ)}).ok
-    bad = dataclasses.replace(good, conclusion=good.conclusion.with_probability(0.5))
+    bad = Derivation(good.conclusion.with_probability(0.5), good.rule, provenance=good.provenance)
     report = check_derivation(bad, SCHEMA, sources={"T": (ts, FREQ)})
     assert any(kind == "FormulaViolation" for _, kind, _ in report.violations)
 
@@ -579,9 +578,9 @@ def test_check_provenance_mixing():
     t2 = TrainingSet.from_rows("T2", SCHEMA, rows)
     d1 = at_query((t1, FREQ), (), "X", "a")
     d2 = at_query((t2, FREQ), (), "X", "b")
-    tree = apply_rule(RuleId.OrIR, [d1, dataclasses.replace(d2, provenance=None)], SCHEMA)
+    tree = apply_rule(RuleId.OrIR, [d1, Derivation(d2.conclusion, d2.rule)], SCHEMA)
     # reinstate the conflicting tag on the stored premise
-    hacked = dataclasses.replace(tree, premises=(d1, d2))
+    hacked = Derivation(tree.conclusion, tree.rule, (d1, d2), tree.side_conditions, tree.provenance)
     report = check_derivation(hacked, SCHEMA)
     assert any(kind == "ProvenanceMismatch" for _, kind, _ in report.violations)
 

@@ -1,14 +1,13 @@
 """Tests for plan execution, sub-values, derived values, and preservation."""
 
 import collections
-import dataclasses
 import random
 import re
 
 import pytest
 
 from tndpq import calculus, construction, systems
-from tndpq.calculus import RuleId, apply_rule, at_query, check_derivation
+from tndpq.calculus import Derivation, RuleId, apply_rule, at_query, check_derivation
 from tndpq.construction import (
     Plan,
     PlanStep,
@@ -462,17 +461,19 @@ def test_derive_value_matches_atom_by_atom_queries(seed):
 
 
 def test_derive_value_learns_one_distribution_per_deterministic_subvalue(monkeypatch):
-    """Each (σ, target) a `derive_value` call reads is learnt exactly once, on either product route."""
+    """Each (σ, target) a `derive_value` call reads is learnt exactly once, on either product route.
+
+    Learns are counted where every one is made, so one inside the
+    independence test is seen as well as a leaf's.
+    """
     calls = []
-    real = systems.conditional_distribution
+    real = systems._conditional
 
     def counting(ts, est, sigma, target):
         calls.append((tuple(sigma), target))
         return real(ts, est, sigma, target)
 
-    # calculus too, so that a leaf learnt through `at_query` with a pair is counted
-    monkeypatch.setattr(systems, "conditional_distribution", counting)
-    monkeypatch.setattr(calculus, "conditional_distribution", counting)
+    monkeypatch.setattr(systems, "_conditional", counting)
     routes = collections.Counter()
     for source, sigma, term, value in _derivation_cases(4):
         calls.clear()
@@ -486,7 +487,8 @@ def test_derive_value_learns_one_distribution_per_deterministic_subvalue(monkeyp
             expected = {(sigma + (ValueAttribution("X", value.left),), "Y")}
         else:
             # the conditional route is tried first; the independence route
-            # then reads P(Y | σ) and takes P(X | σ) from the learner
+            # then learns P(Y | σ) for its test, and its leaves read P(X | σ)
+            # and P(Y | σ) from the learner
             expected = {(sigma, "X"), (sigma + (ValueAttribution("X", value.left),), "Y")}
             if d.rule == RuleId.ProdIIndep:
                 expected.add((sigma, "Y"))
@@ -505,6 +507,10 @@ class _Relearning:
         ts, est = self.pair
         return systems.conditional_distribution(ts, est, sigma, target)
 
+    def independent(self, sigma, t, u):
+        ts, est = self.pair
+        return systems.independent(ts, est, sigma, t, u)
+
 
 def _nodes(node, path=()):
     """(path, node) for every node of a derivation, the root first."""
@@ -516,10 +522,11 @@ def _nodes(node, path=()):
 def _claiming(node, path, p):
     """The tree with the node at `path` claiming probability p."""
     if not path:
-        return dataclasses.replace(node, conclusion=node.conclusion.with_probability(p))
+        return Derivation(node.conclusion.with_probability(p), node.rule, node.premises,
+                          node.side_conditions, node.provenance, node.direction)
     premises = list(node.premises)
     premises[path[0]] = _claiming(premises[path[0]], path[1:], p)
-    return dataclasses.replace(node, premises=tuple(premises))
+    return Derivation(node.conclusion, node.rule, tuple(premises), node.side_conditions, node.provenance, node.direction)
 
 
 @pytest.mark.parametrize("seed", [5, 6])

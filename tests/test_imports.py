@@ -54,6 +54,8 @@ def test_import_cli_loads_only_errors():
 # `calculus.Derivation` is the one dataclass; a process that avoids
 # `calculus` loads neither `dataclasses` nor the `inspect` it imports.
 HEAVY = {"dataclasses", "inspect"}
+# argparse and what it imports, loaded only for help and usage errors
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def test_layers_without_calculus_load_no_dataclasses():
@@ -109,8 +111,21 @@ def test_command_imports_only_its_layers(files, command):
     assert output, command
     assert _tndpq(modules) == {"tndpq", "tndpq.cli", "tndpq.errors"} | {f"tndpq.{m}" for m in layers}
     assert ("fractions" in modules) == (command == "chain")
+    # only the commands that read a CSV load the csv module
+    assert ("csv" in modules) == (command in ("learn", "derive"))
+    # a well-formed argument list is read without argparse
+    assert not modules & ARGPARSE, command
     if "calculus" not in layers:
         assert not modules & HEAVY, command
+
+
+def test_help_is_argparses():
+    modules, output = _loaded(
+        "from tndpq.cli import main\ntry:\n    main(['-h'])\nexcept SystemExit as exc:\n    assert exc.code == 0"
+    )
+    assert output[0].startswith("usage: tndpq ")
+    assert "probabilistic judgment calculus toolbox" in output
+    assert "argparse" in modules
 
 
 def test_every_export_is_its_modules_object():

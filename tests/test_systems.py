@@ -463,6 +463,15 @@ def test_a_sigma_naming_a_variable_twice_is_ill_formed(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_an_applied_system_naming_a_variable_twice_is_ill_formed():
+    # built directly, such a system used to construct
+    twice = (ValueAttribution("a", AtomVal("x")), ValueAttribution("a", AtomVal("y")))
+    with pytest.raises(IllFormed, match="a variable appears twice in the antecedent"):
+        AppliedSystem("t", "e", twice, "b", (("u", 0.5), ("v", 0.5)))
+    once = AppliedSystem("t", "e", twice[:1], "b", (("u", 0.5), ("v", 0.5)))
+    assert once.sigma == twice[:1]
+
+
 def test_index_is_not_part_of_equality():
     queried, fresh = _ts(_rows(THREE)), _ts(_rows(THREE))
     conditional_distribution(queried, FREQ, sigma("b:u"), "a")
