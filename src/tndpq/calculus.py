@@ -639,7 +639,13 @@ def check_derivation(
     report = CheckReport()
     tags = set()
     learners = {id: Learner(pair) for id, pair in (sources or {}).items()}
-    _check_node(derivation, schema, learners, report, "root", tags)
+    # A worklist in pre-order, since a derivation is as deep as its plan is long.
+    work = [(derivation, "root")]
+    while work:
+        node, path = work.pop()
+        _check_node(node, schema, learners, report, path, tags)
+        if node.rule != RuleId.AtQuery:
+            work += reversed([(premise, f"{path}.{index}") for index, premise in enumerate(node.premises)])
     if len(tags) > 1:
         report.add("root", "ProvenanceMismatch", f"multiple provenance tags {sorted(tags)}")
     return report
@@ -688,8 +694,6 @@ def _check_node(node, schema, learners, report, path, tags):
             report.add(path, "FormulaViolation",
                        f"probability {actual.probability!r}, formula gives {expected.probability!r}")
         _retest_independence(node, learn, report, path)
-    for index, premise in enumerate(node.premises):
-        _check_node(premise, schema, learners, report, f"{path}.{index}", tags)
 
 
 def _retest_independence(node, learn, report, path):

@@ -131,7 +131,8 @@ def parse_script(text: str, schema: AttributeSchema) -> dict:
         if name in steps:
             raise TndpqError(f"script line {lineno}: duplicate step id {name!r}")
         rest = rest.strip()
-        rule_name, _, tail = rest.partition(" ")
+        rule_name = rest.split(maxsplit=1)[0] if rest else ""
+        tail = rest[len(rule_name) + 1:]  # after the one whitespace character that ends the name
         if rule_name.upper() == "ATQUERY":
             sigma_text, _, query_text = tail.rpartition("|>")
             try:
@@ -508,16 +509,8 @@ def main(argv=None) -> int:
     args = _read(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TndpqError as exc:
+    except (TndpqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the parser, the fit and the printer recurse once per level of a
-        # value, so a value nested past the interpreter's limit lands here
-        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -22,9 +22,8 @@ not exclusive, although the two are.
 
 from __future__ import annotations
 
-from .errors import IllFormed, OracleTooLarge, ShapeMismatch
+from .errors import OracleTooLarge, ShapeMismatch
 from .syntax import (
-    _TOO_DEEP,
     Arrow,
     Atom,
     AtomVal,
@@ -107,11 +106,8 @@ def exclusive(
     trace: list[str] | None = None,
 ) -> bool:
     """Decide mutual exclusivity of two values of the same linear variable term."""
-    try:
-        term, b, d = _prologue(term, beta, delta, schema)
-        return _exclusive(term, beta, delta, schema, _Trace(trace), (b, d))
-    except RecursionError:  # the walks recurse once per level of a value
-        raise IllFormed(_TOO_DEEP) from None
+    term, b, d = _prologue(term, beta, delta, schema)
+    return _exclusive(term, beta, delta, schema, _Trace(trace), (b, d))
 
 
 def _exclusive(term, beta, delta, schema, trace, fits=None) -> bool:
@@ -237,14 +233,11 @@ def oracle_exclusive(
     independently: enumerated antecedent equality and enumerated consequent
     exclusivity.
     """
-    try:
-        term = _prologue(term, beta, delta, schema)[0]
-        budget = sum(len(schema.atoms(v)) for v in term_atoms(term))
-        if budget > ORACLE_ATOM_BUDGET:
-            raise OracleTooLarge(f"{budget} atoms involved, budget {ORACLE_ATOM_BUDGET}")
-        return _oracle(term, beta, delta, schema)
-    except RecursionError:
-        raise IllFormed(_TOO_DEEP) from None
+    term = _prologue(term, beta, delta, schema)[0]
+    budget = sum(len(schema.atoms(v)) for v in term_atoms(term))
+    if budget > ORACLE_ATOM_BUDGET:
+        raise OracleTooLarge(f"{budget} atoms involved, budget {ORACLE_ATOM_BUDGET}")
+    return _oracle(term, beta, delta, schema)
 
 
 def _oracle(term, beta, delta, schema) -> bool:

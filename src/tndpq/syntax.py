@@ -16,8 +16,13 @@ annotated fields with defaults, `fresh(make)` default factories and
 `Name(field=value, ...)` repr; and, when frozen, immutability and
 `__hash__`.  Private (`_`-named) fields, such as the lookup maps of
 `AttributeSchema`, stay out of `__init__`, `__eq__` and `__repr__`.  One
-`exec` per class builds the methods, so importing a layer does not import
-`dataclasses` and `inspect`.  `calculus.Derivation` is the one dataclass.
+`exec` per class builds `__init__`, `__eq__` and `__hash__`, and `__repr__`
+is made per class too, so importing a layer does not import `dataclasses`
+and `inspect`.  `calculus.Derivation` is the one dataclass.
+
+Each composite term and value carries a private `_depth`, atoms being 1
+deep.  Building one deeper than `_MAX_DEPTH` (200) raises `IllFormed`, so
+every walk over a term or value stays within the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ def _refuse_delete(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _repr(self):
-    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-    return f"{self.__class__.__qualname__}({shown})"
+# A term or value is nested at most this deep, so that every walk that
+# recurses once per level of one stays well inside the interpreter's stack.
+_MAX_DEPTH = 200
+_TOO_DEEP = "input nested too deeply"
 
 
 def record(cls=None, /, *, frozen=False):
@@ -61,17 +67,29 @@ def record(cls=None, /, *, frozen=False):
     and takes no part in `__eq__` or `__repr__`: it starts from its default
     if it has one, else `__post_init__` sets it.  `__eq__` holds between
     records of one class whose public fields are equal, and `__repr__`
-    reads `Name(field=value, ...)`.  A frozen record refuses assignment and
-    hashes its public fields; a mutable one is unhashable.  A method the
-    class defines itself is kept.
+    reads `Name(field=value, ...)`.  A field annotated with one of the
+    class's own bases holds a child node: `__init__` then sets `_depth` to
+    one more than the deepest child's and raises `IllFormed` past
+    `_MAX_DEPTH`.  A frozen record refuses assignment and hashes its public
+    fields; a mutable one is unhashable.  A method the class defines itself
+    is kept.
     """
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
     # The generated code reads each default from `env` as `_d_<field>`.
-    env = {"_setattr": object.__setattr__}
+    env = {"_setattr": object.__setattr__, "_IllFormed": IllFormed, "_TOO_DEEP": _TOO_DEEP}
     assign = "_setattr(self, {name!r}, {value})" if frozen else "self.{name} = {value}"
+    annotations = cls.__dict__.get("__annotations__", {})
+    bases = {base.__name__ for base in cls.__mro__[1:]}
+    children = [f"{name}._depth" for name, kind in annotations.items() if kind in bases]
     params, body, public, missing = ["self"], [], [], object()
-    for name in cls.__dict__.get("__annotations__", {}):
+    if children:
+        deepest = children[0]
+        for child in children[1:]:
+            deepest = f"({deepest} if {deepest} > {child} else {child})"
+        body += [f"depth = {deepest}", f"if depth >= {_MAX_DEPTH}: raise _IllFormed(_TOO_DEEP)"]
+        body.append(assign.format(name="_depth", value="depth + 1"))
+    for name in annotations:
         default = env[f"_d_{name}"] = cls.__dict__.get(name, missing)
         made = type(default) is fresh
         if made:
@@ -88,6 +106,7 @@ def record(cls=None, /, *, frozen=False):
         body.append("self.__post_init__()")
     mine = "".join(f"self.{name}," for name in public)
     theirs = "".join(f"other.{name}," for name in public)
+    shown = f"{cls.__qualname__}({', '.join(f'{name}=%r' for name in public)})"
     source = [
         f"def __init__({', '.join(params)}):",
         *(f"    {line}" for line in body or ["pass"]),
@@ -99,10 +118,15 @@ def record(cls=None, /, *, frozen=False):
     if frozen:
         source += ["def __hash__(self):", f"    return hash(({mine}))"]
     exec("\n".join(source), env)
-    methods = {name: env[name] for name in ("__init__", "__eq__", "__hash__") if name in env}
+
+    def __repr__(self):  # one frame per level of a nested record, as `__eq__` takes
+        return shown % tuple(map(self.__getattribute__, public))
+
+    env["__repr__"] = __repr__
+    methods = {name: env[name] for name in ("__init__", "__eq__", "__repr__", "__hash__") if name in env}
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__qualname__}.{name}"
-    methods.update(__repr__=_repr, __match_args__=tuple(public))
+    methods["__match_args__"] = tuple(public)
     if frozen:
         methods.update(__setattr__=_refuse_set, __delattr__=_refuse_delete)
     else:
@@ -229,6 +253,7 @@ class VariableTerm:
     """Base class for variable terms (subjects of queries)."""
 
     __slots__ = ()
+    _depth = 1  # an atom's; `record` gives each composite term its own
 
 
 @record(frozen=True)
@@ -324,6 +349,7 @@ class Value:
     """Base class for values (outputs attributed to variables)."""
 
     __slots__ = ()
+    _depth = 1  # an atom's; `record` gives each composite value its own
 
 
 @record(frozen=True)
@@ -630,9 +656,12 @@ class _Parser:
         _, found, position = _tokenize(self.text)[self.pos]
         return ParseError(f"expected {expected}, found {found!r}", position)
 
-    def whole(self, rule):
-        """`rule()`, which must read up to the end of the text."""
-        node = rule()
+    def whole(self, rule, *args):
+        """`rule(*args)`, which must read to the end of the text; it recurses before any node bounds it."""
+        try:
+            node = rule(*args)
+        except RecursionError:
+            raise ParseError(_TOO_DEEP) from None
         if self.tokens[self.pos] is not None:
             raise self.fail("'eof'")
         return node
@@ -697,7 +726,7 @@ class _Parser:
         return Atom(tok)
 
     def attributions(self, end: str | None) -> tuple[ValueAttribution, ...]:
-        """Attributions separated by `,`, up to and including the token `end`.
+        """Attributions separated by `,`, up to the token `end`, which is left unread.
 
         `end` None stands for the end of the text.
         """
@@ -719,11 +748,11 @@ class _Parser:
                 self.pos += 1
         if tokens[self.pos] != end:
             raise self.fail("'eof'" if end is None else repr(end))
-        self.pos += 1
         return tuple(attributions)
 
     def judgment(self) -> Judgment:
         antecedent = self.attributions("|>")
+        self.pos += 1
         subject = self.term()
         tokens = self.tokens
         if tokens[self.pos] != ":":
@@ -740,17 +769,9 @@ class _Parser:
         return Judgment(antecedent, subject, value, float(text))
 
 
-# The parser, the fit walk and the printer recurse once per level of a value
-# or term, so the public entries turn a RecursionError into this message.
-_TOO_DEEP = "input nested too deeply"
-
-
 def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
     parser = _Parser(text)
-    try:
-        value = parser.whole(parser.value)
-    except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
+    value = parser.whole(parser.value)
     if schema is not None:
         for node in subvalues(value):
             if type(node) is AtomVal:
@@ -760,35 +781,26 @@ def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
 
 def parse_term(text: str, schema: AttributeSchema | None = None) -> VariableTerm:
     parser = _Parser(text)
-    try:
-        term = parser.whole(parser.term)
-        if schema is not None:
-            _require_declared(_variables(reduce_projections(term)), schema)
-    except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
+    term = parser.whole(parser.term)
+    if schema is not None:
+        _require_declared(_variables(reduce_projections(term)), schema)
     return term
 
 
 def parse_attribution_list(text: str, schema: AttributeSchema | None = None) -> tuple[ValueAttribution, ...]:
     parser = _Parser(text)
-    try:
-        attributions = parser.attributions(None)
-        require_distinct_variables(attributions)
-        if schema is not None:
-            for va in attributions:
-                va.mask(schema)
-    except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
+    attributions = parser.whole(parser.attributions, None)
+    require_distinct_variables(attributions)
+    if schema is not None:
+        for va in attributions:
+            va.mask(schema)
     return attributions
 
 
 def parse_judgment(text: str, schema: AttributeSchema) -> Judgment:
     """Parse and validate one judgment against the schema."""
     parser = _Parser(text)
-    try:
-        return parser.whole(parser.judgment).validate(schema)
-    except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
+    return parser.whole(parser.judgment).validate(schema)
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +821,7 @@ def _print_value(value: Value, floor: int = 0) -> str:
 
 
 def print_value(value: Value) -> str:
-    try:
-        return _print_value(value)
-    except RecursionError:
-        raise IllFormed(_TOO_DEEP) from None
+    return _print_value(value)
 
 
 def print_term(term: VariableTerm) -> str:

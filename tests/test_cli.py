@@ -171,6 +171,28 @@ def test_derive_script(schema_file, csv_file, tmp_path, capsys):
     assert "@ 0.05" in out[-2]
 
 
+def test_derive_check_takes_a_plan_longer_than_the_recursion_limit(schema_file, csv_file, tmp_path, capsys):
+    # the checker used to recurse once per derivation level, so this
+    # printed every step and then exited 2 with "input nested too deeply"
+    steps = ["q0 = ATQUERY Chickenpox : Extreme"]
+    steps += [f"q{i} = NegIER {'' if i % 2 else '@backward '}q{i - 1}" for i in range(1, 1201)]
+    script = tmp_path / "proof.txt"
+    script.write_text("\n".join(steps) + "\n")
+    assert main(["derive", schema_file, csv_file, "--script", str(script), "--check"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1202 and out[-2].startswith("q1200\t") and out[-1] == "CHECK\tok"
+
+
+def test_script_rule_name_ends_at_any_whitespace(schema_file, csv_file, tmp_path, capsys):
+    # a tab after the rule name used to make it part of the name:
+    # "unknown rule 'ATQUERY\tChickenpox'" and "unknown rule 'NegIER\tq0'"
+    script = tmp_path / "proof.txt"
+    script.write_text("q0 = ATQUERY\tChickenpox : Extreme\nq1 = NegIER\tq0\n")
+    assert main(["derive", schema_file, csv_file, "--script", str(script), "--check"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["q0\t|> Chickenpox : Extreme @ 0.1", "q1\t|> Chickenpox : ~Extreme @ 0.9", "CHECK\tok"]
+
+
 def test_derive_script_error_paths(schema_file, csv_file, tmp_path, capsys):
     script = tmp_path / "proof.txt"
     script.write_text("pair = ProdI1 nowhere\n")

@@ -163,14 +163,17 @@ def test_oracle_budget():
         oracle_exclusive(Pair(Atom("A"), Atom("B")), v("x1*y1"), v("x2*y2"), big)
 
 
-# the parser reads a+...+a in a loop, but the fit walks it once per term
+# the parser reads a+...+a in a loop, but the value is nested once per
+# term, so 1500 terms cannot be built; the longest chain that can is decided
 @pytest.mark.parametrize("decide", [exclusive, oracle_exclusive])
 def test_a_value_nested_too_deeply_is_ill_formed(decide):
     schema = AttributeSchema.of([("X", ("a", "b"))])
-    chain = parse_value("+".join(["a"] * 1500))
     with pytest.raises(IllFormed) as caught:
-        decide(parse_term("X", schema), chain, AtomVal("b"), schema)
+        parse_value("+".join(["a"] * 1500))
     assert str(caught.value) == "input nested too deeply"
+    longest = parse_value("+".join(["a"] * 200))
+    assert decide(parse_term("X", schema), longest, AtomVal("b"), schema)
+    assert not decide(parse_term("X", schema), longest, AtomVal("a"), schema)
 
 
 def test_explain_trace():

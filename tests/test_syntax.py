@@ -131,15 +131,17 @@ _DEEP = AttributeSchema.of([("X", ("a", "b"))])
 
 
 # Each public entry raises a TndpqError, not RecursionError, for input
-# nested past the interpreter's recursion limit.
+# nested too deeply: a ParseError for text nested past the interpreter's
+# recursion limit, and IllFormed for a value past the depth bound, which
+# `a+...+a` reaches without nesting in the text.
 @pytest.mark.parametrize(
     "call, error",
     [
         (lambda: parse_value("~" * 1200 + "a"), ParseError),
         (lambda: parse_value("(" * 1200 + "a" + ")" * 1200), ParseError),
         (lambda: parse_term("fst(" * 1200 + "X" + ")" * 1200), ParseError),
-        (lambda: parse_attribution_list("X:" + _CHAIN, _DEEP), ParseError),
-        (lambda: parse_judgment(f"|> X : {_CHAIN} @ 0.5", _DEEP), ParseError),
+        (lambda: parse_attribution_list("X:" + _CHAIN, _DEEP), IllFormed),
+        (lambda: parse_judgment(f"|> X : {_CHAIN} @ 0.5", _DEEP), IllFormed),
         (lambda: print_value(parse_value(_CHAIN)), IllFormed),
     ],
     ids=["parse_value-negations", "parse_value-parentheses", "parse_term", "parse_attribution_list",
