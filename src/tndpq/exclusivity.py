@@ -50,7 +50,7 @@ from .syntax import (
 def _prologue(term, beta, delta, schema):
     """The reduced term and the fits of both values to it (None over a conditional term).
 
-    Each value is checked whole, since `_cond_exclusive` may stop before it
+    Each value is checked whole, since the step cases may stop before it
     has seen every branch.  A conditional below a pair fits a judgment, so
     the walk lets it through and the term check after it rejects it.
     """
@@ -116,7 +116,13 @@ def _exclusive(term, beta, delta, schema, trace, fits=None) -> bool:
     trace.depth += 1
     try:
         if type(term) is Cond:
-            return _cond_exclusive(term, beta, delta, schema, trace)
+
+            def base(b, d) -> bool:
+                equal = fit(term.antecedent, b.left, schema) == fit(term.antecedent, d.left, schema)
+                trace.note(lambda: f"antecedents {'equal' if equal else 'differ'}")
+                return equal and _exclusive(term.consequent, b.right, d.right, schema, trace)
+
+            return _step_cases(beta, delta, base, trace.note)
         (b, width), (d, _) = fits or (fit(term, beta, schema), fit(term, delta, schema))
         trace.note(lambda: _explain_masks(term, b, d, width, schema))
         return not b & d
@@ -162,56 +168,49 @@ def _cell_names(term, schema) -> list[tuple[str, ...]]:
 # (some disjunct must be exclusive).  Base case: both sides conditionals,
 # exclusive when the antecedents are equal and the consequents exclusive.
 # The procedure and the oracle share the step cases and differ in how they
-# decide the base case.
+# decide the base case.  Each step case is its trace line, whether every
+# part it splits a value into must be exclusive (else some part), and the
+# split: the parts, or False where the case does not apply.
+_STEPS = (
+    ("strip double negation", True, lambda v: type(v) is Neg and type(v.inner) is Neg and [v.inner.inner]),
+    ("disjunction: every disjunct must be exclusive", True, lambda v: type(v) is Or and [v.left, v.right]),
+    ("negated conditional: push negation into the consequent", True,
+     lambda v: type(v) is Neg and type(v.inner) is Arrow and [Arrow(v.inner.left, Neg(v.inner.right))]),
+    ("negated disjunction: some disjunct must be exclusive", False,
+     lambda v: type(v) is Neg and type(v.inner) is Or and [Neg(v.inner.left), Neg(v.inner.right)]),
+)
 
 
 def _step_cases(beta, delta, base, note) -> bool:
     """Reduce two values of a conditional term to `base(b, d)` on conditionals.
 
-    `note` receives a thunk for the line each step case adds to a trace.
+    `note` receives a thunk for the line each step case adds to a trace.  The
+    second pair of each split waits on a list, not the stack, so the walk
+    takes one frame however deep both values are; it stops where `all` or
+    `any` over the pairs would.
     """
-    for value, other, flip in ((beta, delta, False), (delta, beta, True)):
-        if isinstance(value, Neg) and isinstance(value.inner, Neg):
-            note(lambda: "strip double negation")
-            stripped = value.inner.inner
-            args = (other, stripped) if flip else (stripped, other)
-            return _step_cases(*args, base, note)
-    for value, other, flip in ((beta, delta, False), (delta, beta, True)):
-        if isinstance(value, Or):
-            note(lambda: "disjunction: every disjunct must be exclusive")
-            return all(
-                _step_cases(*((other, d) if flip else (d, other)), base, note)
-                for d in (value.left, value.right)
-            )
-    for value, other, flip in ((beta, delta, False), (delta, beta, True)):
-        if isinstance(value, Neg) and isinstance(value.inner, Arrow):
-            note(lambda: "negated conditional: push negation into the consequent")
-            pushed = Arrow(value.inner.left, Neg(value.inner.right))
-            args = (other, pushed) if flip else (pushed, other)
-            return _step_cases(*args, base, note)
-    for value, other, flip in ((beta, delta, False), (delta, beta, True)):
-        if isinstance(value, Neg) and isinstance(value.inner, Or):
-            note(lambda: "negated disjunction: some disjunct must be exclusive")
-            return any(
-                _step_cases(*((other, Neg(d)) if flip else (Neg(d), other)), base, note)
-                for d in (value.inner.left, value.inner.right)
-            )
-    if isinstance(beta, Arrow) and isinstance(delta, Arrow):
-        return base(beta, delta)
-    raise ShapeMismatch(
-        f"not conditional-shaped: {print_value(beta)} vs {print_value(delta)}"
-    )
-
-
-def _cond_exclusive(term, beta, delta, schema, trace) -> bool:
-    antecedent = term.antecedent
-
-    def base(b, d) -> bool:
-        equal = fit(antecedent, b.left, schema) == fit(antecedent, d.left, schema)
-        trace.note(lambda: f"antecedents {'equal' if equal else 'differ'}")
-        return equal and _exclusive(term.consequent, b.right, d.right, schema, trace)
-
-    return _step_cases(beta, delta, base, trace.note)
+    pending = []  # per open split: whether both pairs must be exclusive, and the second pair
+    while True:
+        for text, every, split in _STEPS:
+            parts, flip = split(beta), False
+            if not parts:
+                parts, flip = split(delta), True
+            if parts:
+                note(lambda: text)
+                (beta, delta), *second = [(beta, part) if flip else (part, delta) for part in parts]
+                pending.extend((every, pair) for pair in second)
+                break
+        else:
+            if not (isinstance(beta, Arrow) and isinstance(delta, Arrow)):
+                raise ShapeMismatch(
+                    f"not conditional-shaped: {print_value(beta)} vs {print_value(delta)}"
+                )
+            verdict = base(beta, delta)
+            while pending and pending[-1][0] != verdict:
+                pending.pop()
+            if not pending:
+                return verdict
+            beta, delta = pending.pop()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +241,18 @@ def oracle_exclusive(
 
 def _oracle(term, beta, delta, schema) -> bool:
     if isinstance(term, Cond):
-        return _oracle_cond(term, beta, delta, schema)
+
+        def base(b, d) -> bool:
+            return _oracle_equal(term.antecedent, b.left, d.left, schema) and _oracle(
+                reduce_projections(term.consequent), b.right, d.right, schema
+            )
+
+        return _step_cases(beta, delta, base, lambda text: None)
     variables = sorted(term_atoms(term))
     for assignment in _assignments(variables, schema):
         if _sat(beta, assignment, schema) and _sat(delta, assignment, schema):
             return False
     return True
-
-
-def _oracle_cond(term, beta, delta, schema) -> bool:
-    def base(b, d) -> bool:
-        if not _oracle_equal(term.antecedent, b.left, d.left, schema):
-            return False
-        return _oracle(reduce_projections(term.consequent), b.right, d.right, schema)
-
-    return _step_cases(beta, delta, base, lambda text: None)
 
 
 def _oracle_equal(subterm, x, y, schema) -> bool:

@@ -807,21 +807,17 @@ def parse_judgment(text: str, schema: AttributeSchema) -> Judgment:
 # Printer
 
 
-def _print_value(value: Value, floor: int = 0) -> str:
-    """`value` with the fewest parentheses under which `_Parser.value(floor)` reads it back."""
+def print_value(value: Value, _floor: int = 0) -> str:
+    """`value` with the fewest parentheses under which `_Parser.value` reads it back at floor `_floor`."""
     kind = type(value)
     if kind is AtomVal:
         return value.name
     if kind is Neg:
-        return "~" + _print_value(value.inner, _NEG_POWER)
+        return "~" + print_value(value.inner, _NEG_POWER)
     op, power, right = _SYMBOL[kind]
     left_floor, right_floor = (power + 1, power) if right else (power, power + 1)
-    text = f"{_print_value(value.left, left_floor)}{op}{_print_value(value.right, right_floor)}"
-    return f"({text})" if power < floor else text
-
-
-def print_value(value: Value) -> str:
-    return _print_value(value)
+    text = f"{print_value(value.left, left_floor)}{op}{print_value(value.right, right_floor)}"
+    return f"({text})" if power < _floor else text
 
 
 def print_term(term: VariableTerm) -> str:

@@ -183,6 +183,17 @@ def test_derive_check_takes_a_plan_longer_than_the_recursion_limit(schema_file, 
     assert len(out) == 1202 and out[-2].startswith("q1200\t") and out[-1] == "CHECK\tok"
 
 
+def test_a_plan_that_builds_a_value_past_the_depth_bound_exits_2(schema_file, csv_file, tmp_path, capsys):
+    # values a rule builds are bounded as parsed ones are: q200 would be
+    # ~ applied 200 times to Extreme, 201 deep
+    steps = ["q0 = ATQUERY Chickenpox : Extreme"]
+    steps += [f"q{i} = NegIER q{i - 1}" for i in range(1, 201)]
+    script = tmp_path / "proof.txt"
+    script.write_text("\n".join(steps) + "\n")
+    assert main(["derive", schema_file, csv_file, "--script", str(script)]) == 2
+    assert capsys.readouterr() == ("", "error: input nested too deeply\n")
+
+
 def test_script_rule_name_ends_at_any_whitespace(schema_file, csv_file, tmp_path, capsys):
     # a tab after the rule name used to make it part of the name:
     # "unknown rule 'ATQUERY\tChickenpox'" and "unknown rule 'NegIER\tq0'"
@@ -667,6 +678,16 @@ def test_a_value_nested_too_deeply_exits_2(tmp_path, command, value):
     else:
         result = _run_cli("exclusive", str(schema), "X", value, "b")
     assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: input nested too deeply\n")
+
+
+def test_exclusive_decides_two_values_deep_on_both_sides(tmp_path):
+    # the step cases split both values, 199 arrows each, one after the
+    # other; walking them by recursion overflowed the stack
+    schema = tmp_path / "s.txt"
+    schema.write_text("X = a | b\nZ = p | q\n")
+    beta, delta = ("+".join([f"(a->{z})"] * 199) for z in "pq")
+    result = _run_cli("exclusive", str(schema), "[X]Z", beta, delta)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "exclusive\n", "")
 
 
 def test_parentheses_take_one_parser_level_each(tmp_path):

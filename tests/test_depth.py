@@ -23,7 +23,6 @@ from tndpq.syntax import (
     Snd,
     Value,
     ValueAttribution,
-    parse_value,
     print_term,
     print_value,
     reduce_projections,
@@ -65,8 +64,22 @@ def _source():
 
 # a projection chain 199 deep that reduces to X: fst(<fst(<…,Y>),Y>)
 _PROJECTED = _chain(lambda t: Fst(Pair(t, Atom("Y"))), Atom("X"), (BOUND - 1) // 2)
-# an Or chain of arrows at the bound, which fits [X]Z
-_ARROWS = _chain(lambda v: Or(v, Arrow(AtomVal("a"), AtomVal("p"))), Arrow(AtomVal("a"), AtomVal("p")), BOUND - 2)
+
+
+def _arrows(antecedent, consequent, depth=BOUND):
+    """An Or chain of `antecedent->consequent` arrows, `depth` deep."""
+    arrow = Arrow(AtomVal(antecedent), AtomVal(consequent))
+    return _chain(lambda v: Or(v, arrow), arrow, depth - 2)
+
+
+# Or chains of arrows at the bound that fit [X]Z, and values at the bound
+# that fit [X][Y]Z, each an arrow to such a chain.  The step cases take a
+# pair of values, so each pair is deep on both sides.
+_ARROWS = _arrows("a", "p")
+_ARROWS_Q = _arrows("a", "q")
+_NESTED = Arrow(AtomVal("a"), _arrows("u", "p", BOUND - 1))
+_NESTED_Q = Arrow(AtomVal("a"), _arrows("u", "q", BOUND - 1))
+_XZ, _XYZ = Cond(Atom("X"), Atom("Z")), Cond(Atom("X"), Cond(Atom("Y"), Atom("Z")))
 _SIGMA = (ValueAttribution("Y", _negations("u")),)
 
 WALKS = {
@@ -78,10 +91,10 @@ WALKS = {
     "reduce_projections": lambda: reduce_projections(_PROJECTED) == Atom("X"),
     "Judgment.validate": lambda: Judgment(_SIGMA, _PROJECTED, _negations("a"), 0.5).validate(SCHEMA),
     "exclusive-X": lambda: exclusive(Atom("X"), _negations("a"), AtomVal("a"), SCHEMA),
-    "exclusive-[X]Z": lambda: exclusive(Cond(Atom("X"), Atom("Z")), _ARROWS, parse_value("a->q"), SCHEMA),
-    "oracle_exclusive-[X]Z": lambda: oracle_exclusive(
-        Cond(Atom("X"), Atom("Z")), _ARROWS, parse_value("a->q"), SCHEMA
-    ),
+    "exclusive-[X]Z": lambda: exclusive(_XZ, _ARROWS, _ARROWS_Q, SCHEMA),
+    "oracle_exclusive-[X]Z": lambda: oracle_exclusive(_XZ, _ARROWS, _ARROWS_Q, SCHEMA),
+    "exclusive-[X][Y]Z": lambda: exclusive(_XYZ, _NESTED, _NESTED_Q, SCHEMA),
+    "oracle_exclusive-[X][Y]Z": lambda: oracle_exclusive(_XYZ, _NESTED, _NESTED_Q, SCHEMA),
     "derive_value": lambda: derive_value(_source(), _SIGMA, Atom("X"), _negations("a"), SCHEMA).rule
     is RuleId.NegIER,
     "check_nonatomic": lambda: check_nonatomic(
