@@ -17,13 +17,22 @@ right introduction or right elimination rule works on the conclusion's
 subject and value, a left rule on its antecedent, and a double-line rule
 (ImpIE, NegIER) introduces read forward and eliminates read backward.
 
-The nine left rules share one handler, `_rule_left`, which reads their
-premise forms from a second table, `_LEFT`.  Every premise of a left rule,
-and its conclusion, is a judgment over one context σ, one atomic variable
-t and one query u : δ, in one of three forms: X is σ |> t : X, u is
-σ |> u : δ, and X| is σ, t : X |> u : δ, where X is γ, β, γ+β or ~β.  A
-row gives the forms of the premises f, g, h, i in order, the conclusion's
-form and the probability formula.
+Every rule has one handler, `_rule_match`, which reads the rule's premise
+and conclusion forms from a second table, `_READINGS`: one row per rule,
+and one per direction for a double-line rule.  `_compile` writes a row's
+matcher out as Python the first time the row is used, so that applying a
+rule makes no choice the forms have already made.  Every premise, and the
+conclusion, is a judgment over one context σ, one term t and one query
+u : δ, in one of six forms, where X is γ, β, γ+β or ~β:
+
+    X      σ |> t : X            X|     σ, t : X |> u : δ
+    u      σ |> u : δ            X->u   σ |> [t]u : X->δ
+    X*u    σ |> <t,u> : X*δ      u*X    σ |> <u,t> : δ*X
+
+t and u compare as reduced terms, and a premise of form X|, X->u, X*u or
+u*X must show an atomic variable for t.  A row gives the forms of the
+premises f, g, h, i in order, the conclusion's form and the probability
+formula.
 """
 
 from __future__ import annotations
@@ -97,8 +106,11 @@ class RuleId(str, enum.Enum):
     ProdIIndep = "ProdIIndep"
 
 
-# Stays a dataclass: the benchmark's worker rebuilds derivations with `dataclasses.replace`.
-@dataclass(frozen=True)
+# Stays a dataclass: the benchmark's worker rebuilds derivations with
+# `dataclasses.replace`.  A derivation is as deep as its plan is long, with
+# no bound, so `==` compares pairs of nodes from a worklist, and `hash` and
+# `repr` read the node alone: its rule, direction and conclusion.
+@dataclass(frozen=True, eq=False, repr=False)
 class Derivation:
     conclusion: Judgment
     rule: RuleId
@@ -106,6 +118,28 @@ class Derivation:
     side_conditions: tuple[dict, ...] = ()
     provenance: tuple[str, str] | None = None
     direction: str = "forward"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        work = [(self, other)]
+        while work:
+            a, b = work.pop()
+            if a is b:
+                continue
+            if b.__class__ is not a.__class__ or len(a.premises) != len(b.premises) or (
+                a.conclusion, a.rule, a.side_conditions, a.provenance, a.direction
+            ) != (b.conclusion, b.rule, b.side_conditions, b.provenance, b.direction):
+                return False
+            work += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self):
+        return hash((self.rule, self.direction, self.conclusion))
+
+    def __repr__(self):
+        shown = f"rule={self.rule.value}, direction={self.direction!r}, conclusion={print_judgment(self.conclusion)!r}"
+        return f"Derivation({shown}, premises={len(self.premises)})"
 
 
 class RuleKind(enum.Enum):
@@ -166,12 +200,6 @@ def _finish(p: float, rule: RuleId) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _nonzero(x: float, rule: RuleId, what: str) -> float:
-    if x == 0.0:
-        raise ZeroDenominator(f"{rule.value}: {what} is zero")
-    return x
-
-
 def _extension(judgment: Judgment, base_sigma) -> ValueAttribution:
     """The one attribution the judgment's antecedent adds to base_sigma, neither naming a variable twice."""
     extra = [va for va in judgment.antecedent if va not in base_sigma]
@@ -182,11 +210,6 @@ def _extension(judgment: Judgment, base_sigma) -> ValueAttribution:
     return extra[0]
 
 
-def _require(condition: bool, rule: RuleId, message: str) -> None:
-    if not condition:
-        raise ShapeMismatch(f"{rule.value}: {message}")
-
-
 def _as_atom(term: VariableTerm, rule: RuleId) -> Atom:
     term = reduce_projections(term)
     if not isinstance(term, Atom):
@@ -194,10 +217,6 @@ def _as_atom(term: VariableTerm, rule: RuleId) -> Atom:
             f"{rule.value}: {print_term(term)} cannot appear in an antecedent"
         )
     return term
-
-
-def _same_subject(a: VariableTerm, b: VariableTerm) -> bool:
-    return reduce_projections(a) == reduce_projections(b)
 
 
 def _exclusivity_evidence(term, left, right, schema, rule) -> dict:
@@ -210,6 +229,9 @@ def _exclusivity_evidence(term, left, right, schema, rule) -> dict:
 
 
 def _independence_evidence(side, t, u, rule) -> dict:
+    """The fact in `side` that the reduced terms t and u are independent, once <t,u> is linear."""
+    require_linear(Pair(t, u))
+    t, u = print_term(t), print_term(u)
     for fact in side or ():
         if fact.get("kind") != "independent":
             continue
@@ -266,164 +288,30 @@ def apply_rule(
     return Derivation(conclusion, rule, premises, tuple(evidence), provenance, direction)
 
 
-# Each handler takes (rule, premise conclusions, schema, side, direction) and
-# returns (conclusion judgment, side-condition evidence).
-
-
-def _rule_imp_ie(rule, conclusions, schema, side, direction):
-    (p,) = conclusions
-    if direction == "forward":
-        _require(len(p.antecedent) >= 1, rule, "empty antecedent, nothing to discharge")
-        moved = p.antecedent[-1]
-        conclusion = Judgment(
-            p.antecedent[:-1],
-            Cond(Atom(moved.variable), p.subject),
-            Arrow(moved.value, p.value),
-            p.probability,
-        )
-        return conclusion, []
-    term = reduce_projections(p.subject)
-    _require(isinstance(term, Cond), rule, "subject is not a conditional term")
-    _require(isinstance(p.value, Arrow), rule, "value is not a conditional")
-    antecedent_term = _as_atom(term.antecedent, rule)
-    conclusion = Judgment(
-        p.antecedent + (ValueAttribution(antecedent_term.name, p.value.left),),
-        term.consequent,
-        p.value.right,
-        p.probability,
-    )
-    return conclusion, []
-
-
-def _rule_prod_i(rule, conclusions, schema, side, direction):
-    major, minor = conclusions
-    sigma = minor.antecedent
-    extra = _extension(major, sigma)
-    minor_term = _as_atom(minor.subject, rule)
-    _require(extra.variable == minor_term.name, rule, "antecedent extension does not match the minor premise subject")
-    _require(extra.value == minor.value, rule, "antecedent extension value differs from the minor premise")
-    f, g = minor.probability, major.probability
-    if rule == RuleId.ProdI2:
-        # major: sigma, u:delta |> t:beta ; minor: sigma |> u:delta
-        t_term, u_term = major.subject, minor.subject
-        beta, delta = major.value, minor.value
-    else:
-        # major: sigma, t:beta |> u:delta ; minor: sigma |> t:beta
-        t_term, u_term = minor.subject, major.subject
-        beta, delta = minor.value, major.value
-    conclusion = Judgment(
-        sigma, Pair(t_term, u_term), Prod(beta, delta), _finish(f * g, rule)
-    )
-    return conclusion, []
-
-
-def _rule_prod_e(rule, conclusions, schema, side, direction):
-    second = rule == RuleId.ProdE2a or rule == RuleId.ProdE2b
-    conditional_form = rule == RuleId.ProdE1b or rule == RuleId.ProdE2b
-    major, minor = conclusions
-    _require(isinstance(major.value, Prod), rule, "major premise value is not a product")
-    beta, delta = major.value.left, major.value.right
-    t = major.subject
-    first_term = reduce_projections(Fst(t))
-    second_term = reduce_projections(Snd(t))
-    sigma = major.antecedent
-    kept_term, kept_value = (second_term, delta) if second else (first_term, beta)
-    other_term, other_value = (first_term, beta) if second else (second_term, delta)
-    f = major.probability
-    g = _nonzero(minor.probability, rule, "the minor premise probability")
-    if conditional_form:
-        # minor: sigma |> kept : value ; conclusion extends sigma with it
-        _require(same_sigma(minor.antecedent, sigma), rule, "minor premise context differs")
-        _require(_same_subject(minor.subject, kept_term), rule, "minor premise subject mismatch")
-        _require(minor.value == kept_value, rule, "minor premise value mismatch")
-        kept_atom = _as_atom(kept_term, rule)
-        conclusion = Judgment(
-            sigma + (ValueAttribution(kept_atom.name, kept_value),),
-            other_term,
-            other_value,
-            _finish(f / g, rule),
-        )
-    else:
-        # minor: sigma, kept : value |> other ; conclusion is sigma |> kept
-        extra = _extension(minor, sigma)
-        kept_atom = _as_atom(kept_term, rule)
-        _require(extra.variable == kept_atom.name and extra.value == kept_value, rule, "minor premise antecedent mismatch")
-        _require(_same_subject(minor.subject, other_term), rule, "minor premise subject mismatch")
-        _require(minor.value == other_value, rule, "minor premise value mismatch")
-        conclusion = Judgment(sigma, kept_term, kept_value, _finish(f / g, rule))
-    return conclusion, []
-
-
-def _rule_or_ir(rule, conclusions, schema, side, direction):
-    p1, p2 = conclusions
-    _require(same_sigma(p1, p2), rule, "premise contexts differ")
-    _require(_same_subject(p1.subject, p2.subject), rule, "premise subjects differ")
-    evidence = _exclusivity_evidence(p1.subject, p1.value, p2.value, schema, rule)
-    conclusion = Judgment(
-        p1.antecedent,
-        p1.subject,
-        Or(p1.value, p2.value),
-        _finish(p1.probability + p2.probability, rule),
-    )
-    return conclusion, [evidence]
-
-
-def _rule_or_er(rule, conclusions, schema, side, direction):
-    second = rule == RuleId.OrERb
-    p1, p2 = conclusions
-    _require(isinstance(p1.value, Or), rule, "major premise value is not a disjunction")
-    _require(same_sigma(p1, p2), rule, "premise contexts differ")
-    _require(_same_subject(p1.subject, p2.subject), rule, "premise subjects differ")
-    expected = p1.value.right if second else p1.value.left
-    remaining = p1.value.left if second else p1.value.right
-    _require(p2.value == expected, rule, "minor premise value is not the matching disjunct")
-    conclusion = Judgment(
-        p1.antecedent,
-        p1.subject,
-        remaining,
-        _finish(p1.probability - p2.probability, rule),
-    )
-    return conclusion, []
-
-
-def _rule_neg_ier(rule, conclusions, schema, side, direction):
-    (p,) = conclusions
-    if direction == "forward":
-        value = Neg(p.value)
-    else:
-        _require(isinstance(p.value, Neg), rule, "value is not negated")
-        value = p.value.inner
-    conclusion = Judgment(p.antecedent, p.subject, value, _finish(1.0 - p.probability, rule))
-    return conclusion, []
-
-
-def _rule_prod_i_indep(rule, conclusions, schema, side, direction):
-    p1, p2 = conclusions
-    _require(same_sigma(p1, p2), rule, "premise contexts differ")
-    u_term = reduce_projections(p1.subject)
-    t_term = reduce_projections(p2.subject)
-    require_linear(Pair(t_term, u_term))
-    evidence = _independence_evidence(side, print_term(t_term), print_term(u_term), rule)
-    g, f = p1.probability, p2.probability
-    conclusion = Judgment(
-        p1.antecedent,
-        Pair(p2.subject, p1.subject),
-        Prod(p2.value, p1.value),
-        _finish(f * g, rule),
-    )
-    return conclusion, [evidence]
-
-
 # ---------------------------------------------------------------------------
-# Left rules: the forms X, u and X| are those of the module docstring
+# Rule readings: the forms are those of the module docstring
+
+
+def _read_form(text: str) -> tuple[str, str | None]:
+    """(shape, X) of a form: its shape with X for its value part, and that part."""
+    if text == "u":
+        return "u", None
+    if text.startswith("u*"):
+        return "u*X", text[2:]
+    for tail in ("|", "->u", "*u"):
+        if text.endswith(tail):
+            return "X" + tail, text[: -len(tail)]
+    return "X", text
 
 
 @record(frozen=True)
-class _Left:
-    """A left rule's premise forms f, g, h, i, its conclusion form and formula.
+class _Reading:
+    """One reading of a rule: its premises' forms f, g, h, i, its conclusion's form and formula.
 
-    The formula has no value where `undefined(f, g, ...)` holds, and the
-    ZeroDenominator message then says `why`.
+    The formula takes the premises' probabilities in order.  It has no value
+    where `undefined(f, g, ...)` holds, and the ZeroDenominator message then
+    says `why`.  An `independent` reading needs <t,u> linear and the side
+    conditions to hold a fact that t and u are independent.
     """
 
     forms: tuple[str, ...]
@@ -431,123 +319,183 @@ class _Left:
     formula: Callable
     undefined: Callable | None = None
     why: str = ""
+    independent: bool = False
+    _match: Callable | None = None  # its matcher, compiled when first used
 
 
-_LEFT = {
-    RuleId.OrIL: _Left(("γ|", "β|", "γ", "β"), "γ+β|", lambda f, g, h, i: (f * h + g * i) / (h + i),
-                       lambda f, g, h, i: h + i == 0.0, "h + i is zero"),
-    RuleId.OrELa: _Left(("γ+β|", "β|", "γ", "β"), "γ|", lambda f, g, h, i: (f * (h + i) - g * i) / h,
-                        lambda f, g, h, i: h == 0.0, "h is zero"),
-    RuleId.OrELb: _Left(("γ+β|", "γ|", "γ", "β"), "β|", lambda f, g, h, i: (f * (h + i) - g * h) / i,
-                        lambda f, g, h, i: i == 0.0, "i is zero"),
-    RuleId.OrELc: _Left(("γ|", "β|", "γ+β|", "β"), "γ", lambda f, g, h, i: i * (g - h) / (h - f),
-                        lambda f, g, h, i: h - f == 0.0, "h = f (no proviso is stated for this case)"),
-    RuleId.OrELd: _Left(("γ|", "β|", "γ+β|", "γ"), "β", lambda f, g, h, i: i * (f - h) / (h - g),
-                        lambda f, g, h, i: h - g == 0.0, "h = g (no proviso is stated for this case)"),
-    RuleId.NegIL: _Left(("β", "u", "β|"), "~β|", lambda f, g, h: (g - f * h) / (1.0 - f),
-                        lambda f, g, h: f == 1.0, "f = 1"),
-    RuleId.NegELa: _Left(("β", "u", "~β|"), "β|", lambda f, g, h: (g + h * (f - 1.0)) / f,
-                         lambda f, g, h: f == 0.0, "f is zero"),
-    RuleId.NegELb: _Left(("β", "β|", "~β|"), "u", lambda f, g, h: h - h * f + g * f),
-    RuleId.NegELc: _Left(("u", "β|", "~β|"), "β", lambda f, g, h: (f - h) / (g - h),
-                         lambda f, g, h: g == h, "g = h (no proviso is stated for this case)"),
+_MINOR_ZERO = "the minor premise probability is zero"
+
+# One row per rule, and one per direction for a double-line rule.
+_READINGS = {
+    (RuleId.ImpIE, "forward"): _Reading(("β|",), "β->u", lambda f: f),
+    (RuleId.ImpIE, "backward"): _Reading(("β->u",), "β|", lambda f: f),
+    (RuleId.NegIER, "forward"): _Reading(("β",), "~β", lambda f: 1.0 - f),
+    (RuleId.NegIER, "backward"): _Reading(("~β",), "β", lambda f: 1.0 - f),
+    (RuleId.ProdI1, "forward"): _Reading(("β|", "β"), "β*u", lambda f, g: g * f),
+    (RuleId.ProdI2, "forward"): _Reading(("β|", "β"), "u*β", lambda f, g: g * f),
+    (RuleId.ProdE1a, "forward"): _Reading(("β*u", "β|"), "β", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
+    (RuleId.ProdE1b, "forward"): _Reading(("β*u", "β"), "β|", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
+    (RuleId.ProdE2a, "forward"): _Reading(("u*β", "β|"), "β", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
+    (RuleId.ProdE2b, "forward"): _Reading(("u*β", "β"), "β|", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
+    (RuleId.OrIR, "forward"): _Reading(("γ", "β"), "γ+β", lambda f, g: f + g),
+    (RuleId.OrERa, "forward"): _Reading(("γ+β", "γ"), "β", lambda f, g: f - g),
+    (RuleId.OrERb, "forward"): _Reading(("γ+β", "β"), "γ", lambda f, g: f - g),
+    (RuleId.ProdIIndep, "forward"): _Reading(("u", "β"), "β*u", lambda f, g: g * f, independent=True),
+    (RuleId.OrIL, "forward"): _Reading(("γ|", "β|", "γ", "β"), "γ+β|", lambda f, g, h, i: (f * h + g * i) / (h + i),
+                                       lambda f, g, h, i: h + i == 0.0, "h + i is zero"),
+    (RuleId.OrELa, "forward"): _Reading(("γ+β|", "β|", "γ", "β"), "γ|", lambda f, g, h, i: (f * (h + i) - g * i) / h,
+                                        lambda f, g, h, i: h == 0.0, "h is zero"),
+    (RuleId.OrELb, "forward"): _Reading(("γ+β|", "γ|", "γ", "β"), "β|", lambda f, g, h, i: (f * (h + i) - g * h) / i,
+                                        lambda f, g, h, i: i == 0.0, "i is zero"),
+    (RuleId.OrELc, "forward"): _Reading(("γ|", "β|", "γ+β|", "β"), "γ", lambda f, g, h, i: i * (g - h) / (h - f),
+                                        lambda f, g, h, i: h - f == 0.0, "h = f (no proviso is stated for this case)"),
+    (RuleId.OrELd, "forward"): _Reading(("γ|", "β|", "γ+β|", "γ"), "β", lambda f, g, h, i: i * (f - h) / (h - g),
+                                        lambda f, g, h, i: h - g == 0.0, "h = g (no proviso is stated for this case)"),
+    (RuleId.NegIL, "forward"): _Reading(("β", "u", "β|"), "~β|", lambda f, g, h: (g - f * h) / (1.0 - f),
+                                        lambda f, g, h: f == 1.0, "f = 1"),
+    (RuleId.NegELa, "forward"): _Reading(("β", "u", "~β|"), "β|", lambda f, g, h: (g + h * (f - 1.0)) / f,
+                                         lambda f, g, h: f == 0.0, "f is zero"),
+    (RuleId.NegELb, "forward"): _Reading(("β", "β|", "~β|"), "u", lambda f, g, h: h - h * f + g * f),
+    (RuleId.NegELc, "forward"): _Reading(("u", "β|", "~β|"), "β", lambda f, g, h: (f - h) / (g - h),
+                                         lambda f, g, h: g == h, "g = h (no proviso is stated for this case)"),
 }
 
 
-def _parts(x: str, value):
-    """The (letter, value) pairs that `value` shows in form X, or None if it has not that form."""
-    if x == "γ+β":
-        return (("γ", value.left), ("β", value.right)) if isinstance(value, Or) else None
-    if x == "~β":
-        return (("β", value.inner),) if isinstance(value, Neg) else None
-    return ((x, value),)
+def _unfold(shape: str, p: Judgment, where: str, form: str):
+    """(t, the value of X, (u, δ)) that p shows in form X->u, X*u or u*X, t an atomic variable."""
+    shown = None
+    if shape == "X->u":  # σ |> [t]u : X->δ
+        term = reduce_projections(p.subject)
+        if isinstance(term, Cond) and isinstance(p.value, Arrow):
+            shown = term.antecedent, p.value.left, (term.consequent, p.value.right)
+    elif isinstance(p.value, Prod):
+        first, second = reduce_projections(Fst(p.subject)), reduce_projections(Snd(p.subject))
+        if shape == "X*u":  # σ |> <t,u> : X*δ
+            shown = first, p.value.left, (second, p.value.right)
+        else:  # u*X: σ |> <u,t> : δ*X
+            shown = second, p.value.right, (first, p.value.left)
+    if shown is None:
+        raise ShapeMismatch(f"{where} is not of the form {form}")
+    if not isinstance(shown[0], Atom):
+        raise ShapeMismatch(f"{where}: {print_term(shown[0])} is not an atomic variable")
+    return shown
 
 
-def _shown(x: str, values: dict):
-    """The value that form X shows for the bound γ and β."""
-    if x == "γ+β":
-        return Or(values["γ"], values["β"])
-    if x == "~β":
-        return Neg(values["β"])
-    return values[x]
+# What a reading's matcher calls each value that premises show.
+_NAMES = {"t": "t", "γ": "gamma", "β": "beta", "u : δ": "u_key"}
+# For each X: the class its value must be of, the letters it shows with the
+# part of its value that shows each, and the value it concludes.
+_X_FORMS = {
+    "γ": (None, (("γ", ""),), "gamma"),
+    "β": (None, (("β", ""),), "beta"),
+    "γ+β": ("Or", (("γ", ".left"), ("β", ".right")), "Or(gamma, beta)"),
+    "~β": ("Neg", (("β", ".inner"),), "Neg(beta)"),
+}
 
 
-def _rule_left(rule, conclusions, schema, side, direction):
-    """Match the premises to the rule's forms in order, then apply its formula.
+def _compile(rule: RuleId, reading: _Reading) -> Callable:
+    """The reading's matcher, `match(conclusions, schema, side)`, written out as Python and compiled.
 
-    σ is the context of the first premise of form X or u.  The first premise
-    that shows t, γ, β or u : δ binds it, and each later one must agree.
+    It matches the premises to the reading's forms in order, then applies
+    its formula.  σ is the context of premise k, the first whose form has no
+    `|`, or else the first premise's antecedent less its last attribution.
+    The first premise that shows t, γ, β or u : δ binds it, and each later
+    one must agree; t and u compare reduced.  The conclusion shows the first
+    X premise's subject for t, if there is one, and the first premise's u
+    that shows one.
     """
-    row = _LEFT[rule]
-    k = next(n for n, form in enumerate(row.forms, 1) if not form.endswith("|"))
-    sigma = conclusions[k - 1].antecedent
-    bound = {}  # t, γ, β and u : δ: (what the first premise to show each shows, its number)
-    t_subject = query = None  # the first X premise's subject and the first u or X| premise
-    for n, (p, form) in enumerate(zip(conclusions, row.forms), 1):
-        x = form.rstrip("|")
-        conditional = x != form
-        shows = []  # (t, γ, β or u : δ, what premise n shows for it)
-        if not conditional and not same_sigma(p.antecedent, sigma):
-            raise ShapeMismatch(f"{rule.value}: premise {n}: the context differs from premise {k}'s")
-        if conditional or x == "u":
-            shows.append(("u : δ", (reduce_projections(p.subject), p.value)))
-            query = p if query is None else query
-        if conditional:  # σ, t : X |> u : δ
-            try:
-                extra = _extension(p, sigma)
-            except ShapeMismatch as exc:
-                raise ShapeMismatch(f"{rule.value}: premise {n}, with the context of premise {k}: {exc}") from None
-            name, value = extra.variable, extra.value
-        elif x != "u":  # σ |> t : X
-            term = reduce_projections(p.subject)
-            if not isinstance(term, Atom):
-                raise ShapeMismatch(f"{rule.value}: premise {n}: {print_term(term)} is not an atomic variable")
-            name, value = term.name, p.value
-            t_subject = p.subject if t_subject is None else t_subject
-        if x != "u":
-            parts = _parts(x, value)
-            if parts is None:
-                raise ShapeMismatch(f"{rule.value}: premise {n}: the value of {name} is not of the form {x}")
-            shows += [("t", name), *parts]
-        for key, shown in shows:
-            seen, m = bound.setdefault(key, (shown, n))
-            if m != n and seen != shown:
-                raise ShapeMismatch(f"{rule.value}: premise {n}: {key} differs from premise {m}'s")
-    values = {key: seen for key, (seen, _) in bound.items()}
-    x = row.concludes.rstrip("|")
-    evidence = []
+    forms = [_read_form(form) for form in reading.forms]
+    k = next((n for n, (shape, _) in enumerate(forms, 1) if shape != "X|"), 0)  # 0 if every form has a `|`
+    numbers = range(1, len(forms) + 1)
+    premises, probabilities = "".join(f"p{n}, " for n in numbers), "".join(f"p{n}.probability, " for n in numbers)
+    code = [f"{premises}= conclusions", f"sigma = p{k}.antecedent" if k else "sigma = p1.antecedent[:-1]"]
+    first = {}  # t, γ, β and u : δ: the number of the first premise that shows each
+    t_subject = None
+
+    def show(n, key, expr):
+        if key in first:
+            message = f"{rule.value}: premise {n}: {key} differs from premise {first[key]}'s"
+            code.append(f"if {expr} != {_NAMES[key]}: raise ShapeMismatch({message!r})")
+        else:
+            first[key] = n
+            code.append(f"{_NAMES[key]} = {expr}")
+
+    for n, (shape, x) in enumerate(forms, 1):
+        p, where = f"p{n}", f"{rule.value}: premise {n}"
+        u = f"{p}.subject", f"{p}.value"
+        if shape == "X|":  # σ, t : X |> u : δ
+            origin = f"the context of premise {k}" if k else "its own context"
+            code += ["try:", f"    extra = _extension({p}, sigma)", "except ShapeMismatch as exc:",
+                     f"    raise ShapeMismatch({f'{where}, with {origin}: '!r} + str(exc)) from None",
+                     f"t{n}, v{n} = Atom(extra.variable), extra.value"]
+        elif n != k:
+            message = f"{where}: the context differs from premise {k}'s"
+            code.append(f"if {p}.antecedent is not sigma and not same_sigma({p}.antecedent, sigma): "
+                        f"raise ShapeMismatch({message!r})")
+        if shape == "X":  # σ |> t : X
+            code.append(f"t{n}, v{n} = reduce_projections({p}.subject), {p}.value")
+            t_subject, u = t_subject or f"{p}.subject", None
+        elif shape not in ("u", "X|"):  # X->u, X*u or u*X
+            code.append(f"t{n}, v{n}, u{n} = _unfold({shape!r}, {p}, {where!r}, {reading.forms[n - 1]!r})")
+            u = f"u{n}[0]", f"u{n}[1]"
+        if u is not None:
+            if "u : δ" not in first:
+                code.append(f"query = {u[0]}, {u[1]}")
+            show(n, "u : δ", f"(reduce_projections({u[0]}), {u[1]})")
+        if shape == "u":
+            continue
+        kind, letters, _ = _X_FORMS[x]
+        if kind:
+            code.append(f"if not isinstance(v{n}, {kind}): raise ShapeMismatch({f'{where}: the value of '!r}"
+                        f" + print_term(t{n}) + {f' is not of the form {x}'!r})")
+        show(n, "t", f"t{n}")
+        for key, part in letters:
+            show(n, key, f"v{n}{part}")
+    t_subject = t_subject or "t"
+    shape, x = _read_form(reading.concludes)
+    code.append("evidence = []")
     if x == "γ+β":  # the conclusion's disjunction needs γ and β exclusive
-        evidence.append(_exclusivity_evidence(t_subject, values["γ"], values["β"], schema, rule))
-    probabilities = [p.probability for p in conclusions]
-    if row.undefined is not None and row.undefined(*probabilities):
-        raise ZeroDenominator(f"{rule.value}: {row.why}")
-    p = _finish(row.formula(*probabilities), rule)
-    if x == "u":
-        return Judgment(sigma, query.subject, query.value, p), evidence
-    if x != row.concludes:
-        attribution = ValueAttribution(values["t"], _shown(x, values))
-        return Judgment(sigma + (attribution,), query.subject, query.value, p), evidence
-    t_term = Atom(values["t"]) if t_subject is None else t_subject
-    return Judgment(sigma, t_term, _shown(x, values), p), evidence
+        code.append(f"evidence.append(_exclusivity_evidence({t_subject}, gamma, beta, schema, rule))")
+    if reading.independent:
+        code.append("evidence.append(_independence_evidence(side, t, u_key[0], rule))")
+    code.append(f"f = {probabilities}")
+    if reading.undefined is not None:
+        code.append(f"if undefined(*f): raise ZeroDenominator({f'{rule.value}: {reading.why}'!r})")
+    code.append("p = _finish(formula(*f), rule)")
+    value = _X_FORMS[x][2] if x else None
+    code.append("return " + {
+        "u": "Judgment(sigma, query[0], query[1], p)",
+        "X": f"Judgment(sigma, {t_subject}, {value}, p)",
+        "X|": f"Judgment(sigma + (ValueAttribution(t.name, {value}),), query[0], query[1], p)",
+        "X->u": f"Judgment(sigma, Cond({t_subject}, query[0]), Arrow({value}, query[1]), p)",
+        "X*u": f"Judgment(sigma, Pair({t_subject}, query[0]), Prod({value}, query[1]), p)",
+        "u*X": f"Judgment(sigma, Pair(query[0], {t_subject}), Prod(query[1], {value}), p)",
+    }[shape] + ", evidence")
+    env = {**globals(), "rule": rule, "formula": reading.formula, "undefined": reading.undefined}
+    exec("def match(conclusions, schema, side):\n" + "".join(f"    {line}\n" for line in code), env)
+    return env["match"]
+
+
+# The one handler: it takes (rule, premise conclusions, schema, side,
+# direction) and returns (conclusion judgment, side-condition evidence).
+def _rule_match(rule, conclusions, schema, side, direction):
+    """Apply the reading of `rule` in `direction`, whose matcher is compiled when first used."""
+    reading = _READINGS[rule, direction]
+    if reading._match is None:
+        object.__setattr__(reading, "_match", _compile(rule, reading))
+    return reading._match(conclusions, schema, side)
 
 
 RULES = {
-    entry.id: entry
-    for entry in (
-        Rule(RuleId.ImpIE, 1, _rule_imp_ie, RuleKind.DOUBLE_LINE),
-        Rule(RuleId.ProdI1, 2, _rule_prod_i, RuleKind.RIGHT_I),
-        Rule(RuleId.ProdI2, 2, _rule_prod_i, RuleKind.RIGHT_I),
-        Rule(RuleId.ProdE1a, 2, _rule_prod_e, RuleKind.RIGHT_E),
-        Rule(RuleId.ProdE1b, 2, _rule_prod_e, RuleKind.RIGHT_E),
-        Rule(RuleId.ProdE2a, 2, _rule_prod_e, RuleKind.RIGHT_E),
-        Rule(RuleId.ProdE2b, 2, _rule_prod_e, RuleKind.RIGHT_E),
-        Rule(RuleId.OrIR, 2, _rule_or_ir, RuleKind.RIGHT_I),
-        Rule(RuleId.OrERa, 2, _rule_or_er, RuleKind.RIGHT_E),
-        Rule(RuleId.OrERb, 2, _rule_or_er, RuleKind.RIGHT_E),
-        Rule(RuleId.NegIER, 1, _rule_neg_ier, RuleKind.DOUBLE_LINE),
-        *(Rule(rule, len(row.forms), _rule_left, RuleKind.LEFT) for rule, row in _LEFT.items()),
-        Rule(RuleId.ProdIIndep, 2, _rule_prod_i_indep, RuleKind.RIGHT_I),
+    rule: Rule(rule, len(_READINGS[rule, "forward"].forms), _rule_match, kind)
+    for kind, rules in (
+        (RuleKind.DOUBLE_LINE, (RuleId.ImpIE, RuleId.NegIER)),
+        (RuleKind.RIGHT_I, (RuleId.ProdI1, RuleId.ProdI2, RuleId.OrIR, RuleId.ProdIIndep)),
+        (RuleKind.RIGHT_E, (RuleId.ProdE1a, RuleId.ProdE1b, RuleId.ProdE2a, RuleId.ProdE2b, RuleId.OrERa, RuleId.OrERb)),
+        (RuleKind.LEFT, (RuleId.OrIL, RuleId.OrELa, RuleId.OrELb, RuleId.OrELc, RuleId.OrELd,
+                         RuleId.NegIL, RuleId.NegELa, RuleId.NegELb, RuleId.NegELc)),
     )
+    for rule in rules
 }
 
 
@@ -684,7 +632,7 @@ def _check_node(node, schema, learners, report, path, tags):
         expected, actual = rebuilt.conclusion, node.conclusion
         structural = (
             expected.antecedent == actual.antecedent
-            and _same_subject(expected.subject, actual.subject)
+            and reduce_projections(expected.subject) == reduce_projections(actual.subject)
             and expected.value == actual.value
         )
         if not structural:

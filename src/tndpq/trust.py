@@ -39,6 +39,8 @@ class TrustKind:
             raise ValueError(f"unknown trust kind {self.name!r}")
         if (self.name == "JT") != (self.m is None):
             raise ValueError("JT takes no prefix length; ET/WT/AT require one")
+        if self.m is not None and type(self.m) is not int:
+            raise ValueError(f"the prefix length must be an integer, got {self.m!r}")
 
     def __str__(self):
         return self.name if self.m is None else f"{self.name}({self.m})"
@@ -359,6 +361,8 @@ def verify_algebra(samples, tol: float = 0.0) -> PropertyReport:
                 law("Semi-Antisymmetry WT", (a, b, m, l), not (ab_wt[m] and ba["WT"][l]) or antisymmetric)
         law("m=n to Top", (a, b), not (ab_et[n] or ab_wt[n] or ab_at[n]) or ab["JT"])
         law("AT + m=n = Top", (a, b), not ab_at[n] or ab["JT"])
+    if not report.checked:
+        raise NothingToCompare("no triples to check the laws on")
     return report
 
 
@@ -434,6 +438,8 @@ def build_chain(
         raise PreconditionFailed("chains start from a JT pair: a0 must equal b0")
     if not 1 <= m < n:
         raise PreconditionFailed("m must satisfy 1 <= m < n")
+    if steps < 1:
+        raise PreconditionFailed(f"a chain takes at least one step, got {steps!r}")
     if not m + 1 <= k <= n:
         raise PreconditionFailed(f"k must lie in {m + 1}..{n}")
     if f[k - 1] == 0:

@@ -314,76 +314,129 @@ def test_shape_mismatch():
         apply_rule(RuleId.OrERa, [p1, p2], SCHEMA)
 
 
-# Each left rule's premises f, g, h, i in order, and its conclusion, each of
-# form X (Z:m |> X : X), u (Z:m |> Y : u) or X| (Z:m, X : X |> Y : u).  Under
-# Z:m, X is a, b, c with probability 0.3, 0.2, 0.5, and Y is u with
-# probability 0.5, 0.4, 0.6 given each; γ is a and β is b in the Or rules,
-# β is a in the Neg rules.
-LEFT_FORMS = {
-    RuleId.OrIL: (("γ|", "β|", "γ", "β"), "γ+β|"),
-    RuleId.OrELa: (("γ+β|", "β|", "γ", "β"), "γ|"),
-    RuleId.OrELb: (("γ+β|", "γ|", "γ", "β"), "β|"),
-    RuleId.OrELc: (("γ|", "β|", "γ+β|", "β"), "γ"),
-    RuleId.OrELd: (("γ|", "β|", "γ+β|", "γ"), "β"),
-    RuleId.NegIL: (("β", "u", "β|"), "~β|"),
-    RuleId.NegELa: (("β", "u", "~β|"), "β|"),
-    RuleId.NegELb: (("β", "β|", "~β|"), "u"),
-    RuleId.NegELc: (("u", "β|", "~β|"), "β"),
+# Each reading's premises f, g, h, i in order, and its conclusion, each in
+# one of the forms of the calculus: X (Z:m |> X : X), u (Z:m |> Y : u),
+# X| (Z:m, X : X |> Y : u), X*u (Z:m |> <X,Y> : X*u), u*X
+# (Z:m |> <Y,X> : u*X) or X->u (Z:m |> [X]Y : X->u).  A double-line rule's
+# backward reading is named `rule@backward`.  Under Z:m, X is a, b, c with
+# probability 0.3, 0.2, 0.5, and Y is u with probability 0.5, 0.4, 0.6
+# given each; γ is a and β is b in the Or rules, β is a in the others.
+# ProdIIndep reads Y as independent of X, with probability 0.5.
+FORMS = {
+    "OrIL": (("γ|", "β|", "γ", "β"), "γ+β|"),
+    "OrELa": (("γ+β|", "β|", "γ", "β"), "γ|"),
+    "OrELb": (("γ+β|", "γ|", "γ", "β"), "β|"),
+    "OrELc": (("γ|", "β|", "γ+β|", "β"), "γ"),
+    "OrELd": (("γ|", "β|", "γ+β|", "γ"), "β"),
+    "NegIL": (("β", "u", "β|"), "~β|"),
+    "NegELa": (("β", "u", "~β|"), "β|"),
+    "NegELb": (("β", "β|", "~β|"), "u"),
+    "NegELc": (("u", "β|", "~β|"), "β"),
+    "ImpIE": (("β|",), "β->u"),
+    "ImpIE@backward": (("β->u",), "β|"),
+    "NegIER": (("β",), "~β"),
+    "NegIER@backward": (("~β",), "β"),
+    "ProdI1": (("β|", "β"), "β*u"),
+    "ProdI2": (("β|", "β"), "u*β"),
+    "ProdE1a": (("β*u", "β|"), "β"),
+    "ProdE1b": (("β*u", "β"), "β|"),
+    "ProdE2a": (("u*β", "β|"), "β"),
+    "ProdE2b": (("u*β", "β"), "β|"),
+    "OrIR": (("γ", "β"), "γ+β"),
+    "OrERa": (("γ+β", "γ"), "β"),
+    "OrERb": (("γ+β", "β"), "γ"),
+    "ProdIIndep": (("u", "β"), "β*u"),
 }
 LEFT_SCHEMA = AttributeSchema.of(
     [("X", ("a", "b", "c")), ("Y", ("u", "v")), ("Z", ("m", "n")), ("W", ("p", "q"))]
 )
-LEFT_PROBABILITY = {
-    "Or": {"γ": 0.3, "β": 0.2, "γ|": 0.5, "β|": 0.4, "γ+β|": 0.46},
-    "Neg": {"β": 0.3, "u": 0.53, "β|": 0.5, "~β|": 0.38 / 0.7},
+FORM_PROBABILITY = {
+    "Or": {"γ": 0.3, "β": 0.2, "γ+β": 0.5, "γ|": 0.5, "β|": 0.4, "γ+β|": 0.46},
+    "Neg": {"β": 0.3, "~β": 0.7, "u": 0.53, "β|": 0.5, "~β|": 0.38 / 0.7, "β->u": 0.5, "β*u": 0.15, "u*β": 0.15},
+    "Indep": {"u": 0.5, "β": 0.3, "β*u": 0.15},
 }
+INDEPENDENT = ({"kind": "independent", "t": "X", "u": "Y", "asserted": True},)
 # a wrong context, a wrong t, a wrong value or a different query
 WRONG = {"context": {"context": "Z:n"}, "t": {"t": "W", "g": "p", "b": "q"},
          "value": {"g": "c", "b": "c"}, "query": {"query": "Y : v"}}
 
 
-def left_premise(rule, form, context="Z:m", t="X", g=None, b=None, query="Y : u"):
-    family = "Or" if rule.value.startswith("Or") else "Neg"
+def _family(reading):
+    return "Or" if reading.startswith("Or") else "Indep" if reading == "ProdIIndep" else "Neg"
+
+
+def form_premise(reading, form, context="Z:m", t="X", g=None, b=None, query="Y : u"):
+    family = _family(reading)
     g, b = g or "a", b or ("b" if family == "Or" else "a")
-    x = form.rstrip("|")
+    x = form.replace("|", "").replace("->u", "").replace("*u", "").replace("u*", "")
     value = {"γ": g, "β": b, "γ+β": f"{g}+{b}", "~β": f"~{b}", "u": None}[x]
-    p = LEFT_PROBABILITY[family][form]
-    if x == "u":
-        return leaf(f"{context} |> {query} @ {p}", LEFT_SCHEMA)
-    if form.endswith("|"):
+    u, delta = query.split(" : ")
+    p = FORM_PROBABILITY[family][form]
+    if form == "u":
+        shown = query
+    elif form.endswith("|"):
         return leaf(f"{context}, {t}:{value} |> {query} @ {p}", LEFT_SCHEMA)
-    return leaf(f"{context} |> {t} : {value} @ {p}", LEFT_SCHEMA)
+    elif form.endswith("->u"):
+        shown = f"[{t}]{u} : {value}->{delta}"
+    elif form.endswith("*u"):
+        shown = f"<{t},{u}> : {value}*{delta}"
+    elif form.startswith("u*"):
+        shown = f"<{u},{t}> : {delta}*{value}"
+    else:
+        shown = f"{t} : {value}"
+    return leaf(f"{context} |> {shown} @ {p}", LEFT_SCHEMA)
+
+
+def apply_reading(reading, premises):
+    rule, _, backward = reading.partition("@")
+    side = INDEPENDENT if rule == "ProdIIndep" else ()
+    return apply_rule(rule, premises, LEFT_SCHEMA, side=side, direction=backward or "forward")
 
 
 def test_left_rules_conclude_their_form():
-    for rule, (forms, concludes) in LEFT_FORMS.items():
-        assert RULES[rule].premises == len(forms)
-        derived = apply_rule(rule, [left_premise(rule, form) for form in forms], LEFT_SCHEMA).conclusion
-        expected = left_premise(rule, concludes).conclusion
+    for reading, (forms, concludes) in FORMS.items():
+        assert RULES[reading.partition("@")[0]].premises == len(forms)
+        derived = apply_reading(reading, [form_premise(reading, form) for form in forms]).conclusion
+        expected = form_premise(reading, concludes).conclusion
         assert derived == expected.with_probability(derived.probability)
         assert derived.probability == pytest.approx(expected.probability)
 
 
+def _shows(form):
+    """What a premise of the form shows: t, the query u : δ and the letters γ and β."""
+    if form == "u":
+        return {"query"}
+    shown = {"t"} | (set(form) & {"γ", "β"})
+    return shown if form in ("γ", "β", "γ+β", "~β") else shown | {"query"}
+
+
+def _refused(forms, n, wrong):
+    """Whether a wrong premise n must be refused: another premise shows what it perturbs."""
+    if wrong == "context":
+        return len(forms) > 1
+    perturbed = ({"γ", "β"} if wrong == "value" else {wrong}) & _shows(forms[n - 1])
+    return any(perturbed & _shows(form) for m, form in enumerate(forms, 1) if m != n)
+
+
 @pytest.mark.parametrize(
-    "rule, n, wrong",
+    "reading, n, wrong",
     [
-        (rule, n, wrong)
-        for rule, (forms, _) in LEFT_FORMS.items()
-        for n, form in enumerate(forms, 1)
+        (reading, n, wrong)
+        for reading, (forms, _) in FORMS.items()
+        for n in range(1, len(forms) + 1)
         for wrong in WRONG
-        if not (form == "u" and wrong in ("t", "value"))  # a u premise shows no t
-        and not (form in ("γ", "β") and wrong == "query")  # an X premise no query
+        if _refused(forms, n, wrong)
     ],
 )
-def test_left_rules_refuse_a_premise_of_the_wrong_form(rule, n, wrong):
+def test_left_rules_refuse_a_premise_of_the_wrong_form(reading, n, wrong):
     premises = [
-        left_premise(rule, form, **(WRONG[wrong] if m == n else {}))
-        for m, form in enumerate(LEFT_FORMS[rule][0], 1)
+        form_premise(reading, form, **(WRONG[wrong] if m == n else {}))
+        for m, form in enumerate(FORMS[reading][0], 1)
     ]
     with pytest.raises(ShapeMismatch) as caught:
-        apply_rule(rule, premises, LEFT_SCHEMA)
+        apply_reading(reading, premises)
     message = str(caught.value)
-    assert message.startswith(f"{rule.value}: premise ")
+    assert message.startswith(f"{reading.partition('@')[0]}: premise ")
     assert f"premise {n}" in message
 
 

@@ -1,10 +1,15 @@
-"""The depth bound: no term or value is built deeper than 200, and every walk handles the deepest."""
+"""The depth bound: no term or value is built deeper than 200, and every walk handles the deepest.
 
+A derivation has no depth bound, since it is as deep as its plan is long;
+its `==`, `hash` and `repr` take one far deeper than the stack.
+"""
+
+import dataclasses
 import sys
 
 import pytest
 
-from tndpq.calculus import RuleId
+from tndpq.calculus import Derivation, Plan, PlanStep, RuleId, apply_rule, run_plan
 from tndpq.construction import derive_value
 from tndpq.errors import IllFormed
 from tndpq.exclusivity import exclusive, oracle_exclusive
@@ -128,3 +133,55 @@ def test_each_node_refuses_to_pass_the_bound(cls):
 def test_a_tree_built_in_python_past_the_bound_is_ill_formed(build):
     with pytest.raises(IllFormed, match="^input nested too deeply$"):
         build()
+
+
+# ---------------------------------------------------------------------------
+# Derivations
+
+
+def _leaf(p=0.25):
+    return Derivation(Judgment((), Atom("X"), AtomVal("a"), p), RuleId.AtQuery)
+
+
+def _alternating(leaf, steps=1200):
+    """q<steps> of a plan that applies NegIER forward and backward in turn to q0 = leaf."""
+    plan = Plan(tuple(
+        PlanStep(f"q{i}", RuleId.NegIER, (f"q{i - 1}",), "forward" if i % 2 else "backward")
+        for i in range(1, steps + 1)
+    ))
+    return run_plan({"q0": leaf}, plan, SCHEMA)[f"q{steps}"]
+
+
+def _with_leaf(derivation, leaf):
+    """The chain of single premises that ends in `derivation`, rebuilt over another leaf."""
+    nodes = []
+    while derivation.premises:
+        nodes.append(derivation)
+        derivation = derivation.premises[0]
+    for node in reversed(nodes):
+        leaf = dataclasses.replace(node, premises=(leaf,))
+    return leaf
+
+
+def test_a_deep_derivation_is_shown_by_its_root():
+    shown = _from_deep_stack(lambda: repr(_alternating(_leaf())))
+    assert shown == "Derivation(rule=NegIER, direction='backward', conclusion='|> X : a @ 0.25', premises=1)"
+
+
+def test_deep_derivations_compare_node_by_node():
+    d = _alternating(_leaf())
+    assert _from_deep_stack(lambda: d == _alternating(_leaf()))
+    assert _from_deep_stack(lambda: d == _with_leaf(d, _leaf()))
+    other = _with_leaf(d, _leaf(0.5))  # every conclusion the same but the leaf's
+    assert other.conclusion == d.conclusion
+    assert _from_deep_stack(lambda: d != other and other != d)
+    assert d != _with_leaf(d, dataclasses.replace(_leaf(), provenance=("t", "e")))
+
+
+def test_a_derivation_hashes_by_its_root():
+    d = _alternating(_leaf())
+    assert _from_deep_stack(lambda: hash(d) == hash(_alternating(_leaf())) == hash(_with_leaf(d, _leaf(0.5))))
+    # a node with side conditions, which are dicts, hashes too
+    left, right = (Derivation(Judgment((), Atom("X"), AtomVal(a), 0.25), RuleId.AtQuery) for a in "ab")
+    both = apply_rule(RuleId.OrIR, [left, right], SCHEMA)
+    assert both.side_conditions and {both: 1}[apply_rule(RuleId.OrIR, [left, right], SCHEMA)] == 1

@@ -199,11 +199,13 @@ def test_chain_at_variant_worked_numbers():
 
 
 def test_chain_zero_steps():
+    """A chain of no steps has no step to hold or fail: it is refused, not reported ok."""
     a0 = system((0.2, 0.4, 0.3, 0.1, 0.0))
     b0 = system((0.2, 0.4, 0.3, 0.1, 0.0), estimator="B")
-    chain_a, chain_b, report = build_chain(a0, b0, m=1, k=2, variant="AT", steps=0)
-    assert chain_a == chain_b and len(chain_a) == 1
-    assert report.ok
+    for steps in (0, -3):
+        with pytest.raises(PreconditionFailed, match="at least one step"):
+            build_chain(a0, b0, m=1, k=2, variant="AT", steps=steps)
+    assert len(build_chain(a0, b0, m=1, k=2, variant="AT", steps=1)[2].steps) == 1
 
 
 def test_chain_wt_variant_keeps_zero_pattern():
@@ -250,6 +252,20 @@ def test_empty_relevant_list_is_refused():
     copy = system((0.2, 0.4, 0.3, 0.1, 0.0), estimator="B")
     with pytest.raises(NothingToCompare):
         check_local(ORIGINAL, copy, et(1), relevant=())
+
+
+def test_algebra_over_no_triples_is_refused():
+    with pytest.raises(NothingToCompare):
+        verify_algebra([])
+    assert verify_algebra([(ORIGINAL, ORIGINAL, ORIGINAL)]).checked > 0
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, "2"])
+def test_a_prefix_length_that_is_not_an_integer_is_refused(m):
+    with pytest.raises(ValueError):
+        TrustKind("ET", m)
+    copy = system((0.2, 0.4, 0.3, 0.1, 0.0), estimator="B")
+    assert check_local(ORIGINAL, copy, TrustKind("ET", 2)).verdict
 
 
 @pytest.mark.parametrize("contexts, targets", [([], ["Pox"]), ([()], []), ([], [])])
