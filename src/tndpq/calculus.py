@@ -11,28 +11,26 @@ re-verifies a tree node by node.
 
 Naming: I-rules introduce a connective in the conclusion, E-rules eliminate
 one; the trailing digit or letter distinguishes variants that conclude
-different premise slots.  The rule table `RULES` gives each rule but the
-axiom AtQuery its premise count, its handler and its kind, one of four: a
-right introduction or right elimination rule works on the conclusion's
-subject and value, a left rule on its antecedent, and a double-line rule
-(ImpIE, NegIER) introduces read forward and eliminates read backward.
-
-Every rule has one handler, `_rule_match`, which reads the rule's premise
-and conclusion forms from a second table, `_READINGS`: one row per rule,
-and one per direction for a double-line rule.  `_compile` writes a row's
-matcher out as Python the first time the row is used, so that applying a
-rule makes no choice the forms have already made.  Every premise, and the
-conclusion, is a judgment over one context σ, one term t and one query
-u : δ, in one of six forms, where X is γ, β, γ+β or ~β:
+different premise slots.  The one rule table, `_READINGS`, has a row for
+each rule but the axiom AtQuery, and one per direction for a double-line
+rule (ImpIE, NegIER), which introduces read forward and eliminates read
+backward.  A row states its rule, its kind (right introduction or right
+elimination, which work on the conclusion's subject and value, or left,
+which works on its antecedent), the forms of its premises f, g, h, i in
+order, its conclusion's form and its probability formula.  A rule's
+premise count is the number of its forms, and its legal directions are
+those it has rows for.  `_compile` writes a row's matcher out as Python
+the first time the row is used, so that applying a rule makes no choice
+the forms have already made.  Every premise, and the conclusion, is a
+judgment over one context σ, one term t and one query u : δ, in one of six
+forms, where X is γ, β, γ+β or ~β:
 
     X      σ |> t : X            X|     σ, t : X |> u : δ
     u      σ |> u : δ            X->u   σ |> [t]u : X->δ
     X*u    σ |> <t,u> : X*δ      u*X    σ |> <u,t> : δ*X
 
 t and u compare as reduced terms, and a premise of form X|, X->u, X*u or
-u*X must show an atomic variable for t.  A row gives the forms of the
-premises f, g, h, i in order, the conclusion's form and the probability
-formula.
+u*X must show an atomic variable for t.
 """
 
 from __future__ import annotations
@@ -145,18 +143,7 @@ class Derivation:
 class RuleKind(enum.Enum):
     RIGHT_I = "right introduction"
     RIGHT_E = "right elimination"
-    DOUBLE_LINE = "double-line"
     LEFT = "left"
-
-
-@record(frozen=True)
-class Rule:
-    """One row of the rule table: a rule's premise count, handler and kind."""
-
-    id: RuleId
-    premises: int
-    handler: Callable
-    kind: RuleKind
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +160,7 @@ def at_query(source, sigma, variable: str, atom: str) -> Derivation:
     if isinstance(source, AppliedSystem):
         system = source
         if system.variable != variable or not same_sigma(system.sigma, sigma):
-            raise UnknownCondition(
-                "stored applied system does not cover the requested context"
-            )
+            raise UnknownCondition("stored applied system does not cover the requested context")
     else:
         ts, est = source
         system = conditional_distribution(ts, est, sigma, variable)
@@ -213,9 +198,7 @@ def _extension(judgment: Judgment, base_sigma) -> ValueAttribution:
 def _as_atom(term: VariableTerm, rule: RuleId) -> Atom:
     term = reduce_projections(term)
     if not isinstance(term, Atom):
-        raise ShapeMismatch(
-            f"{rule.value}: {print_term(term)} cannot appear in an antecedent"
-        )
+        raise ShapeMismatch(f"{rule.value}: {print_term(term)} cannot appear in an antecedent")
     return term
 
 
@@ -238,12 +221,8 @@ def _independence_evidence(side, t, u, rule) -> dict:
         if {fact.get("t"), fact.get("u")} == {t, u}:
             if fact.get("asserted") or fact.get("verdict"):
                 return dict(fact)
-            raise SideConditionUnproved(
-                f"{rule.value}: independence evidence for {t!r}, {u!r} is negative"
-            )
-    raise SideConditionUnproved(
-        f"{rule.value}: no independence evidence for {t!r} and {u!r}"
-    )
+            raise SideConditionUnproved(f"{rule.value}: independence evidence for {t!r}, {u!r} is negative")
+    raise SideConditionUnproved(f"{rule.value}: no independence evidence for {t!r} and {u!r}")
 
 
 def independence_fact(source, sigma, t: str, u: str) -> dict:
@@ -267,24 +246,25 @@ def apply_rule(
     `direction` is "forward", or "backward" for the double-line rules ImpIE
     and NegIER; anything else raises `RuleNotAllowed`.
     """
-    entry = RULES.get(rule)
-    if entry is None:
+    try:
+        reading = _READINGS[rule, direction]
+    except (KeyError, TypeError):  # TypeError: an unhashable direction
         if rule == RuleId.AtQuery:
-            raise RuleNotAllowed("AtQuery is an axiom, not a rule over premises; use at_query")
-        raise RuleNotAllowed(f"no inference rule {rule!r}")
-    rule = entry.id
-    if direction != "forward" and (direction != "backward" or entry.kind is not RuleKind.DOUBLE_LINE):
+            raise RuleNotAllowed("AtQuery is an axiom, not a rule over premises; use at_query") from None
+        forward = _READINGS.get((rule, "forward"))
+        if forward is None:
+            raise RuleNotAllowed(f"no inference rule {rule!r}") from None
         raise RuleNotAllowed(
-            f"{rule.value}: direction {direction!r} is not allowed; "
+            f"{forward.id.value}: direction {direction!r} is not allowed; "
             "only ImpIE and NegIER also run 'backward'"
-        )
+        ) from None
+    rule = reading.id
     premises = tuple(premises)
     provenance = _merge_provenance(premises)
-    if len(premises) != entry.premises:
-        raise ShapeMismatch(f"{rule.value} takes {entry.premises} premises, got {len(premises)}")
-    conclusion, evidence = entry.handler(
-        rule, [p.conclusion for p in premises], schema, side, direction
-    )
+    if len(premises) != len(reading.forms):
+        raise ShapeMismatch(f"{rule.value} takes {len(reading.forms)} premises, got {len(premises)}")
+    match = reading._match or _compile(reading)
+    conclusion, evidence = match([p.conclusion for p in premises], schema, side)
     return Derivation(conclusion, rule, premises, tuple(evidence), provenance, direction)
 
 
@@ -306,7 +286,7 @@ def _read_form(text: str) -> tuple[str, str | None]:
 
 @record(frozen=True)
 class _Reading:
-    """One reading of a rule: its premises' forms f, g, h, i, its conclusion's form and formula.
+    """One reading of a rule: its rule and kind, its premises' forms f, g, h, i, its conclusion's form and formula.
 
     The formula takes the premises' probabilities in order.  It has no value
     where `undefined(f, g, ...)` holds, and the ZeroDenominator message then
@@ -314,51 +294,56 @@ class _Reading:
     conditions to hold a fact that t and u are independent.
     """
 
+    id: RuleId
+    kind: RuleKind
     forms: tuple[str, ...]
     concludes: str
     formula: Callable
     undefined: Callable | None = None
     why: str = ""
     independent: bool = False
+    direction: str = "forward"
     _match: Callable | None = None  # its matcher, compiled when first used
 
 
 _MINOR_ZERO = "the minor premise probability is zero"
+_INTRO, _ELIM, _LEFT = RuleKind.RIGHT_I, RuleKind.RIGHT_E, RuleKind.LEFT
 
-# One row per rule, and one per direction for a double-line rule.
-_READINGS = {
-    (RuleId.ImpIE, "forward"): _Reading(("β|",), "β->u", lambda f: f),
-    (RuleId.ImpIE, "backward"): _Reading(("β->u",), "β|", lambda f: f),
-    (RuleId.NegIER, "forward"): _Reading(("β",), "~β", lambda f: 1.0 - f),
-    (RuleId.NegIER, "backward"): _Reading(("~β",), "β", lambda f: 1.0 - f),
-    (RuleId.ProdI1, "forward"): _Reading(("β|", "β"), "β*u", lambda f, g: g * f),
-    (RuleId.ProdI2, "forward"): _Reading(("β|", "β"), "u*β", lambda f, g: g * f),
-    (RuleId.ProdE1a, "forward"): _Reading(("β*u", "β|"), "β", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
-    (RuleId.ProdE1b, "forward"): _Reading(("β*u", "β"), "β|", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
-    (RuleId.ProdE2a, "forward"): _Reading(("u*β", "β|"), "β", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
-    (RuleId.ProdE2b, "forward"): _Reading(("u*β", "β"), "β|", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
-    (RuleId.OrIR, "forward"): _Reading(("γ", "β"), "γ+β", lambda f, g: f + g),
-    (RuleId.OrERa, "forward"): _Reading(("γ+β", "γ"), "β", lambda f, g: f - g),
-    (RuleId.OrERb, "forward"): _Reading(("γ+β", "β"), "γ", lambda f, g: f - g),
-    (RuleId.ProdIIndep, "forward"): _Reading(("u", "β"), "β*u", lambda f, g: g * f, independent=True),
-    (RuleId.OrIL, "forward"): _Reading(("γ|", "β|", "γ", "β"), "γ+β|", lambda f, g, h, i: (f * h + g * i) / (h + i),
-                                       lambda f, g, h, i: h + i == 0.0, "h + i is zero"),
-    (RuleId.OrELa, "forward"): _Reading(("γ+β|", "β|", "γ", "β"), "γ|", lambda f, g, h, i: (f * (h + i) - g * i) / h,
-                                        lambda f, g, h, i: h == 0.0, "h is zero"),
-    (RuleId.OrELb, "forward"): _Reading(("γ+β|", "γ|", "γ", "β"), "β|", lambda f, g, h, i: (f * (h + i) - g * h) / i,
-                                        lambda f, g, h, i: i == 0.0, "i is zero"),
-    (RuleId.OrELc, "forward"): _Reading(("γ|", "β|", "γ+β|", "β"), "γ", lambda f, g, h, i: i * (g - h) / (h - f),
-                                        lambda f, g, h, i: h - f == 0.0, "h = f (no proviso is stated for this case)"),
-    (RuleId.OrELd, "forward"): _Reading(("γ|", "β|", "γ+β|", "γ"), "β", lambda f, g, h, i: i * (f - h) / (h - g),
-                                        lambda f, g, h, i: h - g == 0.0, "h = g (no proviso is stated for this case)"),
-    (RuleId.NegIL, "forward"): _Reading(("β", "u", "β|"), "~β|", lambda f, g, h: (g - f * h) / (1.0 - f),
-                                        lambda f, g, h: f == 1.0, "f = 1"),
-    (RuleId.NegELa, "forward"): _Reading(("β", "u", "~β|"), "β|", lambda f, g, h: (g + h * (f - 1.0)) / f,
-                                         lambda f, g, h: f == 0.0, "f is zero"),
-    (RuleId.NegELb, "forward"): _Reading(("β", "β|", "~β|"), "u", lambda f, g, h: h - h * f + g * f),
-    (RuleId.NegELc, "forward"): _Reading(("u", "β|", "~β|"), "β", lambda f, g, h: (f - h) / (g - h),
-                                         lambda f, g, h: g == h, "g = h (no proviso is stated for this case)"),
-}
+# One row per rule, and one per direction for a double-line rule, keyed by
+# (rule, direction).
+_READINGS = {(reading.id, reading.direction): reading for reading in (
+    _Reading(RuleId.ImpIE, _INTRO, ("β|",), "β->u", lambda f: f),
+    _Reading(RuleId.ImpIE, _ELIM, ("β->u",), "β|", lambda f: f, direction="backward"),
+    _Reading(RuleId.NegIER, _INTRO, ("β",), "~β", lambda f: 1.0 - f),
+    _Reading(RuleId.NegIER, _ELIM, ("~β",), "β", lambda f: 1.0 - f, direction="backward"),
+    _Reading(RuleId.ProdI1, _INTRO, ("β|", "β"), "β*u", lambda f, g: g * f),
+    _Reading(RuleId.ProdI2, _INTRO, ("β|", "β"), "u*β", lambda f, g: g * f),
+    _Reading(RuleId.ProdE1a, _ELIM, ("β*u", "β|"), "β", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
+    _Reading(RuleId.ProdE1b, _ELIM, ("β*u", "β"), "β|", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
+    _Reading(RuleId.ProdE2a, _ELIM, ("u*β", "β|"), "β", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
+    _Reading(RuleId.ProdE2b, _ELIM, ("u*β", "β"), "β|", lambda f, g: f / g, lambda f, g: g == 0.0, _MINOR_ZERO),
+    _Reading(RuleId.OrIR, _INTRO, ("γ", "β"), "γ+β", lambda f, g: f + g),
+    _Reading(RuleId.OrERa, _ELIM, ("γ+β", "γ"), "β", lambda f, g: f - g),
+    _Reading(RuleId.OrERb, _ELIM, ("γ+β", "β"), "γ", lambda f, g: f - g),
+    _Reading(RuleId.ProdIIndep, _INTRO, ("u", "β"), "β*u", lambda f, g: g * f, independent=True),
+    _Reading(RuleId.OrIL, _LEFT, ("γ|", "β|", "γ", "β"), "γ+β|", lambda f, g, h, i: (f * h + g * i) / (h + i),
+             lambda f, g, h, i: h + i == 0.0, "h + i is zero"),
+    _Reading(RuleId.OrELa, _LEFT, ("γ+β|", "β|", "γ", "β"), "γ|", lambda f, g, h, i: (f * (h + i) - g * i) / h,
+             lambda f, g, h, i: h == 0.0, "h is zero"),
+    _Reading(RuleId.OrELb, _LEFT, ("γ+β|", "γ|", "γ", "β"), "β|", lambda f, g, h, i: (f * (h + i) - g * h) / i,
+             lambda f, g, h, i: i == 0.0, "i is zero"),
+    _Reading(RuleId.OrELc, _LEFT, ("γ|", "β|", "γ+β|", "β"), "γ", lambda f, g, h, i: i * (g - h) / (h - f),
+             lambda f, g, h, i: h - f == 0.0, "h = f (no proviso is stated for this case)"),
+    _Reading(RuleId.OrELd, _LEFT, ("γ|", "β|", "γ+β|", "γ"), "β", lambda f, g, h, i: i * (f - h) / (h - g),
+             lambda f, g, h, i: h - g == 0.0, "h = g (no proviso is stated for this case)"),
+    _Reading(RuleId.NegIL, _LEFT, ("β", "u", "β|"), "~β|", lambda f, g, h: (g - f * h) / (1.0 - f),
+             lambda f, g, h: f == 1.0, "f = 1"),
+    _Reading(RuleId.NegELa, _LEFT, ("β", "u", "~β|"), "β|", lambda f, g, h: (g + h * (f - 1.0)) / f,
+             lambda f, g, h: f == 0.0, "f is zero"),
+    _Reading(RuleId.NegELb, _LEFT, ("β", "β|", "~β|"), "u", lambda f, g, h: h - h * f + g * f),
+    _Reading(RuleId.NegELc, _LEFT, ("u", "β|", "~β|"), "β", lambda f, g, h: (f - h) / (g - h),
+             lambda f, g, h: g == h, "g = h (no proviso is stated for this case)"),
+)}
 
 
 def _unfold(shape: str, p: Judgment, where: str, form: str):
@@ -393,32 +378,41 @@ _X_FORMS = {
 }
 
 
-def _compile(rule: RuleId, reading: _Reading) -> Callable:
-    """The reading's matcher, `match(conclusions, schema, side)`, written out as Python and compiled.
+def _compile(reading: _Reading) -> Callable:
+    """The reading's matcher, `match(conclusions, schema, side)`, written out as Python, compiled and kept in the row.
 
     It matches the premises to the reading's forms in order, then applies
     its formula.  σ is the context of premise k, the first whose form has no
     `|`, or else the first premise's antecedent less its last attribution.
     The first premise that shows t, γ, β or u : δ binds it, and each later
-    one must agree; t and u compare reduced.  The conclusion shows the first
-    X premise's subject for t, if there is one, and the first premise's u
-    that shows one.
+    one must agree; t and u compare reduced, and an `X|` premise's t, an
+    atomic variable, by its name.  u : δ is bound only where a second
+    premise shows it.  The conclusion shows the first X premise's subject
+    for t, if there is one, and the first premise's u that shows one.
     """
+    rule = reading.id
     forms = [_read_form(form) for form in reading.forms]
     k = next((n for n, (shape, _) in enumerate(forms, 1) if shape != "X|"), 0)  # 0 if every form has a `|`
+    compare_u = sum(shape != "X" for shape, _ in forms) > 1
     numbers = range(1, len(forms) + 1)
     premises, probabilities = "".join(f"p{n}, " for n in numbers), "".join(f"p{n}.probability, " for n in numbers)
     code = [f"{premises}= conclusions", f"sigma = p{k}.antecedent" if k else "sigma = p1.antecedent[:-1]"]
     first = {}  # t, γ, β and u : δ: the number of the first premise that shows each
+    named = set()  # the premises whose t is a variable's name: those of form X|
     t_subject = None
 
     def show(n, key, expr):
         if key in first:
+            differs = f"{expr} != {_NAMES[key]}"
+            if key == "t" and (n in named) != (first[key] in named):  # a name against a term
+                term, name = ("t", expr) if n in named else (expr, "t")
+                differs = f"{term}.__class__ is not Atom or {term}.name != {name}"
             message = f"{rule.value}: premise {n}: {key} differs from premise {first[key]}'s"
-            code.append(f"if {expr} != {_NAMES[key]}: raise ShapeMismatch({message!r})")
+            code.append(f"if {differs}: raise ShapeMismatch({message!r})")
         else:
             first[key] = n
-            code.append(f"{_NAMES[key]} = {expr}")
+            if key != "u : δ" or compare_u:
+                code.append(f"{_NAMES[key]} = {expr}")
 
     for n, (shape, x) in enumerate(forms, 1):
         p, where = f"p{n}", f"{rule.value}: premise {n}"
@@ -427,7 +421,8 @@ def _compile(rule: RuleId, reading: _Reading) -> Callable:
             origin = f"the context of premise {k}" if k else "its own context"
             code += ["try:", f"    extra = _extension({p}, sigma)", "except ShapeMismatch as exc:",
                      f"    raise ShapeMismatch({f'{where}, with {origin}: '!r} + str(exc)) from None",
-                     f"t{n}, v{n} = Atom(extra.variable), extra.value"]
+                     f"t{n}, v{n} = extra.variable, extra.value"]
+            named.add(n)
         elif n != k:
             message = f"{where}: the context differs from premise {k}'s"
             code.append(f"if {p}.antecedent is not sigma and not same_sigma({p}.antecedent, sigma): "
@@ -446,18 +441,20 @@ def _compile(rule: RuleId, reading: _Reading) -> Callable:
             continue
         kind, letters, _ = _X_FORMS[x]
         if kind:
+            shown = f"t{n}" if n in named else f"print_term(t{n})"
             code.append(f"if not isinstance(v{n}, {kind}): raise ShapeMismatch({f'{where}: the value of '!r}"
-                        f" + print_term(t{n}) + {f' is not of the form {x}'!r})")
+                        f" + {shown} + {f' is not of the form {x}'!r})")
         show(n, "t", f"t{n}")
         for key, part in letters:
             show(n, key, f"v{n}{part}")
-    t_subject = t_subject or "t"
+    t_name, t_term = ("t", "Atom(t)") if first["t"] in named else ("t.name", "t")
+    t_subject = t_subject or t_term
     shape, x = _read_form(reading.concludes)
     code.append("evidence = []")
     if x == "γ+β":  # the conclusion's disjunction needs γ and β exclusive
         code.append(f"evidence.append(_exclusivity_evidence({t_subject}, gamma, beta, schema, rule))")
     if reading.independent:
-        code.append("evidence.append(_independence_evidence(side, t, u_key[0], rule))")
+        code.append(f"evidence.append(_independence_evidence(side, {t_term}, reduce_projections(query[0]), rule))")
     code.append(f"f = {probabilities}")
     if reading.undefined is not None:
         code.append(f"if undefined(*f): raise ZeroDenominator({f'{rule.value}: {reading.why}'!r})")
@@ -466,37 +463,15 @@ def _compile(rule: RuleId, reading: _Reading) -> Callable:
     code.append("return " + {
         "u": "Judgment(sigma, query[0], query[1], p)",
         "X": f"Judgment(sigma, {t_subject}, {value}, p)",
-        "X|": f"Judgment(sigma + (ValueAttribution(t.name, {value}),), query[0], query[1], p)",
+        "X|": f"Judgment(sigma + (ValueAttribution({t_name}, {value}),), query[0], query[1], p)",
         "X->u": f"Judgment(sigma, Cond({t_subject}, query[0]), Arrow({value}, query[1]), p)",
         "X*u": f"Judgment(sigma, Pair({t_subject}, query[0]), Prod({value}, query[1]), p)",
         "u*X": f"Judgment(sigma, Pair(query[0], {t_subject}), Prod(query[1], {value}), p)",
     }[shape] + ", evidence")
     env = {**globals(), "rule": rule, "formula": reading.formula, "undefined": reading.undefined}
     exec("def match(conclusions, schema, side):\n" + "".join(f"    {line}\n" for line in code), env)
+    object.__setattr__(reading, "_match", env["match"])
     return env["match"]
-
-
-# The one handler: it takes (rule, premise conclusions, schema, side,
-# direction) and returns (conclusion judgment, side-condition evidence).
-def _rule_match(rule, conclusions, schema, side, direction):
-    """Apply the reading of `rule` in `direction`, whose matcher is compiled when first used."""
-    reading = _READINGS[rule, direction]
-    if reading._match is None:
-        object.__setattr__(reading, "_match", _compile(rule, reading))
-    return reading._match(conclusions, schema, side)
-
-
-RULES = {
-    rule: Rule(rule, len(_READINGS[rule, "forward"].forms), _rule_match, kind)
-    for kind, rules in (
-        (RuleKind.DOUBLE_LINE, (RuleId.ImpIE, RuleId.NegIER)),
-        (RuleKind.RIGHT_I, (RuleId.ProdI1, RuleId.ProdI2, RuleId.OrIR, RuleId.ProdIIndep)),
-        (RuleKind.RIGHT_E, (RuleId.ProdE1a, RuleId.ProdE1b, RuleId.ProdE2a, RuleId.ProdE2b, RuleId.OrERa, RuleId.OrERb)),
-        (RuleKind.LEFT, (RuleId.OrIL, RuleId.OrELa, RuleId.OrELb, RuleId.OrELc, RuleId.OrELd,
-                         RuleId.NegIL, RuleId.NegELa, RuleId.NegELb, RuleId.NegELc)),
-    )
-    for rule in rules
-}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import (
     TndpqError,
 )
 from .calculus import (
-    RULES, Derivation, Plan, PlanStep, RuleId, RuleKind, apply_rule, at_query, independence_fact, run_plan,
+    _READINGS, Derivation, Plan, PlanStep, RuleId, RuleKind, apply_rule, at_query, independence_fact, run_plan,
 )
 from .syntax import (
     Arrow,
@@ -41,17 +41,10 @@ from .systems import AppliedSystem, Learner
 from .trust import TrustKind, TrustProfile, TrustReport
 
 # Rules admissible in each mode, as (rule, direction) pairs, read from the
-# rule table: a double-line rule introduces forward and eliminates backward.
-RIGHT_I_RULES = frozenset(
-    (rule, "forward")
-    for rule, entry in RULES.items()
-    if entry.kind in (RuleKind.RIGHT_I, RuleKind.DOUBLE_LINE)
-)
-RIGHT_E_RULES = frozenset(
-    (rule, "backward" if entry.kind is RuleKind.DOUBLE_LINE else "forward")
-    for rule, entry in RULES.items()
-    if entry.kind in (RuleKind.RIGHT_E, RuleKind.DOUBLE_LINE)
-)
+# kinds of the rule table's rows: a double-line rule's forward row is a right
+# introduction and its backward row a right elimination.
+RIGHT_I_RULES = frozenset(key for key, reading in _READINGS.items() if reading.kind is RuleKind.RIGHT_I)
+RIGHT_E_RULES = frozenset(key for key, reading in _READINGS.items() if reading.kind is RuleKind.RIGHT_E)
 
 
 def _run_restricted(inputs: dict, plan: Plan, schema, allowed, kind: str) -> Derivation:

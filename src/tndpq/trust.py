@@ -101,6 +101,13 @@ def _check_tol(tol) -> None:
         raise PreconditionFailed(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
+def _check_ints(**values) -> None:
+    """Refuse any value that is not an `int`, a bool included, as `TrustKind` does."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise PreconditionFailed(f"{name} must be an integer, got {value!r}")
+
+
 def _check_prefix(m: int, n: int) -> None:
     if not 1 <= m <= n:
         raise IncomparableSystems(f"prefix length {m} outside 1..{n}")
@@ -133,6 +140,7 @@ class TrustProfile:
     def holds(self, name: str, m: int | None = None) -> bool:
         """Whether JT, ET(m), AT(m) or WT(m) holds; m defaults to the whole list."""
         if m is not None:
+            _check_ints(m=m)
             _check_prefix(m, self.n)
         _, test, zeros = _RELATIONS[name]
         prefix = self.equal if test is _equal else self.dominated
@@ -380,6 +388,7 @@ def compose_square(
     AT(m) copy of b0.  The guaranteed conclusion, b1 AT(m) a1, is checked
     and reported.
     """
+    _check_ints(m=m)
     if not system_profile(b0, a0, tol).holds("JT"):
         raise PreconditionFailed("hypothesis a0 JT b0 does not hold")
     if not system_profile(a0, a1, tol).holds("ET", m):
@@ -429,6 +438,9 @@ def build_chain(
     """
     from fractions import Fraction
 
+    _check_ints(m=m, k=k, steps=steps)
+    if l is not None:
+        _check_ints(l=l)
     variant = variant.upper()
     if variant not in ("AT", "WT", "ET"):
         raise PreconditionFailed(f"unknown chain variant {variant!r}")

@@ -28,22 +28,25 @@ def conclusions_parse_back(monkeypatch):
     At teardown each conclusion is printed, parsed against its schema
     (which validates it) and compared with itself.
     """
+    import copy
+
     from tndpq import calculus
     from tndpq.syntax import parse_judgment, print_judgment
 
     built = []
 
-    def recording(handler):
-        def wrapper(rule, conclusions, schema, side, direction):
-            conclusion, evidence = handler(rule, conclusions, schema, side, direction)
+    def recording(match):
+        def wrapper(conclusions, schema, side):
+            conclusion, evidence = match(conclusions, schema, side)
             built.append((conclusion, schema))
             return conclusion, evidence
 
         return wrapper
 
-    for rule, entry in list(calculus.RULES.items()):
-        wrapped = calculus.Rule(entry.id, entry.premises, recording(entry.handler), entry.kind)
-        monkeypatch.setitem(calculus.RULES, rule, wrapped)
+    for key, reading in list(calculus._READINGS.items()):
+        wrapped = copy.copy(reading)
+        object.__setattr__(wrapped, "_match", recording(reading._match or calculus._compile(reading)))
+        monkeypatch.setitem(calculus._READINGS, key, wrapped)
     yield
     for conclusion, schema in built:
         assert parse_judgment(print_judgment(conclusion), schema) == conclusion

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tndpq.calculus import (
-    RULES,
+    _READINGS,
     Derivation,
     RuleId,
     _extension,
@@ -145,8 +145,8 @@ def test_direction_must_be_a_reading_of_the_rule(rule, premises, direction):
 
 
 def test_every_rule_but_the_axiom_has_one_table_entry():
-    assert set(RULES) == set(RuleId) - {RuleId.AtQuery}
-    assert all(entry.id is rule for rule, entry in RULES.items())
+    assert {rule for rule, direction in _READINGS if direction == "forward"} == set(RuleId) - {RuleId.AtQuery}
+    assert {rule for rule, direction in _READINGS if direction == "backward"} == {RuleId.ImpIE, RuleId.NegIER}
 
 
 def test_right_rule_sets_are_read_from_the_table():
@@ -395,11 +395,26 @@ def apply_reading(reading, premises):
 
 def test_left_rules_conclude_their_form():
     for reading, (forms, concludes) in FORMS.items():
-        assert RULES[reading.partition("@")[0]].premises == len(forms)
+        rule, _, backward = reading.partition("@")
+        assert len(_READINGS[rule, backward or "forward"].forms) == len(forms)
         derived = apply_reading(reading, [form_premise(reading, form) for form in forms]).conclusion
         expected = form_premise(reading, concludes).conclusion
         assert derived == expected.with_probability(derived.probability)
         assert derived.probability == pytest.approx(expected.probability)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("rule", list(RuleId))
+def test_the_rule_table_is_the_only_gate(rule, direction):
+    """apply_rule accepts exactly the (rule, direction) pairs that have a row, and refuses every other."""
+    if (rule, direction) in _READINGS:
+        reading = rule.value if direction == "forward" else f"{rule.value}@backward"
+        premises = [form_premise(reading, form) for form in FORMS[reading][0]]
+        assert apply_reading(reading, premises).direction == direction
+    else:
+        refusal = "AtQuery is an axiom" if rule is RuleId.AtQuery else f"{rule.value}: direction 'backward' is not allowed"
+        with pytest.raises(RuleNotAllowed, match=refusal):
+            apply_rule(rule, [], SCHEMA, direction=direction)
 
 
 def _shows(form):

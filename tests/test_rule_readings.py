@@ -18,7 +18,6 @@ import pytest
 
 from tndpq import calculus
 from tndpq.calculus import (
-    RULES,
     RuleId,
     _as_atom,
     _exclusivity_evidence,
@@ -437,6 +436,12 @@ def _outcome(handler, rule, premises, side, direction):
     return conclusion, conclusion.probability.hex(), evidence
 
 
+def _matched(rule, premises, schema, side, direction):
+    """The row's compiled matcher, called as the handlers were."""
+    reading = calculus._READINGS[rule, direction]
+    return (reading._match or calculus._compile(reading))(premises, schema, side)
+
+
 def _expected_divergence(rule, premises, reference, matched):
     """The one kind of divergence expected: ProdE's zero minor premise met before a misshapen premise."""
     return (
@@ -452,14 +457,13 @@ READINGS = sorted(calculus._READINGS, key=lambda key: (key[0].value, key[1]))
 
 def test_every_reading_is_compared():
     assert len(READINGS) == 23
-    assert {rule for rule, _ in READINGS} == set(RULES) == set(REFERENCE)
+    assert {rule for rule, _ in READINGS} == set(RuleId) - {RuleId.AtQuery} == set(REFERENCE)
 
 
 def test_the_matcher_agrees_with_the_handlers_it_replaced():
     rng = random.Random(24)
     tuples = outcomes = divergences = 0
     for rule, direction in READINGS:
-        handler = RULES[rule].handler
         for _ in range(PER_READING):
             try:
                 premises, side = _case(rng, rule, direction)
@@ -467,7 +471,7 @@ def test_the_matcher_agrees_with_the_handlers_it_replaced():
                 continue
             tuples += 1
             reference = _outcome(REFERENCE[rule], rule, premises, side, direction)
-            matched = _outcome(handler, rule, premises, side, direction)
+            matched = _outcome(_matched, rule, premises, side, direction)
             outcomes += not isinstance(matched, type)
             if matched != reference:
                 assert _expected_divergence(rule, premises, reference, matched), (rule, direction, premises, side)

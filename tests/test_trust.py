@@ -239,6 +239,36 @@ def test_chain_preconditions():
         build_chain(a0, system((0.2, 0.4, 0.3, 0.1, 0.0), estimator="B"), 1, 5)
 
 
+
+# Prefix lengths, atom indices and step counts are integers: anything else,
+# a bool included, is refused before any other work.
+@pytest.mark.parametrize("m", [1.5, True])
+def test_holds_refuses_a_prefix_length_that_is_not_an_integer(m):
+    with pytest.raises(PreconditionFailed, match="m must be an integer"):
+        TrustProfile((0.5, 0.3, 0.2), (0.5, 0.3, 0.2)).holds("ET", m)
+
+
+@pytest.mark.parametrize(
+    "arguments, name",
+    [
+        ({"m": 1.5, "k": 3}, "m"),
+        ({"m": 1, "k": 2.5}, "k"),
+        ({"m": 1, "k": 2, "steps": 2.5}, "steps"),
+        ({"m": 1, "k": 2, "variant": "WT", "l": 1.5}, "l"),
+    ],
+)
+def test_chain_refuses_an_argument_that_is_not_an_integer(arguments, name):
+    a0 = system((0.2, 0.4, 0.3, 0.1, 0.0))
+    with pytest.raises(PreconditionFailed, match=f"{name} must be an integer"):
+        build_chain(a0, a0, **arguments)
+
+
+def test_compose_square_refuses_a_prefix_length_that_is_not_an_integer():
+    a0 = system((0.2, 0.4, 0.3, 0.1, 0.0))
+    with pytest.raises(PreconditionFailed, match="m must be an integer"):
+        compose_square(a0, a0, a0, a0, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # No vacuous verdicts
 
