@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .errors import (
     ConsistencyError,
@@ -104,18 +103,44 @@ class RuleId(str, enum.Enum):
     ProdIIndep = "ProdIIndep"
 
 
-# Stays a dataclass: the benchmark's worker rebuilds derivations with
-# `dataclasses.replace`.  A derivation is as deep as its plan is long, with
-# no bound, so `==` compares pairs of nodes from a worklist, and `hash` and
-# `repr` read the node alone: its rule, direction and conclusion.
-@dataclass(frozen=True, eq=False, repr=False)
+class _DataclassFields:
+    """A record's `__dataclass_fields__`, made on first read and then cached on the class."""
+
+    def __get__(self, instance, owner):
+        import dataclasses
+
+        default = vars(owner).get
+        spec = [
+            (name, owner.__annotations__[name], dataclasses.field(default=default(name, dataclasses.MISSING)))
+            for name in owner.__match_args__
+        ]
+        fields = owner.__dataclass_fields__ = dataclasses.make_dataclass(owner.__name__, spec).__dataclass_fields__
+        return fields
+
+
+@record(frozen=True)
 class Derivation:
+    """A conclusion, the rule and direction that gave it, and its premises' derivations.
+
+    A derivation is as deep as its plan is long, with no bound, so `==`
+    compares pairs of nodes from a worklist, and `hash` and `repr` read the
+    node alone: its rule, direction and conclusion.
+
+    `dataclasses.replace`, `fields` and `is_dataclass` take a derivation as
+    a dataclass through `__dataclass_fields__`.  Its first read imports
+    `dataclasses`, makes the fields from the record's own (`__match_args__`,
+    the class defaults and the annotations) and caches them on the class,
+    so only a caller that has imported `dataclasses` itself loads it.
+    """
+
     conclusion: Judgment
     rule: RuleId
     premises: tuple["Derivation", ...] = ()
     side_conditions: tuple[dict, ...] = ()
     provenance: tuple[str, str] | None = None
     direction: str = "forward"
+
+    __dataclass_fields__ = _DataclassFields()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

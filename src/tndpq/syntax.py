@@ -18,7 +18,8 @@ annotated fields with defaults, `fresh(make)` default factories and
 `AttributeSchema`, stay out of `__init__`, `__eq__` and `__repr__`.  One
 `exec` per class builds `__init__`, `__eq__` and `__hash__`, and `__repr__`
 is made per class too, so importing a layer does not import `dataclasses`
-and `inspect`.  `calculus.Derivation` is the one dataclass.
+and `inspect`.  Every record of the package, `calculus.Derivation` too,
+is built here; `Derivation` alone also answers `dataclasses.replace`.
 
 Each composite term and value carries a private `_depth`, atoms being 1
 deep.  Building one deeper than `_MAX_DEPTH` (200) raises `IllFormed`, so

@@ -137,6 +137,7 @@ class AppliedSystem:
 
     def __post_init__(self):
         require_distinct_variables(self.sigma)
+        _require_unattributed(self.sigma, self.variable)
         total = sum(p for _, p in self.distribution)
         if abs(total - 1.0) > _SUM_TOL:
             raise InvariantViolation(f"distribution sums to {total!r}, not 1")
@@ -274,11 +275,17 @@ def _probabilities(ts: TrainingSet, est: Estimator, target: str, selected: int) 
     return [(count + est.smoothing) / total for count in counts]
 
 
+def _require_unattributed(sigma: tuple, target: str) -> None:
+    """Refuse a σ that attributes the target variable itself."""
+    for va in sigma:
+        if va.variable == target:
+            raise InvariantViolation(f"{target!r} is already attributed in sigma")
+
+
 def _conditional(ts: TrainingSet, est: Estimator, sigma: tuple, target: str):
     """`conditional_distribution`, and the row bitset of the rows satisfying σ."""
     require_distinct_variables(sigma)
-    if any(va.variable == target for va in sigma):
-        raise InvariantViolation(f"{target!r} is already attributed in sigma")
+    _require_unattributed(sigma, target)
     masks = [va.mask(ts.schema) for va in sigma]
     atoms = ts.schema.atoms(target)
     # a row satisfies an attribution when its atom's bit is in the value's

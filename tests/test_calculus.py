@@ -653,6 +653,34 @@ def test_check_provenance_mixing():
     assert any(kind == "ProvenanceMismatch" for _, kind, _ in report.violations)
 
 
+def test_dataclasses_take_a_derivation_as_a_dataclass():
+    import dataclasses
+
+    rows = tuple({"X": x, "Y": "u", "Z": "m"} for x in ("a", "a", "b"))
+    base = at_query((TrainingSet.from_rows("T", SCHEMA, rows), FREQ), (), "X", "a")
+    d = apply_rule(RuleId.NegIER, [base], SCHEMA)
+    fields = dataclasses.fields(Derivation)
+    assert [f.name for f in fields] == ["conclusion", "rule", "premises", "side_conditions", "provenance", "direction"]
+    assert [f.default for f in fields] == [dataclasses.MISSING] * 2 + [(), (), None, "forward"]
+    assert dataclasses.fields(d) == fields
+    assert dataclasses.is_dataclass(Derivation) and dataclasses.is_dataclass(d)
+    # the two rebuilds of the benchmark's tampered trees
+    halved = d.conclusion.with_probability(d.conclusion.probability / 2)
+    rebuilt = Derivation(halved, d.rule, d.premises, d.side_conditions, d.provenance, d.direction)
+    assert dataclasses.replace(d, conclusion=halved) == rebuilt
+    other = (leaf("|> X : a @ 0.5"),)
+    replaced = dataclasses.replace(d, premises=other)
+    assert replaced == Derivation(d.conclusion, d.rule, other, d.side_conditions, d.provenance, d.direction)
+    assert replaced != d
+    with pytest.raises(TypeError):
+        dataclasses.replace(d, bogus=1)
+    with pytest.raises(AttributeError):
+        d.rule = RuleId.AtQuery
+    again = apply_rule(RuleId.NegIER, [base], SCHEMA)
+    assert d == again and hash(d) == hash(again) == hash((d.rule, d.direction, d.conclusion))
+    assert repr(d) == "Derivation(rule=NegIER, direction='forward', conclusion='|> X : ~a @ 0.33333333333333337', premises=1)"
+
+
 def _indep_tree(rows, evidence):
     ts = TrainingSet.from_rows("T", SCHEMA, rows)
     source = (ts, FREQ)

@@ -712,3 +712,24 @@ def test_the_sigma_header_is_the_word_then_space(tmp_path, capsys):
     assert main(["compare", str(schema), str(good), str(glued), "--kind", "jt"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: bad sigma line: 'sigmaV0:a0'\n")
+
+
+# A stored system whose σ attributes its own target, X:a |> X, used to
+# load, and each command gave a verdict on it.
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compare", "{schema}", "{system}", "{system}", "--kind", "jt"],
+        ["chain", "{schema}", "{system}", "--m", "1", "--k", "2", "--steps", "2"],
+        ["preserve", "{schema}", "--orig", "{system}", "--copy", "{system}", "--plan", "{plan}",
+         "--kind", "jt", "--mode", "construct"],
+    ],
+    ids=["compare", "chain", "preserve"],
+)
+def test_a_system_attributing_its_own_target_exits_2(tmp_path, capsys, command):
+    files = {"schema": tmp_path / "s.txt", "system": tmp_path / "bad.sys", "plan": tmp_path / "plan.txt"}
+    files["schema"].write_text("X = a | b\nY = u | v\n")
+    files["system"].write_text("system t e\nsigma X:a\nvar X\na 0.5\nb 0.5\n")
+    files["plan"].write_text("x = ATQUERY X:a |> X : a\np = NegIER x\n")
+    assert main([arg.format(**files) for arg in command]) == 2
+    assert capsys.readouterr() == ("", "error: 'X' is already attributed in sigma\n")

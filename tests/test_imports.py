@@ -51,15 +51,31 @@ def test_import_cli_loads_only_errors():
     assert _tndpq(modules) == {"tndpq", "tndpq.cli", "tndpq.errors"}
 
 
-# `calculus.Derivation` is the one dataclass; a process that avoids
-# `calculus` loads neither `dataclasses` nor the `inspect` it imports.
+# Every record is a `syntax.record`, and `calculus.Derivation` makes its
+# dataclass fields only when `dataclasses` asks for them, so no process
+# loads `dataclasses` or the `inspect` it imports.
 HEAVY = {"dataclasses", "inspect"}
 # argparse and what it imports, loaded only for help and usage errors
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 
-def test_layers_without_calculus_load_no_dataclasses():
-    modules, _ = _loaded("import tndpq.syntax, tndpq.systems, tndpq.exclusivity, tndpq.trust")
+def test_no_layer_loads_dataclasses():
+    modules, _ = _loaded(f"import {', '.join(f'tndpq.{layer}' for layer in sorted(LAYERS))}, tndpq.cli")
+    assert {f"tndpq.{layer}" for layer in LAYERS} <= modules
+    assert not modules & HEAVY
+
+
+def test_building_and_checking_a_derivation_loads_no_dataclasses():
+    modules, output = _loaded(
+        "from tndpq.calculus import Derivation, Plan, PlanStep, RuleId, check_derivation, run_plan\n"
+        "from tndpq.syntax import AttributeSchema, parse_judgment\n"
+        "schema = AttributeSchema.of({'X': ('a', 'b')})\n"
+        "leaf = Derivation(parse_judgment('|> X : a @ 0.25', schema), RuleId.AtQuery)\n"
+        "plan = Plan((PlanStep('p', RuleId.NegIER, ('x',)),))\n"
+        "root, again = (run_plan({'x': leaf}, plan, schema)['p'] for _ in range(2))\n"
+        "print(check_derivation(root, schema).ok, root == again, hash(root) == hash(again), repr(root))"
+    )
+    assert output == ["True True True Derivation(rule=NegIER, direction='forward', conclusion='|> X : ~a @ 0.75', premises=1)"]
     assert not modules & HEAVY
 
 
@@ -115,8 +131,7 @@ def test_command_imports_only_its_layers(files, command):
     assert ("csv" in modules) == (command in ("learn", "derive"))
     # a well-formed argument list is read without argparse
     assert not modules & ARGPARSE, command
-    if "calculus" not in layers:
-        assert not modules & HEAVY, command
+    assert not modules & HEAVY, command
 
 
 def test_help_is_argparses():
