@@ -29,8 +29,8 @@ forms, where X is γ, β, γ+β or ~β:
     u      σ |> u : δ            X->u   σ |> [t]u : X->δ
     X*u    σ |> <t,u> : X*δ      u*X    σ |> <u,t> : δ*X
 
-t and u compare as reduced terms, and a premise of form X|, X->u, X*u or
-u*X must show an atomic variable for t.
+t and u compare structurally, since the parser resolves projections, and a
+premise of form X|, X->u, X*u or u*X must show an atomic variable for t.
 """
 
 from __future__ import annotations
@@ -55,13 +55,11 @@ from .syntax import (
     AtomVal,
     AttributeSchema,
     Cond,
-    Fst,
     Judgment,
     Neg,
     Or,
     Pair,
     Prod,
-    Snd,
     ValueAttribution,
     VariableTerm,
     fresh,
@@ -69,7 +67,6 @@ from .syntax import (
     print_term,
     print_value,
     record,
-    reduce_projections,
     require_linear,
     same_sigma,
 )
@@ -221,7 +218,6 @@ def _extension(judgment: Judgment, base_sigma) -> ValueAttribution:
 
 
 def _as_atom(term: VariableTerm, rule: RuleId) -> Atom:
-    term = reduce_projections(term)
     if not isinstance(term, Atom):
         raise ShapeMismatch(f"{rule.value}: {print_term(term)} cannot appear in an antecedent")
     return term
@@ -237,7 +233,7 @@ def _exclusivity_evidence(term, left, right, schema, rule) -> dict:
 
 
 def _independence_evidence(side, t, u, rule) -> dict:
-    """The fact in `side` that the reduced terms t and u are independent, once <t,u> is linear."""
+    """The fact in `side` that the terms t and u are independent, once <t,u> is linear."""
     require_linear(Pair(t, u))
     t, u = print_term(t), print_term(u)
     for fact in side or ():
@@ -373,17 +369,15 @@ _READINGS = {(reading.id, reading.direction): reading for reading in (
 
 def _unfold(shape: str, p: Judgment, where: str, form: str):
     """(t, the value of X, (u, δ)) that p shows in form X->u, X*u or u*X, t an atomic variable."""
-    shown = None
+    shown, term, value = None, p.subject, p.value
     if shape == "X->u":  # σ |> [t]u : X->δ
-        term = reduce_projections(p.subject)
-        if isinstance(term, Cond) and isinstance(p.value, Arrow):
-            shown = term.antecedent, p.value.left, (term.consequent, p.value.right)
-    elif isinstance(p.value, Prod):
-        first, second = reduce_projections(Fst(p.subject)), reduce_projections(Snd(p.subject))
+        if isinstance(term, Cond) and isinstance(value, Arrow):
+            shown = term.antecedent, value.left, (term.consequent, value.right)
+    elif isinstance(term, Pair) and isinstance(value, Prod):
         if shape == "X*u":  # σ |> <t,u> : X*δ
-            shown = first, p.value.left, (second, p.value.right)
+            shown = term.left, value.left, (term.right, value.right)
         else:  # u*X: σ |> <u,t> : δ*X
-            shown = second, p.value.right, (first, p.value.left)
+            shown = term.right, value.right, (term.left, value.left)
     if shown is None:
         raise ShapeMismatch(f"{where} is not of the form {form}")
     if not isinstance(shown[0], Atom):
@@ -392,7 +386,7 @@ def _unfold(shape: str, p: Judgment, where: str, form: str):
 
 
 # What a reading's matcher calls each value that premises show.
-_NAMES = {"t": "t", "γ": "gamma", "β": "beta", "u : δ": "u_key"}
+_NAMES = {"t": "t", "γ": "gamma", "β": "beta", "u : δ": "query"}
 # For each X: the class its value must be of, the letters it shows with the
 # part of its value that shows each, and the value it concludes.
 _X_FORMS = {
@@ -410,15 +404,13 @@ def _compile(reading: _Reading) -> Callable:
     its formula.  σ is the context of premise k, the first whose form has no
     `|`, or else the first premise's antecedent less its last attribution.
     The first premise that shows t, γ, β or u : δ binds it, and each later
-    one must agree; t and u compare reduced, and an `X|` premise's t, an
-    atomic variable, by its name.  u : δ is bound only where a second
-    premise shows it.  The conclusion shows the first X premise's subject
+    one must agree, with `==`, but an `X|` premise's t, an atomic variable,
+    compares by its name.  The conclusion shows the first X premise's subject
     for t, if there is one, and the first premise's u that shows one.
     """
     rule = reading.id
     forms = [_read_form(form) for form in reading.forms]
     k = next((n for n, (shape, _) in enumerate(forms, 1) if shape != "X|"), 0)  # 0 if every form has a `|`
-    compare_u = sum(shape != "X" for shape, _ in forms) > 1
     numbers = range(1, len(forms) + 1)
     premises, probabilities = "".join(f"p{n}, " for n in numbers), "".join(f"p{n}.probability, " for n in numbers)
     code = [f"{premises}= conclusions", f"sigma = p{k}.antecedent" if k else "sigma = p1.antecedent[:-1]"]
@@ -436,8 +428,7 @@ def _compile(reading: _Reading) -> Callable:
             code.append(f"if {differs}: raise ShapeMismatch({message!r})")
         else:
             first[key] = n
-            if key != "u : δ" or compare_u:
-                code.append(f"{_NAMES[key]} = {expr}")
+            code.append(f"{_NAMES[key]} = {expr}")
 
     for n, (shape, x) in enumerate(forms, 1):
         p, where = f"p{n}", f"{rule.value}: premise {n}"
@@ -453,15 +444,13 @@ def _compile(reading: _Reading) -> Callable:
             code.append(f"if {p}.antecedent is not sigma and not same_sigma({p}.antecedent, sigma): "
                         f"raise ShapeMismatch({message!r})")
         if shape == "X":  # σ |> t : X
-            code.append(f"t{n}, v{n} = reduce_projections({p}.subject), {p}.value")
+            code.append(f"t{n}, v{n} = {p}.subject, {p}.value")
             t_subject, u = t_subject or f"{p}.subject", None
         elif shape not in ("u", "X|"):  # X->u, X*u or u*X
             code.append(f"t{n}, v{n}, u{n} = _unfold({shape!r}, {p}, {where!r}, {reading.forms[n - 1]!r})")
             u = f"u{n}[0]", f"u{n}[1]"
         if u is not None:
-            if "u : δ" not in first:
-                code.append(f"query = {u[0]}, {u[1]}")
-            show(n, "u : δ", f"(reduce_projections({u[0]}), {u[1]})")
+            show(n, "u : δ", f"({u[0]}, {u[1]})")
         if shape == "u":
             continue
         kind, letters, _ = _X_FORMS[x]
@@ -479,7 +468,7 @@ def _compile(reading: _Reading) -> Callable:
     if x == "γ+β":  # the conclusion's disjunction needs γ and β exclusive
         code.append(f"evidence.append(_exclusivity_evidence({t_subject}, gamma, beta, schema, rule))")
     if reading.independent:
-        code.append(f"evidence.append(_independence_evidence(side, {t_term}, reduce_projections(query[0]), rule))")
+        code.append(f"evidence.append(_independence_evidence(side, {t_term}, query[0], rule))")
     code.append(f"f = {probabilities}")
     if reading.undefined is not None:
         code.append(f"if undefined(*f): raise ZeroDenominator({f'{rule.value}: {reading.why}'!r})")
@@ -632,7 +621,7 @@ def _check_node(node, schema, learners, report, path, tags):
         expected, actual = rebuilt.conclusion, node.conclusion
         structural = (
             expected.antecedent == actual.antecedent
-            and reduce_projections(expected.subject) == reduce_projections(actual.subject)
+            and expected.subject == actual.subject
             and expected.value == actual.value
         )
         if not structural:

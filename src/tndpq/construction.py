@@ -35,7 +35,6 @@ from .syntax import (
     VariableTerm,
     print_term,
     print_value,
-    reduce_projections,
 )
 from .systems import AppliedSystem, Learner
 from .trust import TrustKind, TrustProfile, TrustReport
@@ -82,7 +81,6 @@ def derive_value(
     an atomic left component) or the independence rule.  A pair source is
     read through a `Learner` for this call, or one the verdict's calls share.
     """
-    term = reduce_projections(term)
     sigma = tuple(sigma)
     if not isinstance(source, (AppliedSystem, Learner)):
         source = Learner(source)
@@ -112,21 +110,19 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
         right = _derive(source, sigma, term, value.right, schema)
         return apply_rule(RuleId.OrIR, [left, right], schema)
     if isinstance(value, Arrow):
-        if not isinstance(term, Cond) or not isinstance(reduce_projections(term.antecedent), Atom):
+        if not isinstance(term, Cond) or not isinstance(term.antecedent, Atom):
             raise DerivationFailed(
                 f"conditional value needs a conditional term with an atomic antecedent, got {print_term(term)}"
             )
-        antecedent = reduce_projections(term.antecedent)
-        extended = sigma + (ValueAttribution(antecedent.name, value.left),)
-        body = _derive(source, extended, reduce_projections(term.consequent), value.right, schema)
+        extended = sigma + (ValueAttribution(term.antecedent.name, value.left),)
+        body = _derive(source, extended, term.consequent, value.right, schema)
         return apply_rule(RuleId.ImpIE, [body], schema)
     if isinstance(value, Prod):
         if not isinstance(term, Pair):
             raise DerivationFailed(
                 f"product value for non-pair term {print_term(term)}"
             )
-        left_term = reduce_projections(term.left)
-        right_term = reduce_projections(term.right)
+        left_term, right_term = term.left, term.right
         if isinstance(left_term, Atom):
             try:
                 # conditional route: sigma, t:beta |> u:delta then I-times-1
@@ -154,7 +150,6 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
 
 def zero_probe_values(term: VariableTerm, schema: AttributeSchema):
     """Negation-free single-connective probes fitting the term's shape."""
-    term = reduce_projections(term)
     if isinstance(term, Atom):
         atoms = [AtomVal(a) for a in schema.atoms(term.name)]
         probes = list(atoms)

@@ -10,9 +10,9 @@ two values are exclusive when their cell masks (`syntax.fit`) are
 disjoint; conditional terms are decided by antecedent matching.
 `oracle_exclusive` decides the same question by enumerating every
 admissible assignment of atoms to variables; over conditional terms it
-shares the procedure's step cases.  Both start the same way: the term is
-reduced and must be linear (a term naming a variable twice is ill-formed),
-and both values must fit it.  Neither accepts a conditional term below a
+shares the procedure's step cases.  Both start the same way: the term must
+be linear (a term naming a variable twice is ill-formed), and both values
+must fit it.  Neither accepts a conditional term below a
 pair, such as `<X,[Y]Z>`, nor one whose antecedent is conditional, such as
 `[[X]Y]Z`: antecedents are compared by their masks, which only arrow-free
 terms have.  The step case for a negated disjunction is sound but not
@@ -38,7 +38,6 @@ from .syntax import (
     fit,
     print_term,
     print_value,
-    reduce_projections,
     require_linear,
     term_atoms,
 )
@@ -48,13 +47,12 @@ from .syntax import (
 
 
 def _prologue(term, beta, delta, schema):
-    """The reduced term and the fits of both values to it (None over a conditional term).
+    """The fits of both values to the term (None over a conditional term).
 
     Each value is checked whole, since the step cases may stop before it
     has seen every branch.  A conditional below a pair fits a judgment, so
     the walk lets it through and the term check after it rejects it.
     """
-    term = reduce_projections(term)
     require_linear(term)
     b = fit(term, beta, schema)
     d = fit(term, delta, schema)
@@ -70,7 +68,7 @@ def _prologue(term, beta, delta, schema):
                     f" {print_term(inner.antecedent)}"
                 )
             inner = inner.consequent
-    return term, b, d
+    return b, d
 
 
 def _below_a_pair(term, in_pair=False):
@@ -106,7 +104,7 @@ def exclusive(
     trace: list[str] | None = None,
 ) -> bool:
     """Decide mutual exclusivity of two values of the same linear variable term."""
-    term, b, d = _prologue(term, beta, delta, schema)
+    b, d = _prologue(term, beta, delta, schema)
     return _exclusive(term, beta, delta, schema, _Trace(trace), (b, d))
 
 
@@ -232,7 +230,7 @@ def oracle_exclusive(
     independently: enumerated antecedent equality and enumerated consequent
     exclusivity.
     """
-    term = _prologue(term, beta, delta, schema)[0]
+    _prologue(term, beta, delta, schema)
     budget = sum(len(schema.atoms(v)) for v in term_atoms(term))
     if budget > ORACLE_ATOM_BUDGET:
         raise OracleTooLarge(f"{budget} atoms involved, budget {ORACLE_ATOM_BUDGET}")
@@ -243,9 +241,8 @@ def _oracle(term, beta, delta, schema) -> bool:
     if isinstance(term, Cond):
 
         def base(b, d) -> bool:
-            return _oracle_equal(term.antecedent, b.left, d.left, schema) and _oracle(
-                reduce_projections(term.consequent), b.right, d.right, schema
-            )
+            equal = _oracle_equal(term.antecedent, b.left, d.left, schema)
+            return equal and _oracle(term.consequent, b.right, d.right, schema)
 
         return _step_cases(beta, delta, base, lambda text: None)
     variables = sorted(term_atoms(term))

@@ -9,6 +9,12 @@ Concrete notation (ASCII):
 terms, ``|>`` separates the attribution list from the queried attribution
 and ``@`` carries the probability.
 
+The parser resolves each projection as it reads it: ``fst(<t,u>)`` is read
+as ``t`` and ``snd(<t,u>)`` as ``u``, and a projection of anything but a pair
+is refused.  So a term has one representation, built from variables, pairs
+and conditional terms, and structural equality of terms is the calculus's
+equality.  Printing a parsed term gives no projection back.
+
 The package's records are classes decorated with `record`, which gives
 them the subset of `dataclasses` that tndpq uses: `__init__` over the
 annotated fields with defaults, `fresh(make)` default factories and
@@ -212,12 +218,13 @@ def _require_word(word: str) -> None:
 class open_text:
     """`with open_text(path) as handle`: the file read as UTF-8 text.
 
-    A byte that does not decode raises a ParseError that names the file.
+    A leading byte-order mark, which some editors write, is dropped.  A byte
+    that does not decode raises a ParseError that names the file.
     """
 
     def __init__(self, path, newline=None):
         self.path = path
-        self.handle = open(path, encoding="utf-8", newline=newline)
+        self.handle = open(path, encoding="utf-8-sig", newline=newline)
 
     def __enter__(self):
         return self.handle
@@ -269,44 +276,9 @@ class Pair(VariableTerm):
 
 
 @record(frozen=True)
-class Fst(VariableTerm):
-    inner: VariableTerm
-
-
-@record(frozen=True)
-class Snd(VariableTerm):
-    inner: VariableTerm
-
-
-@record(frozen=True)
 class Cond(VariableTerm):
     antecedent: VariableTerm
     consequent: VariableTerm
-
-
-def reduce_projections(term: VariableTerm) -> VariableTerm:
-    """Apply fst(<t,u>)=t and snd(<t,u>)=u exhaustively.
-
-    Projections on non-pairs are left symbolic; the result is a fixpoint.
-    A term with no projection to reduce below it is returned as it is.
-    """
-    kind = type(term)
-    if kind is Atom:
-        return term
-    if kind is Pair:
-        left, right = reduce_projections(term.left), reduce_projections(term.right)
-        return term if left is term.left and right is term.right else Pair(left, right)
-    if kind is Cond:
-        antecedent, consequent = reduce_projections(term.antecedent), reduce_projections(term.consequent)
-        if antecedent is term.antecedent and consequent is term.consequent:
-            return term
-        return Cond(antecedent, consequent)
-    if kind is Fst or kind is Snd:
-        inner = reduce_projections(term.inner)
-        if type(inner) is Pair:
-            return inner.left if kind is Fst else inner.right
-        return term if inner is term.inner else kind(inner)
-    raise TypeError(f"not a term: {term!r}")
 
 
 def _variables(term: VariableTerm) -> list[str]:
@@ -316,18 +288,16 @@ def _variables(term: VariableTerm) -> list[str]:
         return [term.name]
     if kind is Pair:
         return _variables(term.left) + _variables(term.right)
-    if kind is Cond:
-        return _variables(term.antecedent) + _variables(term.consequent)
-    return _variables(term.inner)
+    return _variables(term.antecedent) + _variables(term.consequent)
 
 
 def term_atoms(term: VariableTerm) -> set[str]:
-    """Atomic variable names occurring in a term (after projection reduction)."""
-    return set(_variables(reduce_projections(term)))
+    """Atomic variable names occurring in a term."""
+    return set(_variables(term))
 
 
 def require_linear(term: VariableTerm) -> None:
-    """Reject a reduced term that names a variable more than once."""
+    """Reject a term that names a variable more than once."""
     seen: set[str] = set()
     for name in _variables(term):
         if name in seen:
@@ -397,7 +367,7 @@ def subvalues(value: Value):
 # ---------------------------------------------------------------------------
 # Fit of a value to a term
 #
-# A value fits a reduced term when its connectives follow the term: `~` and
+# A value fits a term when its connectives follow the term: `~` and
 # `+` over any term, an atom of the variable under a variable, a product
 # under a pair and a conditional under a conditional term.  Over a linear
 # arrow-free term a fitting value denotes a set of cells of the product of
@@ -410,7 +380,7 @@ def subvalues(value: Value):
 
 
 def fit(term: VariableTerm, value: Value, schema: AttributeSchema) -> tuple[int, int] | None:
-    """Check that `value` fits the reduced `term`, raising at the first misfit.
+    """Check that `value` fits `term`, raising at the first misfit.
 
     Returns the value's cell mask and the term's width over an arrow-free
     term, and None over a term that holds a conditional.  The first misfit
@@ -453,15 +423,11 @@ def _fit(term, value, schema) -> int | None:
             out |= right << (low.bit_length() - 1) * width
             left ^= low
         return out
-    if kind is Cond:
-        if type(value) is not Arrow:
-            raise ShapeMismatch(
-                f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}"
-            )
-        _fit(term.antecedent, value.left, schema)
-        _fit(term.consequent, value.right, schema)
-        return None
-    raise ShapeMismatch(f"unreduced projection in term {print_term(term)}")
+    if type(value) is not Arrow:
+        raise ShapeMismatch(f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}")
+    _fit(term.antecedent, value.left, schema)
+    _fit(term.consequent, value.right, schema)
+    return None
 
 
 def _width(term, schema) -> int:
@@ -534,18 +500,22 @@ class Judgment:
             raise IllFormed(f"probability {self.probability} outside [0, 1]")
         require_distinct_variables(self.antecedent)
 
-    def validate(self, schema: AttributeSchema) -> "Judgment":
-        """Check the antecedent, then that the value fits the reduced, linear subject."""
+    def validate(self, schema: AttributeSchema, _named=None) -> "Judgment":
+        """Check the antecedent, then that the value fits the linear subject.
+
+        Every variable of the subject must be declared, and so must every
+        name in `_named`: the variables that the subject's text named, in
+        text order, those of a component that a projection discarded too.
+        """
         for va in self.antecedent:
             va.validate(schema)
-        subject = reduce_projections(self.subject)
-        names = _variables(subject)
-        _require_declared(names, schema)
+        names = _variables(self.subject)
+        _require_declared(names if _named is None else _named, schema)
         if any(va.variable in names for va in self.antecedent):
             raise IllFormed("subject variable occurs in the antecedent")
         if len(set(names)) < len(names):
-            require_linear(subject)
-        _fit(subject, self.value, schema)
+            require_linear(self.subject)
+        _fit(self.subject, self.value, schema)
         return self
 
     def with_probability(self, p: float) -> "Judgment":
@@ -642,15 +612,17 @@ class _Parser:
 
     `tokens` ends with None and `pos` indexes the next token.  A rule that
     meets a token it cannot take raises `fail`, which names that token.
+    `named` collects the variables that terms name, in text order.
     """
 
-    __slots__ = ("text", "tokens", "pos")
+    __slots__ = ("text", "tokens", "pos", "named")
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)
         self.tokens.append(None)
         self.pos = 0
+        self.named = []
 
     def fail(self, expected: str) -> ParseError:
         """The error at the next token, or at the first unexpected character of the text."""
@@ -694,6 +666,7 @@ class _Parser:
             node = cls(node, self.value(power if right else power + 1))
 
     def term(self) -> VariableTerm:
+        """A term, each projection in it resolved: `fst(<t,u>)` reads as t and `snd(<t,u>)` as u."""
         tokens = self.tokens
         pos = self.pos
         tok = tokens[pos]
@@ -723,7 +696,10 @@ class _Parser:
             if tokens[self.pos] != ")":
                 raise self.fail("')'")
             self.pos += 1
-            return Fst(inner) if tok == "fst" else Snd(inner)
+            if inner.__class__ is not Pair:
+                raise ShapeMismatch(f"unreduced projection in term {tok}({print_term(inner)})")
+            return inner.left if tok == "fst" else inner.right
+        self.named.append(tok)
         return Atom(tok)
 
     def attributions(self, end: str | None) -> tuple[ValueAttribution, ...]:
@@ -781,10 +757,11 @@ def parse_value(text: str, schema: AttributeSchema | None = None) -> Value:
 
 
 def parse_term(text: str, schema: AttributeSchema | None = None) -> VariableTerm:
+    """Parse a term; with a schema, every variable its text names must be declared."""
     parser = _Parser(text)
     term = parser.whole(parser.term)
     if schema is not None:
-        _require_declared(_variables(reduce_projections(term)), schema)
+        _require_declared(parser.named, schema)
     return term
 
 
@@ -799,9 +776,9 @@ def parse_attribution_list(text: str, schema: AttributeSchema | None = None) -> 
 
 
 def parse_judgment(text: str, schema: AttributeSchema) -> Judgment:
-    """Parse and validate one judgment against the schema."""
+    """Parse and validate one judgment against the schema, every variable its subject's text names included."""
     parser = _Parser(text)
-    return parser.whole(parser.judgment).validate(schema)
+    return parser.whole(parser.judgment).validate(schema, parser.named)
 
 
 # ---------------------------------------------------------------------------
@@ -826,10 +803,6 @@ def print_term(term: VariableTerm) -> str:
         return term.name
     if isinstance(term, Pair):
         return f"<{print_term(term.left)},{print_term(term.right)}>"
-    if isinstance(term, Fst):
-        return f"fst({print_term(term.inner)})"
-    if isinstance(term, Snd):
-        return f"snd({print_term(term.inner)})"
     inner = print_term(term.consequent)
     return f"[{print_term(term.antecedent)}]{inner}"
 

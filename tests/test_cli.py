@@ -44,6 +44,16 @@ def test_parse_round_trip(schema_file, capsys):
     assert out == "Hepatitis:Yes |> Chickenpox : Major+Extreme @ 0.2"
 
 
+def test_parse_prints_the_resolved_subject(schema_file, capsys):
+    # the parser resolves a projection, so what prints is the term it stands for
+    assert main(["parse", schema_file, "Hepatitis:Yes |> fst(<Chickenpox,Hepatitis>) : Major @ 0.5"]) == 0
+    assert capsys.readouterr() == ("Hepatitis:Yes |> Chickenpox : Major @ 0.5\n", "")
+    assert main(["parse", schema_file, "|> snd(<Hepatitis,Chickenpox>) : Major @ 0.5"]) == 0
+    assert capsys.readouterr() == ("|> Chickenpox : Major @ 0.5\n", "")
+    assert main(["parse", schema_file, "|> fst(Chickenpox) : Major @ 0.5"]) == 2
+    assert capsys.readouterr() == ("", "error: unreduced projection in term fst(Chickenpox)\n")
+
+
 def test_parse_rejects_unknown_symbol(schema_file, capsys):
     code = main(["parse", schema_file, "|> Chickenpox : Mild @ 0.2"])
     assert code == 2
@@ -418,6 +428,48 @@ def test_a_file_that_is_not_utf8_exits_2(schema_file, csv_file, tmp_path, capsys
     assert capsys.readouterr() == ("", f"error: file {bad!r} is not UTF-8 text: invalid start byte\n")
 
 
+@pytest.mark.parametrize("command", ["parse", "learn", "compare", "derive", "preserve"])
+def test_a_file_with_a_byte_order_mark_reads_as_without_one(schema_file, csv_file, tmp_path, capsys, command):
+    # Notepad, and Excel's CSV export, start a UTF-8 file with U+FEFF, which
+    # was read as part of its first name
+    system = str(tmp_path / "orig.sys")
+    assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "-o", system]) == 0
+    script = tmp_path / "script.txt"
+    script.write_text("a = ATQUERY Chickenpox : Major\nb = ATQUERY Chickenpox : Extreme\nboth = OrIR a b\n")
+    plain = {"parse": schema_file, "learn": csv_file, "compare": system, "derive": script, "preserve": script}[command]
+    marked = tmp_path / "marked"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    outcomes = []
+    for path in (str(plain), str(marked)):
+        argv = {
+            "parse": [path, "|> Chickenpox : Major @ 0.5"],
+            "learn": [schema_file, path, "--target", "Chickenpox"],
+            "compare": [schema_file, system, path, "--kind", "jt"],
+            "derive": [schema_file, csv_file, "--script", path],
+            "preserve": [schema_file, "--orig", system, "--copy", system, "--plan", path,
+                         "--kind", "jt", "--mode", "construct"],
+        }[command]
+        capsys.readouterr()
+        outcomes.append((main([command, *argv]), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][2] == ""
+
+
+@pytest.mark.parametrize(
+    "schema, data, message",
+    [
+        ("\ufeff\ufeffX = a | b\n", "", "name '\\ufeffX' is not one identifier or number of the grammar"),
+        ("X = a | b\n\ufeffY = u | v\n", "", "name '\\ufeffY' is not one identifier or number of the grammar"),
+        ("X = a | b\nY = u | v\n", "X,\ufeffY\na,u\n", "header column '\\ufeffY' is not a schema variable"),
+    ],
+)
+def test_a_byte_order_mark_past_the_first_character_is_refused(tmp_path, capsys, schema, data, message):
+    (tmp_path / "s.txt").write_text(schema, encoding="utf-8")
+    (tmp_path / "d.csv").write_text(data, encoding="utf-8")
+    assert main(["learn", str(tmp_path / "s.txt"), str(tmp_path / "d.csv"), "--target", "X"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_a_cell_over_the_csv_field_limit_exits_2(schema_file, tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("Chickenpox,Hepatitis\nMajor,No\n" + "Minor" * 28_000 + ",Yes\n")
@@ -599,6 +651,24 @@ def test_exclusive_names_an_undeclared_variable(tmp_path, term, beta, delta):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: unknown variable 'V'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exclusive", "{schema}", "fst(<X,Q>)", "a", "b"],
+        ["exclusive", "{schema}", "<snd(<Q,X>),Y>", "a*u", "b*v"],
+        ["parse", "{schema}", "|> snd(<Q,X>) : a @ 0.5"],
+        ["parse", "{schema}", "Y:u |> fst(<X,<Q,Z>>) : a @ 0.5"],
+    ],
+)
+def test_an_undeclared_variable_in_a_discarded_component_exits_2(tmp_path, capsys, argv):
+    # a projection used to drop its other component unchecked: `exclusive`
+    # printed `exclusive` and `parse` echoed the subject, each with exit 0
+    schema = tmp_path / "xyz.txt"
+    schema.write_text("X = a | b\nY = u | v\nZ = p | q\n")
+    assert main([arg.format(schema=schema) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", "error: unknown variable 'Q'\n")
 
 
 def test_exclusive_conditional_antecedent_exits_2(tmp_path):

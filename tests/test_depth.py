@@ -19,18 +19,16 @@ from tndpq.syntax import (
     AtomVal,
     AttributeSchema,
     Cond,
-    Fst,
     Judgment,
     Neg,
     Or,
     Pair,
     Prod,
-    Snd,
     Value,
     ValueAttribution,
+    parse_term,
     print_term,
     print_value,
-    reduce_projections,
 )
 from tndpq.systems import Estimator, TrainingSet
 from tndpq.trust import check_nonatomic, jt
@@ -67,8 +65,10 @@ def _source():
     return TrainingSet.from_rows("t", SCHEMA, rows), Estimator("e", "freq")
 
 
-# a projection chain 199 deep that reduces to X: fst(<fst(<…,Y>),Y>)
-_PROJECTED = _chain(lambda t: Fst(Pair(t, Atom("Y"))), Atom("X"), (BOUND - 1) // 2)
+# `<<…<X,Y>…,Y>,Y>`, at the bound
+_PAIRS = _chain(lambda t: Pair(t, Atom("Y")), Atom("X"), BOUND - 1)
+# the text of a projection chain 199 deep that resolves to X: fst(<fst(<…,Y>),Y>)
+_PROJECTED = _chain(lambda text: f"fst(<{text},Y>)", "X", (BOUND - 1) // 2)
 
 
 def _arrows(antecedent, consequent, depth=BOUND):
@@ -92,9 +92,9 @@ WALKS = {
     "==": lambda: _negations("a") == _negations("a"),
     "hash": lambda: hash(_negations("a")) == hash(_negations("a")),
     "print_value": lambda: print_value(_ARROWS),
-    "print_term": lambda: print_term(_chain(Snd, Atom("X"), BOUND - 1)),
-    "reduce_projections": lambda: reduce_projections(_PROJECTED) == Atom("X"),
-    "Judgment.validate": lambda: Judgment(_SIGMA, _PROJECTED, _negations("a"), 0.5).validate(SCHEMA),
+    "print_term": lambda: print_term(_PAIRS),
+    "parse_term": lambda: parse_term(_PROJECTED, SCHEMA) == Atom("X"),
+    "Judgment.validate": lambda: Judgment(_SIGMA, Atom("X"), _negations("a"), 0.5).validate(SCHEMA),
     "exclusive-X": lambda: exclusive(Atom("X"), _negations("a"), AtomVal("a"), SCHEMA),
     "exclusive-[X]Z": lambda: exclusive(_XZ, _ARROWS, _ARROWS_Q, SCHEMA),
     "oracle_exclusive-[X]Z": lambda: oracle_exclusive(_XZ, _ARROWS, _ARROWS_Q, SCHEMA),
@@ -113,12 +113,12 @@ def test_every_walk_takes_a_tree_at_the_bound(walk):
     assert _from_deep_stack(walk)
 
 
-@pytest.mark.parametrize("cls", [Pair, Fst, Snd, Cond, Neg, Or, Prod, Arrow])
+@pytest.mark.parametrize("cls", [Pair, Cond, Neg, Or, Prod, Arrow])
 def test_each_node_refuses_to_pass_the_bound(cls):
     if issubclass(cls, Value):
         deepest, atom = _negations("a"), AtomVal("b")
     else:
-        deepest, atom = _chain(Fst, Atom("X"), BOUND - 1), Atom("Y")
+        deepest, atom = _PAIRS, Atom("Z")
     fields = cls.__match_args__
     for deep in fields:
         with pytest.raises(IllFormed, match="^input nested too deeply$"):
@@ -127,8 +127,11 @@ def test_each_node_refuses_to_pass_the_bound(cls):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: _chain(Fst, Atom("X"), 1500), lambda: _chain(lambda v: Or(v, AtomVal("a")), AtomVal("a"), 1500)],
-    ids=["Fst", "Or"],
+    [
+        lambda: _chain(lambda t: Pair(t, Atom("Y")), Atom("X"), 1500),
+        lambda: _chain(lambda v: Or(v, AtomVal("a")), AtomVal("a"), 1500),
+    ],
+    ids=["Pair", "Or"],
 )
 def test_a_tree_built_in_python_past_the_bound_is_ill_formed(build):
     with pytest.raises(IllFormed, match="^input nested too deeply$"):

@@ -14,7 +14,6 @@ from tndpq.syntax import (
     AtomVal,
     AttributeSchema,
     Cond,
-    Fst,
     Neg,
     Or,
     Pair,
@@ -595,15 +594,10 @@ def _reference_check_shape(term, value, schema):
         _reference_check_shape(term.left, value.left, schema)
         _reference_check_shape(term.right, value.right, schema)
         return
-    if isinstance(term, Cond):
-        if not isinstance(value, Arrow):
-            raise ShapeMismatch(
-                f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}"
-            )
-        _reference_check_shape(term.antecedent, value.left, schema)
-        _reference_check_shape(term.consequent, value.right, schema)
-        return
-    raise ShapeMismatch(f"unreduced projection in term {print_term(term)}")
+    if not isinstance(value, Arrow):
+        raise ShapeMismatch(f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}")
+    _reference_check_shape(term.antecedent, value.left, schema)
+    _reference_check_shape(term.consequent, value.right, schema)
 
 
 def _misfit(rng, term, depth):
@@ -621,8 +615,6 @@ def _misfit(rng, term, depth):
         if depth > 0 and r < 0.48:
             return Prod(AtomVal("a1"), AtomVal("b1"))
         return AtomVal(rng.choice(FOUR.atoms(term.name)))
-    if isinstance(term, Fst):  # an unreduced projection
-        return AtomVal("b1")
     if isinstance(term, Cond):
         return Arrow(_misfit(rng, term.antecedent, depth - 1), _misfit(rng, term.consequent, depth - 1))
     return Prod(_misfit(rng, term.left, depth - 1), _misfit(rng, term.right, depth - 1))
@@ -638,10 +630,9 @@ def _outcome(fn):
 
 def test_shape_checks_raise_what_the_separate_walk_raised():
     rng = random.Random(41)
-    shapes = SHAPES + [Pair(_A, Fst(_B)), Cond(_A, Fst(_B))]
     misfits = 0
     for n in range(3000):
-        term = shapes[n % len(shapes)]
+        term = SHAPES[n % len(SHAPES)]
         value = _misfit(rng, term, 3)
         want = _outcome(lambda: _reference_check_shape(term, value, FOUR))
         misfits += want is not None

@@ -10,6 +10,9 @@ the error.  One divergence is expected: a ProdE minor premise of
 probability 0 that is also misshapen, or whose major premise shows a
 composite t, was refused with ZeroDenominator, since the handler divided
 before it matched the minor premise, and is now refused with ShapeMismatch.
+Terms have no projections, since the parser resolves them, so the
+reference compares subjects with `==` and reads a pair's components
+directly, and the generator builds each projected term in its resolved form.
 """
 
 import random
@@ -31,17 +34,14 @@ from tndpq.syntax import (
     AtomVal,
     AttributeSchema,
     Cond,
-    Fst,
     Judgment,
     Neg,
     Or,
     Pair,
     Prod,
-    Snd,
     ValueAttribution,
     print_term,
     record,
-    reduce_projections,
     require_linear,
     term_atoms,
     same_sigma,
@@ -60,10 +60,6 @@ def _nonzero(x, rule, what):
 def _require(condition, rule, message):
     if not condition:
         raise ShapeMismatch(f"{rule.value}: {message}")
-
-
-def _same_subject(a, b):
-    return reduce_projections(a) == reduce_projections(b)
 
 
 def _independence_evidence(side, t, u, rule):
@@ -89,7 +85,7 @@ def _rule_imp_ie(rule, conclusions, schema, side, direction):
             p.probability,
         )
         return conclusion, []
-    term = reduce_projections(p.subject)
+    term = p.subject
     _require(isinstance(term, Cond), rule, "subject is not a conditional term")
     _require(isinstance(p.value, Arrow), rule, "value is not a conditional")
     antecedent_term = _as_atom(term.antecedent, rule)
@@ -127,16 +123,15 @@ def _rule_prod_e(rule, conclusions, schema, side, direction):
     _require(isinstance(major.value, Prod), rule, "major premise value is not a product")
     beta, delta = major.value.left, major.value.right
     t = major.subject
-    first_term = reduce_projections(Fst(t))
-    second_term = reduce_projections(Snd(t))
     sigma = major.antecedent
-    kept_term, kept_value = (second_term, delta) if second else (first_term, beta)
-    other_term, other_value = (first_term, beta) if second else (second_term, delta)
     f = major.probability
     g = _nonzero(minor.probability, rule, "the minor premise probability")
+    _require(isinstance(t, Pair), rule, "major premise subject is not a pair")
+    kept_term, kept_value = (t.right, delta) if second else (t.left, beta)
+    other_term, other_value = (t.left, beta) if second else (t.right, delta)
     if conditional_form:
         _require(same_sigma(minor.antecedent, sigma), rule, "minor premise context differs")
-        _require(_same_subject(minor.subject, kept_term), rule, "minor premise subject mismatch")
+        _require(minor.subject == kept_term, rule, "minor premise subject mismatch")
         _require(minor.value == kept_value, rule, "minor premise value mismatch")
         kept_atom = _as_atom(kept_term, rule)
         conclusion = Judgment(
@@ -149,7 +144,7 @@ def _rule_prod_e(rule, conclusions, schema, side, direction):
         extra = _extension(minor, sigma)
         kept_atom = _as_atom(kept_term, rule)
         _require(extra.variable == kept_atom.name and extra.value == kept_value, rule, "minor premise antecedent mismatch")
-        _require(_same_subject(minor.subject, other_term), rule, "minor premise subject mismatch")
+        _require(minor.subject == other_term, rule, "minor premise subject mismatch")
         _require(minor.value == other_value, rule, "minor premise value mismatch")
         conclusion = Judgment(sigma, kept_term, kept_value, _finish(f / g, rule))
     return conclusion, []
@@ -158,7 +153,7 @@ def _rule_prod_e(rule, conclusions, schema, side, direction):
 def _rule_or_ir(rule, conclusions, schema, side, direction):
     p1, p2 = conclusions
     _require(same_sigma(p1, p2), rule, "premise contexts differ")
-    _require(_same_subject(p1.subject, p2.subject), rule, "premise subjects differ")
+    _require(p1.subject == p2.subject, rule, "premise subjects differ")
     evidence = _exclusivity_evidence(p1.subject, p1.value, p2.value, schema, rule)
     conclusion = Judgment(
         p1.antecedent, p1.subject, Or(p1.value, p2.value), _finish(p1.probability + p2.probability, rule)
@@ -171,7 +166,7 @@ def _rule_or_er(rule, conclusions, schema, side, direction):
     p1, p2 = conclusions
     _require(isinstance(p1.value, Or), rule, "major premise value is not a disjunction")
     _require(same_sigma(p1, p2), rule, "premise contexts differ")
-    _require(_same_subject(p1.subject, p2.subject), rule, "premise subjects differ")
+    _require(p1.subject == p2.subject, rule, "premise subjects differ")
     expected = p1.value.right if second else p1.value.left
     remaining = p1.value.left if second else p1.value.right
     _require(p2.value == expected, rule, "minor premise value is not the matching disjunct")
@@ -193,8 +188,8 @@ def _rule_neg_ier(rule, conclusions, schema, side, direction):
 def _rule_prod_i_indep(rule, conclusions, schema, side, direction):
     p1, p2 = conclusions
     _require(same_sigma(p1, p2), rule, "premise contexts differ")
-    u_term = reduce_projections(p1.subject)
-    t_term = reduce_projections(p2.subject)
+    u_term = p1.subject
+    t_term = p2.subject
     require_linear(Pair(t_term, u_term))
     evidence = _independence_evidence(side, print_term(t_term), print_term(u_term), rule)
     g, f = p1.probability, p2.probability
@@ -261,7 +256,7 @@ def _rule_left(rule, conclusions, schema, side, direction):
         if not conditional and not same_sigma(p.antecedent, sigma):
             raise ShapeMismatch(f"{rule.value}: premise {n}: the context differs from premise {k}'s")
         if conditional or x == "u":
-            shows.append(("u : δ", (reduce_projections(p.subject), p.value)))
+            shows.append(("u : δ", (p.subject, p.value)))
             query = p if query is None else query
         if conditional:
             try:
@@ -270,7 +265,7 @@ def _rule_left(rule, conclusions, schema, side, direction):
                 raise ShapeMismatch(f"{rule.value}: premise {n}, with the context of premise {k}: {exc}") from None
             name, value = extra.variable, extra.value
         elif x != "u":
-            term = reduce_projections(p.subject)
+            term = p.subject
             if not isinstance(term, Atom):
                 raise ShapeMismatch(f"{rule.value}: premise {n}: {print_term(term)} is not an atomic variable")
             name, value = term.name, p.value
@@ -349,7 +344,7 @@ def _term(rng, names, kind):
     if kind == "atom":
         return Atom(a), lambda: _det(rng, a)
     if kind == "projected":
-        return Fst(Pair(Atom(a), Atom(b))), lambda: _det(rng, a)
+        return Atom(a), lambda: _det(rng, a)  # fst(<a,b>), as the parser reads it
     if kind == "pair":
         return Pair(Atom(a), Atom(b)), lambda: Prod(_atom(rng, a), _atom(rng, b))
     return Cond(Atom(a), Atom(b)), lambda: Arrow(_atom(rng, a), _atom(rng, b))
@@ -405,12 +400,12 @@ def _case(rng, rule, direction):
                 tt = Atom(names[1]) if t_kind == "atom" else Atom(names[0])
             elif perturbation == "value":
                 g, b, d = rng.choice([(t_value(), b, d), (g, t_value(), d), (g, b, u_value())])
-            elif perturbation == "subject":
-                uu = rng.choice([Atom(names[3]), Snd(Pair(Atom(names[3]), u)), Pair(u, Atom(names[3]))])
+            elif perturbation == "subject":  # the second choice is snd(<names[3],u>)
+                uu = rng.choice([Atom(names[3]), u, Pair(u, Atom(names[3]))])
             elif perturbation == "zero":
                 p = 0.0
-            elif perturbation == "composite":
-                tt = rng.choice([Pair(t, Atom(names[1])), Cond(t, Atom(names[1])), Snd(Pair(Atom(names[1]), t))])
+            elif perturbation == "composite":  # the third choice is snd(<names[1],t>)
+                tt = rng.choice([Pair(t, Atom(names[1])), Cond(t, Atom(names[1])), t])
             elif perturbation == "shape" and shape == "X|":
                 shape = "u"  # the attribution to t left out
             elif perturbation == "shape":
@@ -418,7 +413,7 @@ def _case(rng, rule, direction):
         premises.append(_judgment(s, shape, tt, _x_value(x, g, b) if x else None, uu, d, p))
     side = ()
     if reading.independent:
-        t_name, u_name = print_term(reduce_projections(t)), print_term(reduce_projections(u))
+        t_name, u_name = print_term(t), print_term(u)
         fact = rng.choice([{"verdict": True}, {"verdict": False}, {"asserted": True}, None])
         if fact is not None:
             pair = (t_name, u_name) if rng.random() < 0.5 else (u_name, t_name)

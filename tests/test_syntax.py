@@ -1,4 +1,4 @@
-"""Parser, printer and term-reduction tests."""
+"""Parser, printer and projection-resolution tests."""
 
 import math
 import random
@@ -8,20 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tndpq import syntax
-from tndpq.errors import IllFormed, MixedVariables, ParseError, TndpqError, UnknownSymbol
+from tndpq.errors import IllFormed, MixedVariables, ParseError, ShapeMismatch, TndpqError, UnknownSymbol
 from tndpq.syntax import (
     Arrow,
     Atom,
     AtomVal,
     AttributeSchema,
     Cond,
-    Fst,
     Judgment,
     Neg,
     Or,
     Pair,
     Prod,
-    Snd,
     ValueAttribution,
     _is_number,
     _tokenize,
@@ -36,7 +34,6 @@ from tndpq.syntax import (
     print_term,
     print_value,
     record,
-    reduce_projections,
     same_sigma,
     term_atoms,
 )
@@ -107,23 +104,25 @@ def test_judgment_invariants(loan_schema):
 
 
 def test_projection_reduction():
-    t = Fst(Pair(Atom("A"), Atom("B")))
-    assert reduce_projections(t) == Atom("A")
-    nested = Snd(Pair(Atom("A"), Fst(Pair(Atom("B"), Atom("C")))))
-    assert reduce_projections(nested) == Atom("B")
-    symbolic = Fst(Atom("A"))
-    assert reduce_projections(symbolic) == symbolic
+    # the parser reads fst(<t,u>) as t and snd(<t,u>) as u
+    assert parse_term("fst(<A,B>)") == Atom("A")
+    assert parse_term("snd(<A,fst(<B,C>)>)") == Atom("B")
+    assert parse_term("fst(<<A,B>,[C]D>)") == Pair(Atom("A"), Atom("B"))
+    # a projection of anything but a pair is refused, named as it resolved
+    for text, shown in [("fst(A)", "fst(A)"), ("snd([A]B)", "snd([A]B)"), ("fst(snd(<A,B>))", "fst(B)"),
+                        ("<A,snd(fst(<B,C>))>", "snd(B)")]:
+        with pytest.raises(ShapeMismatch) as caught:
+            parse_term(text)
+        assert str(caught.value) == f"unreduced projection in term {shown}"
 
 
 def test_a_projection_free_term_reduces_to_itself():
     pair = Pair(Pair(Atom("A"), Atom("B")), Cond(Atom("C"), Atom("D")))
-    cond = Cond(Pair(Atom("A"), Atom("B")), Pair(Atom("C"), Fst(Atom("D"))))
-    assert reduce_projections(pair) is pair
-    assert reduce_projections(cond) is cond
-    # a projection that reduces rebuilds the records above it, and no others
-    mixed = Pair(pair, Snd(Pair(Atom("E"), Atom("F"))))
-    reduced = reduce_projections(mixed)
-    assert reduced == Pair(pair, Atom("F")) and reduced.left is pair
+    assert parse_term("<<A,B>,[C]D>") == pair
+    # a projection inside a pair or a conditional term resolves in place
+    assert parse_term("<fst(<<A,B>,E>),[C]snd(<E,D>)>") == pair
+    assert parse_term("[snd(<E,<A,B>>)]<C,fst(<D,E>)>") == Cond(Pair(Atom("A"), Atom("B")), Pair(Atom("C"), Atom("D")))
+    assert parse_term("<fst(<A,B>),B>") == Pair(Atom("A"), Atom("B"))
 
 
 _CHAIN = "+".join(["a"] * 1500)
@@ -159,6 +158,35 @@ def test_subject_check_after_reduction(loan_schema):
     assert term_atoms(j.subject) == {"Loan"}
     with pytest.raises(IllFormed):
         parse_judgment("Gen:f |> snd(<Loan,Gen>) : f @ 0.5", loan_schema)
+
+
+def test_a_resolved_judgment_is_the_judgment_written_without_projections(small_schema):
+    projected = parse_judgment("|> fst(<X,Y>) : a @ 0.5", small_schema)
+    plain = parse_judgment("|> X : a @ 0.5", small_schema)
+    assert projected == plain and hash(projected) == hash(plain)
+    assert print_judgment(projected) == "|> X : a @ 0.5"
+
+
+@pytest.mark.parametrize("text", ["fst(<X,Q>)", "snd(<Q,X>)", "<X,snd(<fst(<Q,R>),Y>)>", "fst(<X,<Y,Q>>)"])
+def test_a_discarded_component_names_only_declared_variables(small_schema, text):
+    # the component a projection discards must still name declared variables,
+    # the first unknown one in text order
+    with pytest.raises(UnknownSymbol) as caught:
+        parse_term(text, small_schema)
+    assert str(caught.value) == "unknown variable 'Q'"
+    assert parse_term(text) is not None  # without a schema, nothing is checked
+    with pytest.raises(UnknownSymbol) as caught:
+        parse_judgment(f"|> {text} : a @ 0.5", small_schema)
+    assert str(caught.value) == "unknown variable 'Q'"
+
+
+def test_the_antecedent_is_checked_before_a_discarded_component(small_schema):
+    with pytest.raises(UnknownSymbol, match="^unknown atomic value 'zz'$"):
+        parse_judgment("Y:zz |> snd(<Q,X>) : a @ 0.5", small_schema)
+    with pytest.raises(UnknownSymbol, match="^unknown variable 'Q'$"):
+        parse_judgment("Y:u |> snd(<Q,X>) : a @ 0.5", small_schema)
+    # the subject's own variables are checked against the antecedent, not the discarded ones
+    assert parse_judgment("Y:u |> fst(<X,Y>) : a @ 0.5", small_schema).subject == Atom("X")
 
 
 def test_is_deterministic(small_schema):
@@ -280,8 +308,6 @@ def _terms():
         _term_names.map(Atom),
         lambda inner: st.one_of(
             st.tuples(inner, inner).map(lambda t: Pair(*t)),
-            inner.map(Fst),
-            inner.map(Snd),
             st.tuples(inner, inner).map(lambda t: Cond(*t)),
         ),
         max_leaves=6,
@@ -298,10 +324,34 @@ def test_term_round_trip(term):
     assert parse_term(print_term(term)) == term
 
 
-@given(_terms())
-def test_reduction_idempotent(term):
-    once = reduce_projections(term)
-    assert reduce_projections(once) == once
+_projections = st.sampled_from(["fst", "snd"])
+
+
+def _term_texts():
+    """Term texts with projections, most of them of a pair."""
+    return st.recursive(
+        _term_names,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda t: f"<{t[0]},{t[1]}>"),
+            st.tuples(inner, inner).map(lambda t: f"[{t[0]}]{t[1]}"),
+            st.tuples(_projections, inner, inner).map(lambda t: f"{t[0]}(<{t[1]},{t[2]}>)"),
+            st.tuples(_projections, inner).map(lambda t: f"{t[0]}({t[1]})"),
+        ),
+        max_leaves=6,
+    )
+
+
+@given(_term_texts())
+def test_reduction_idempotent(text):
+    # a parsed term prints with no projection, and that text parses back to it
+    try:
+        term = parse_term(text)
+    except ShapeMismatch as exc:
+        assert str(exc).startswith("unreduced projection in term ")
+        return
+    printed = print_term(term)
+    assert "fst" not in printed and "snd" not in printed
+    assert parse_term(printed) == term
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), _values())
@@ -464,7 +514,8 @@ def test_token_pattern_needs_no_python_3_11_syntax():
 
 # ---------------------------------------------------------------------------
 # Parser: a differential test against the recursive-descent parser over
-# (kind, text, position) tokens that the flat-token parser replaced
+# (kind, text, position) tokens that the flat-token parser replaced, here
+# resolving projections and checking the subject's names as the parser does
 
 
 _REF_BINARY = {"->": (Arrow, 0, True), "+": (Or, 1, False), "*": (Prod, 2, False)}
@@ -474,6 +525,7 @@ class _ReferenceParser:
     def __init__(self, text):
         self.tokens = _reference_tokenize(text)
         self.pos = 0
+        self.named = []  # the variables that terms name, in text order
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -535,7 +587,10 @@ class _ReferenceParser:
             self.next()
             inner = self.term()
             self.expect(")")
-            return Fst(inner) if name == "fst" else Snd(inner)
+            if not isinstance(inner, Pair):
+                raise ShapeMismatch(f"unreduced projection in term {name}({print_term(inner)})")
+            return inner.left if name == "fst" else inner.right
+        self.named.append(name)
         return Atom(name)
 
     def attribution(self):
@@ -584,7 +639,14 @@ def _reference_parse(rule, text):
         return parser.whole(parser.term)
     if rule == "attributions":
         return parser.attributions("eof")
-    return parser.judgment().validate(_DIFF_SCHEMA)
+    judgment = parser.judgment()
+    # after the antecedent, every variable the subject's text names must be declared
+    for va in judgment.antecedent:
+        va.validate(_DIFF_SCHEMA)
+    for name in parser.named:
+        if not _DIFF_SCHEMA.has_variable(name):
+            raise UnknownSymbol(f"unknown variable {name!r}")
+    return judgment.validate(_DIFF_SCHEMA)
 
 
 _PARSE = {
