@@ -432,7 +432,7 @@ def _compile(reading: _Reading) -> Callable:
 
     for n, (shape, x) in enumerate(forms, 1):
         p, where = f"p{n}", f"{rule.value}: premise {n}"
-        u = f"{p}.subject", f"{p}.value"
+        u = f"({p}.subject, {p}.value)"
         if shape == "X|":  # σ, t : X |> u : δ
             origin = f"the context of premise {k}" if k else "its own context"
             code += ["try:", f"    extra = _extension({p}, sigma)", "except ShapeMismatch as exc:",
@@ -448,9 +448,9 @@ def _compile(reading: _Reading) -> Callable:
             t_subject, u = t_subject or f"{p}.subject", None
         elif shape not in ("u", "X|"):  # X->u, X*u or u*X
             code.append(f"t{n}, v{n}, u{n} = _unfold({shape!r}, {p}, {where!r}, {reading.forms[n - 1]!r})")
-            u = f"u{n}[0]", f"u{n}[1]"
+            u = f"u{n}"
         if u is not None:
-            show(n, "u : δ", f"({u[0]}, {u[1]})")
+            show(n, "u : δ", u)
         if shape == "u":
             continue
         kind, letters, _ = _X_FORMS[x]
