@@ -25,7 +25,6 @@ from .syntax import (
     Atom,
     AtomVal,
     AttributeSchema,
-    Cond,
     Neg,
     Or,
     Pair,
@@ -33,6 +32,7 @@ from .syntax import (
     Value,
     ValueAttribution,
     VariableTerm,
+    fit,
     print_term,
     print_value,
 )
@@ -80,11 +80,14 @@ def derive_value(
     residuation rule, and products either the conditional introduction (for
     an atomic left component) or the independence rule.  A pair source is
     read through a `Learner` for this call, or one the verdict's calls share.
+    The value is first fitted to the term, as `exclusive` fits its values, so
+    a misfit is refused before any distribution is learnt.
     """
     sigma = tuple(sigma)
     if not isinstance(source, (AppliedSystem, Learner)):
         source = Learner(source)
     try:
+        fit(term, value, schema)
         return _derive(source, sigma, term, value, schema)
     except TndpqError as exc:
         if isinstance(exc, DerivationFailed):
@@ -95,11 +98,8 @@ def derive_value(
 
 
 def _derive(source, sigma, term, value, schema) -> Derivation:
+    """Derive a value that fits the term."""
     if isinstance(value, AtomVal):
-        if not isinstance(term, Atom):
-            raise DerivationFailed(
-                f"atomic value {value.name} for non-atomic term {print_term(term)}"
-            )
         system = source if isinstance(source, AppliedSystem) else source(sigma, term.name)
         return at_query(system, sigma, term.name, value.name)
     if isinstance(value, Neg):
@@ -110,42 +110,36 @@ def _derive(source, sigma, term, value, schema) -> Derivation:
         right = _derive(source, sigma, term, value.right, schema)
         return apply_rule(RuleId.OrIR, [left, right], schema)
     if isinstance(value, Arrow):
-        if not isinstance(term, Cond) or not isinstance(term.antecedent, Atom):
+        if not isinstance(term.antecedent, Atom):
             raise DerivationFailed(
                 f"conditional value needs a conditional term with an atomic antecedent, got {print_term(term)}"
             )
         extended = sigma + (ValueAttribution(term.antecedent.name, value.left),)
         body = _derive(source, extended, term.consequent, value.right, schema)
         return apply_rule(RuleId.ImpIE, [body], schema)
-    if isinstance(value, Prod):
-        if not isinstance(term, Pair):
+    left_term, right_term = term.left, term.right  # a product over a pair term
+    if isinstance(left_term, Atom):
+        try:
+            # conditional route: sigma, t:beta |> u:delta then I-times-1
+            minor = _derive(source, sigma, left_term, value.left, schema)
+            extended = sigma + (ValueAttribution(left_term.name, value.left),)
+            major = _derive(source, extended, right_term, value.right, schema)
+            return apply_rule(RuleId.ProdI1, [major, minor], schema)
+        except TndpqError:
+            pass
+    if isinstance(source, Learner) and isinstance(left_term, Atom) and isinstance(right_term, Atom):
+        fact = independence_fact(source, sigma, left_term.name, right_term.name)
+        if not fact["verdict"]:
             raise DerivationFailed(
-                f"product value for non-pair term {print_term(term)}"
+                f"components of {print_value(value)} are neither conditionally "
+                f"derivable nor independent (max deviation {fact['max_deviation']:.3g})"
             )
-        left_term, right_term = term.left, term.right
-        if isinstance(left_term, Atom):
-            try:
-                # conditional route: sigma, t:beta |> u:delta then I-times-1
-                minor = _derive(source, sigma, left_term, value.left, schema)
-                extended = sigma + (ValueAttribution(left_term.name, value.left),)
-                major = _derive(source, extended, right_term, value.right, schema)
-                return apply_rule(RuleId.ProdI1, [major, minor], schema)
-            except TndpqError:
-                pass
-        if isinstance(source, Learner) and isinstance(left_term, Atom) and isinstance(right_term, Atom):
-            fact = independence_fact(source, sigma, left_term.name, right_term.name)
-            if not fact["verdict"]:
-                raise DerivationFailed(
-                    f"components of {print_value(value)} are neither conditionally "
-                    f"derivable nor independent (max deviation {fact['max_deviation']:.3g})"
-                )
-            right_d = _derive(source, sigma, right_term, value.right, schema)
-            left_d = _derive(source, sigma, left_term, value.left, schema)
-            return apply_rule(RuleId.ProdIIndep, [right_d, left_d], schema, side=[fact])
-        raise DerivationFailed(
-            f"no introduction route for {print_value(value)} over {print_term(term)}"
-        )
-    raise DerivationFailed(f"unrecognized value {print_value(value)}")
+        right_d = _derive(source, sigma, right_term, value.right, schema)
+        left_d = _derive(source, sigma, left_term, value.left, schema)
+        return apply_rule(RuleId.ProdIIndep, [right_d, left_d], schema, side=[fact])
+    raise DerivationFailed(
+        f"no introduction route for {print_value(value)} over {print_term(term)}"
+    )
 
 
 def zero_probe_values(term: VariableTerm, schema: AttributeSchema):

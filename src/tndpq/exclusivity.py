@@ -32,7 +32,6 @@ from .syntax import (
     Neg,
     Or,
     Pair,
-    Prod,
     Value,
     VariableTerm,
     fit,
@@ -182,10 +181,11 @@ _STEPS = (
 def _step_cases(beta, delta, base, note) -> bool:
     """Reduce two values of a conditional term to `base(b, d)` on conditionals.
 
-    `note` receives a thunk for the line each step case adds to a trace.  The
-    second pair of each split waits on a list, not the stack, so the walk
-    takes one frame however deep both values are; it stops where `all` or
-    `any` over the pairs would.
+    Both values fit the term, so both are conditionals once no step case
+    applies.  `note` receives a thunk for the line each step case adds to a
+    trace.  The second pair of each split waits on a list, not the stack, so
+    the walk takes one frame however deep both values are; it stops where
+    `all` or `any` over the pairs would.
     """
     pending = []  # per open split: whether both pairs must be exclusive, and the second pair
     while True:
@@ -199,10 +199,6 @@ def _step_cases(beta, delta, base, note) -> bool:
                 pending.extend((every, pair) for pair in second)
                 break
         else:
-            if not (isinstance(beta, Arrow) and isinstance(delta, Arrow)):
-                raise ShapeMismatch(
-                    f"not conditional-shaped: {print_value(beta)} vs {print_value(delta)}"
-                )
             verdict = base(beta, delta)
             while pending and pending[-1][0] != verdict:
                 pending.pop()
@@ -224,9 +220,8 @@ def oracle_exclusive(
 
     Each involved variable is assigned exactly one atom (encoding the
     exclusivity and exhaustivity axioms) and the conjunction of the two
-    values is evaluated classically, reading conditionals as material
-    implication.  Conditional terms go through the step cases that
-    `exclusive` uses, so the oracle checks only their base case
+    values is evaluated classically.  Conditional terms go through the step
+    cases that `exclusive` uses, so the oracle checks only their base case
     independently: enumerated antecedent equality and enumerated consequent
     exclusivity.
     """
@@ -271,12 +266,11 @@ def _assignments(variables, schema):
 
 
 def _sat(value: Value, assignment: dict, schema) -> bool:
+    """Whether the assignment satisfies `value`, which fits an arrow-free term."""
     if isinstance(value, AtomVal):
         return assignment[schema.owner(value.name)] == value.name
     if isinstance(value, Neg):
         return not _sat(value.inner, assignment, schema)
     if isinstance(value, Or):
         return _sat(value.left, assignment, schema) or _sat(value.right, assignment, schema)
-    if isinstance(value, Prod):
-        return _sat(value.left, assignment, schema) and _sat(value.right, assignment, schema)
-    return (not _sat(value.left, assignment, schema)) or _sat(value.right, assignment, schema)
+    return _sat(value.left, assignment, schema) and _sat(value.right, assignment, schema)

@@ -375,31 +375,28 @@ def subvalues(value: Value):
 # a product places the right component's mask at offset i * width(right) for
 # each set bit i of the left component's mask, `+` is `|` and `~` is XOR
 # with the term's universe.  Two values are exclusive when their masks are
-# disjoint and equal when the masks are.  An attribution `v : β` is in class
-# O exactly when β fits the term `v`.
+# disjoint and equal when the masks are.  The term's width, its number of
+# cells, comes from the same walk: an atom's range, and a pair's product of
+# its components' widths.  An attribution `v : β` is in class O exactly when
+# β fits the term `v`.
 
 
 def fit(term: VariableTerm, value: Value, schema: AttributeSchema) -> tuple[int, int] | None:
     """Check that `value` fits `term`, raising at the first misfit.
 
-    Returns the value's cell mask and the term's width over an arrow-free
-    term, and None over a term that holds a conditional.  The first misfit
-    the walk meets, left to right, raises `ShapeMismatch`, `MixedVariables`
-    or `UnknownSymbol`.
+    Returns the value's cell mask and the term's width, both from one walk,
+    over an arrow-free term, and None over a term that holds a conditional.
+    The first misfit the walk meets, left to right, raises `ShapeMismatch`,
+    `MixedVariables` or `UnknownSymbol`.
     """
-    mask = _fit(term, value, schema)
-    return None if mask is None else (mask, _width(term, schema))
-
-
-def _fit(term, value, schema) -> int | None:
     kind = type(value)
     if kind is Or:
-        left = _fit(term, value.left, schema)
-        right = _fit(term, value.right, schema)
-        return None if left is None else left | right
+        left = fit(term, value.left, schema)
+        right = fit(term, value.right, schema)
+        return None if left is None else (left[0] | right[0], left[1])
     if kind is Neg:
-        inner = _fit(term, value.inner, schema)
-        return None if inner is None else ((1 << _width(term, schema)) - 1) ^ inner
+        inner = fit(term, value.inner, schema)
+        return None if inner is None else (((1 << inner[1]) - 1) ^ inner[0], inner[1])
     kind = type(term)
     if kind is Atom:
         if type(value) is not AtomVal:
@@ -408,33 +405,26 @@ def _fit(term, value, schema) -> int | None:
         if owner != term.name:
             schema.owner(value.name)  # an unknown atom is named as such
             raise MixedVariables(f"{value.name!r} is not an atomic value of {term.name!r}")
-        return bit
+        return bit, len(schema._atoms_of[term.name])
     if kind is Pair:
         if type(value) is not Prod:
             raise ShapeMismatch(f"pair term {print_term(term)} needs a product, got {print_value(value)}")
-        left = _fit(term.left, value.left, schema)
-        right = _fit(term.right, value.right, schema)
+        left = fit(term.left, value.left, schema)
+        right = fit(term.right, value.right, schema)
         if left is None or right is None:
             return None
-        width = _width(term.right, schema)
+        (mask, left_width), (right_mask, width) = left, right
         out = 0
-        while left:
-            low = left & -left
-            out |= right << (low.bit_length() - 1) * width
-            left ^= low
-        return out
+        while mask:
+            low = mask & -mask
+            out |= right_mask << (low.bit_length() - 1) * width
+            mask ^= low
+        return out, left_width * width
     if type(value) is not Arrow:
         raise ShapeMismatch(f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}")
-    _fit(term.antecedent, value.left, schema)
-    _fit(term.consequent, value.right, schema)
+    fit(term.antecedent, value.left, schema)
+    fit(term.consequent, value.right, schema)
     return None
-
-
-def _width(term, schema) -> int:
-    """The number of cells of an arrow-free term whose value has been fitted."""
-    if type(term) is Atom:
-        return len(schema._atoms_of[term.name])
-    return _width(term.left, schema) * _width(term.right, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +452,7 @@ class ValueAttribution:
         if known is schema:
             return mask
         try:
-            mask = _fit(Atom(self.variable), self.value, schema)
+            mask = fit(Atom(self.variable), self.value, schema)[0]
         except TndpqError:
             fault = self._fault(schema)
         else:
@@ -515,7 +505,7 @@ class Judgment:
             raise IllFormed("subject variable occurs in the antecedent")
         if len(set(names)) < len(names):
             require_linear(self.subject)
-        _fit(self.subject, self.value, schema)
+        fit(self.subject, self.value, schema)
         return self
 
     def with_probability(self, p: float) -> "Judgment":

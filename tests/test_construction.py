@@ -625,4 +625,4 @@ def test_derive_value_empty_support_message():
     # a product below an atomic term is refused before any distribution is learnt
     with pytest.raises(DerivationFailed) as caught:
         derive_value((ts, Estimator("f", "freq")), sigma, Atom("X"), parse_value("~(x1*y1)+x2"), XYZ)
-    assert str(caught.value) == "product value for non-pair term X"
+    assert str(caught.value) == "cannot derive ~(x1*y1)+x2 for X: x1*y1 is not a deterministic value for 'X'"
