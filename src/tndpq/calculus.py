@@ -61,7 +61,6 @@ from .syntax import (
     Pair,
     Prod,
     ValueAttribution,
-    VariableTerm,
     fresh,
     print_judgment,
     print_term,
@@ -121,7 +120,9 @@ class Derivation:
 
     A derivation is as deep as its plan is long, with no bound, so `==`
     compares pairs of nodes from a worklist, and `hash` and `repr` read the
-    node alone: its rule, direction and conclusion.
+    node alone: its rule, direction and conclusion.  A plan's steps share
+    premises, so a derivation is a DAG, and `==` compares each pair of
+    nodes once.
 
     `dataclasses.replace`, `fields` and `is_dataclass` take a derivation as
     a dataclass through `__dataclass_fields__`.  Its first read imports
@@ -142,11 +143,12 @@ class Derivation:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        work = [(self, other)]
+        work, seen = [(self, other)], set()
         while work:
             a, b = work.pop()
-            if a is b:
+            if a is b or (id(a), id(b)) in seen:
                 continue
+            seen.add((id(a), id(b)))
             if b.__class__ is not a.__class__ or len(a.premises) != len(b.premises) or (
                 a.conclusion, a.rule, a.side_conditions, a.provenance, a.direction
             ) != (b.conclusion, b.rule, b.side_conditions, b.provenance, b.direction):
@@ -215,12 +217,6 @@ def _extension(judgment: Judgment, base_sigma) -> ValueAttribution:
             f"antecedent of {print_judgment(judgment)} does not extend the context by one attribution"
         )
     return extra[0]
-
-
-def _as_atom(term: VariableTerm, rule: RuleId) -> Atom:
-    if not isinstance(term, Atom):
-        raise ShapeMismatch(f"{rule.value}: {print_term(term)} cannot appear in an antecedent")
-    return term
 
 
 def _exclusivity_evidence(term, left, right, schema, rule) -> dict:
@@ -406,7 +402,9 @@ def _compile(reading: _Reading) -> Callable:
     The first premise that shows t, γ, β or u : δ binds it, and each later
     one must agree, with `==`, but an `X|` premise's t, an atomic variable,
     compares by its name.  The conclusion shows the first X premise's subject
-    for t, if there is one, and the first premise's u that shows one.
+    for t, if there is one, and the first premise's u that shows one.  A
+    formula reads P(γ+β) as P(γ) + P(β), so wherever a premise or the
+    conclusion shows γ+β, γ and β must be exclusive over that subject.
     """
     rule = reading.id
     forms = [_read_form(form) for form in reading.forms]
@@ -465,7 +463,7 @@ def _compile(reading: _Reading) -> Callable:
     t_subject = t_subject or t_term
     shape, x = _read_form(reading.concludes)
     code.append("evidence = []")
-    if x == "γ+β":  # the conclusion's disjunction needs γ and β exclusive
+    if "γ+β" in (x, *(x for _, x in forms)):
         code.append(f"evidence.append(_exclusivity_evidence({t_subject}, gamma, beta, schema, rule))")
     if reading.independent:
         code.append(f"evidence.append(_independence_evidence(side, {t_term}, query[0], rule))")
@@ -567,19 +565,23 @@ class CheckReport:
 def check_derivation(
     derivation: Derivation, schema: AttributeSchema, sources: dict | None = None
 ) -> CheckReport:
-    """Re-verify every node of a derivation tree.
+    """Re-verify every node of a derivation.
 
     `sources` optionally maps training-set ids to (TrainingSet, Estimator)
     pairs for recomputing leaf probabilities and recorded independence
-    verdicts.  Violations are collected, not raised.
+    verdicts.  Violations are collected, not raised.  A node that several
+    steps share is checked once, under its first path in pre-order.
     """
     report = CheckReport()
     tags = set()
     learners = {id: Learner(pair) for id, pair in (sources or {}).items()}
     # A worklist in pre-order, since a derivation is as deep as its plan is long.
-    work = [(derivation, "root")]
+    work, seen = [(derivation, "root")], set()
     while work:
         node, path = work.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         _check_node(node, schema, learners, report, path, tags)
         if node.rule != RuleId.AtQuery:
             work += reversed([(premise, f"{path}.{index}") for index, premise in enumerate(node.premises)])
@@ -595,12 +597,14 @@ def _check_node(node, schema, learners, report, path, tags):
     if node.rule == RuleId.AtQuery:
         if node.premises:
             report.add(path, "ShapeMismatch", "axiom node with premises")
-        if learn is not None:
+        subject, value = node.conclusion.subject, node.conclusion.value
+        if type(subject) is not Atom or type(value) is not AtomVal:
+            shown = f"{print_term(subject)} : {print_value(value)}"
+            report.add(path, "ShapeMismatch", f"axiom node concludes {shown}, not variable : atom")
+        elif learn is not None:
             try:
-                variable = _as_atom(node.conclusion.subject, RuleId.AtQuery).name
-                atom = node.conclusion.value.name
-                expected = learn(node.conclusion.antecedent, variable).probability(atom)
-            except Exception as exc:
+                expected = learn(node.conclusion.antecedent, subject.name).probability(value.name)
+            except TndpqError as exc:
                 report.add(path, "UnknownCondition", str(exc))
             else:
                 if abs(expected - node.conclusion.probability) > _TOL:

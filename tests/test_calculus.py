@@ -129,7 +129,7 @@ def test_imp_ie_round_trip():
     [
         (RuleId.OrIR, ("|> X : a @ 0.2", "|> X : b @ 0.3"), "backward"),
         (RuleId.ProdI1, ("X:a |> Y : u @ 0.5", "|> X : a @ 0.2"), "backward"),
-        (RuleId.NegIER, ("|> Y : ~u @ 0.3",), "sideways"),
+        (RuleId.NegIER, ("|> Y : u @ 0.3",), "sideways"),
         (RuleId.ImpIE, ("X:a |> Y : u @ 0.3",), "Forward"),
     ],
 )
