@@ -201,9 +201,6 @@ class AttributeSchema:
     def has_variable(self, name: str) -> bool:
         return name in self._atoms_of
 
-    def has_atom(self, name: str) -> bool:
-        return name in self._owner_of
-
 
 def _require_word(word: str) -> None:
     """Reject a name that the tokenizer does not read as exactly one identifier or number."""

@@ -2,18 +2,23 @@
 
 import collections
 import random
+import re
 
 import pytest
 
+from tndpq import calculus
 from tndpq.calculus import (
     _READINGS,
     Derivation,
+    Plan,
+    PlanStep,
     RuleId,
     _extension,
     apply_rule,
     at_query,
     check_derivation,
     independence_fact,
+    run_plan,
 )
 from tndpq.construction import RIGHT_E_RULES, RIGHT_I_RULES
 from tndpq.errors import (
@@ -754,3 +759,171 @@ def test_context_comparison_matches_the_set_reading(seed):
             assert extra == _set_extension(other, sigma)
             outcomes[same, extra is not None] += 1
     assert min(outcomes[key] for key in ((True, False), (False, True), (False, False))) > 100, outcomes
+
+
+# ---------------------------------------------------------------------------
+# Shared premises: a plan's derivation is a DAG
+
+XU = AttributeSchema.of([("X", ("a", "b")), ("U", ("p", "q"))])
+
+
+def _shared_derivation(lines, y0_probability=None):
+    """The derivation of the last step of a plan `lines` long whose steps share premises, and its source.
+
+    `x0 = ATQUERY X : a`, `y0 = ATQUERY X:a |> U : p`, `z0 = ProdI1 y0 x0`;
+    then each round k uses z{k}, y{k} and x{k} twice: x{k+1} = ProdE1a z{k}
+    y{k}, y{k+1} = ProdE1b z{k} x{k} and z{k+1} = ProdI1 y{k+1} x{k+1}.  A
+    tree walk visits x0 and y0 once per path, some 2**k times.
+    """
+    rng = random.Random(5)
+    rows = tuple({"X": rng.choice("ab"), "U": rng.choice("pq")} for _ in range(200))
+    source = (TrainingSet.from_rows("T", XU, rows), FREQ)
+    y0 = at_query(source, parse_attribution_list("X:a", XU), "U", "p")
+    if y0_probability is not None:
+        y0 = Derivation(y0.conclusion.with_probability(y0_probability), y0.rule, provenance=y0.provenance)
+    env = {"x0": at_query(source, (), "X", "a"), "y0": y0}
+    steps = [PlanStep("z0", RuleId.ProdI1, ("y0", "x0"))]
+    for k in range((lines - 3) // 3):
+        steps += [
+            PlanStep(f"x{k + 1}", RuleId.ProdE1a, (f"z{k}", f"y{k}")),
+            PlanStep(f"y{k + 1}", RuleId.ProdE1b, (f"z{k}", f"x{k}")),
+            PlanStep(f"z{k + 1}", RuleId.ProdI1, (f"y{k + 1}", f"x{k + 1}")),
+        ]
+    plan = Plan(tuple(steps))
+    return run_plan(env, plan, XU)[plan.result_id], source
+
+
+def test_check_visits_each_shared_node_once(monkeypatch):
+    root, source = _shared_derivation(30)
+    checked = []
+    check_node = calculus._check_node
+    monkeypatch.setattr(calculus, "_check_node", lambda node, *rest: checked.append(node) or check_node(node, *rest))
+    assert check_derivation(root, XU, sources={"T": source}).ok
+    assert len(checked) == len({id(node) for node in checked}) == 30
+
+
+def test_a_shared_faulty_node_is_reported_once_under_its_first_path():
+    root, source = _shared_derivation(30, y0_probability=0.75)
+    report = check_derivation(root, XU, sources={"T": source})
+    # z9, y9, z8, ..., y1, z0, y0: the first path down to y0 takes premise 0 each time
+    assert [(path, kind) for path, kind, _ in report.violations] == [("root" + ".0" * 19, "FormulaViolation")]
+
+
+@pytest.mark.parametrize("lines", [15, 30])
+def test_equality_compares_each_pair_of_shared_nodes_once(monkeypatch, lines):
+    a, _ = _shared_derivation(lines)
+    b, _ = _shared_derivation(lines)
+    compared = []
+    judgment_eq = Judgment.__eq__
+    monkeypatch.setattr(Judgment, "__eq__", lambda self, other: compared.append(self) or judgment_eq(self, other))
+    assert a == b and a is not b
+    assert len(compared) == lines
+
+
+# ---------------------------------------------------------------------------
+# An axiom node concludes `variable : atom`
+
+
+@pytest.mark.parametrize(
+    "text, with_sources",
+    [("|> X : a+b @ 0.3", False), ("|> X : a+b @ 0.3", True), ("|> <X,Y> : a*u @ 0.3", True)],
+)
+def test_check_refuses_an_axiom_that_does_not_conclude_a_variable_and_an_atom(text, with_sources):
+    rows = tuple({"X": x, "Y": "u", "Z": "m"} for x in ("a", "a", "b"))
+    source = (TrainingSet.from_rows("T", SCHEMA, rows), FREQ)
+    node = Derivation(parse_judgment(text, SCHEMA), RuleId.AtQuery, provenance=("T", "A"))
+    report = check_derivation(node, SCHEMA, sources={"T": source} if with_sources else None)
+    shown = text[3:text.index(" @")]
+    assert report.violations == [("root", "ShapeMismatch", f"axiom node concludes {shown}, not variable : atom")]
+
+
+# ---------------------------------------------------------------------------
+# The checker's and the rules' remaining refusals
+
+
+def _source_t():
+    rows = tuple({"X": x, "Y": y, "Z": "m"} for x, y in (("a", "u"), ("a", "v"), ("b", "u"), ("b", "v")))
+    return TrainingSet.from_rows("T", SCHEMA, rows), FREQ
+
+
+def _independent_pair(context):
+    """ProdIIndep over Y : u and X : a under `context`, from a table whose rows all have Z:m."""
+    source = _source_t()
+    sigma_ = parse_attribution_list(context, SCHEMA)
+    premises = [at_query(source, sigma_, "Y", "u"), at_query(source, sigma_, "X", "a")]
+    facts = [{"kind": "exclusive"}, {"kind": "independent", "t": "X", "u": "Y", "verdict": True}]
+    return apply_rule(RuleId.ProdIIndep, premises, SCHEMA, side=facts), source
+
+
+def test_independence_evidence_skips_facts_of_another_kind():
+    tree, _ = _independent_pair("Z:m")
+    assert tree.side_conditions == ({"kind": "independent", "t": "X", "u": "Y", "verdict": True},)
+
+
+@pytest.mark.parametrize(
+    "case, violations",
+    [
+        ("axiom with premises", [("root", "ShapeMismatch", "axiom node with premises")]),
+        ("other conclusion", [("root", "ShapeMismatch", "conclusion |> X : a+c @ 0.5 differs from rule result"
+                                                         " |> X : a+b @ 0.5")]),
+        ("retest raises", [("root", "EmptySupport", "no training row satisfies Z:n"),
+                           ("root.0", "UnknownCondition", "no training row satisfies Z:n"),
+                           ("root.1", "UnknownCondition", "no training row satisfies Z:n")]),
+        ("no provenance", []),
+    ],
+)
+def test_check_reports_each_fault_at_its_node(case, violations):
+    sources = None
+    if case == "axiom with premises":
+        base = leaf("|> X : a @ 0.2")
+        tree = Derivation(base.conclusion, RuleId.AtQuery, (base,))
+    elif case == "other conclusion":
+        tree = _sound_tree()
+        tree = Derivation(leaf("|> X : a+c @ 0.5").conclusion, tree.rule, tree.premises, tree.side_conditions)
+    elif case == "retest raises":
+        # built under Z:n from a table that has such rows, checked against one that has none
+        rows = tuple({"X": x, "Y": y, "Z": "n"} for x in ("a", "b") for y in ("u", "v"))
+        with_z_n = (TrainingSet.from_rows("T", SCHEMA, rows), FREQ)
+        premises = [at_query(with_z_n, sigma("Z:n"), "Y", "u"), at_query(with_z_n, sigma("Z:n"), "X", "a")]
+        fact = {"kind": "independent", "t": "X", "u": "Y", "verdict": True}
+        tree = apply_rule(RuleId.ProdIIndep, premises, SCHEMA, side=[fact])
+        sources = {"T": _source_t()}
+    else:  # a node with no provenance has no source to be re-counted against
+        tree = leaf("|> X : a @ 0.9")
+        sources = {"T": _source_t()}
+    assert check_derivation(tree, SCHEMA, sources=sources).violations == violations
+
+
+def test_a_derivation_is_not_equal_to_another_kind_of_object():
+    tree = _sound_tree()
+    assert tree != tree.conclusion and tree.__eq__(tree.conclusion) is NotImplemented
+
+
+def test_a_premise_not_of_its_form_is_named():
+    major, minor = leaf("|> X : a @ 0.5"), leaf("X:a |> Y : u @ 0.5")
+    with pytest.raises(ShapeMismatch, match=r"^ProdE1a: premise 1 is not of the form β\*u$"):
+        apply_rule(RuleId.ProdE1a, [major, minor], SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# The Or eliminations read P(γ+β) as P(γ) + P(β), so γ and β must be exclusive
+
+
+@pytest.mark.parametrize(
+    "rule, forms",
+    [
+        (RuleId.OrERa, ("|> X : a+(a+b) @ 0.5", "|> X : a @ 0.2")),
+        (RuleId.OrERb, ("|> X : (a+b)+b @ 0.5", "|> X : b @ 0.2")),
+        (RuleId.OrELa, ("X:(a+b)+(b+c) |> Y : u @ 0.5", "X:b+c |> Y : u @ 0.5", "|> X : a+b @ 0.5", "|> X : b+c @ 0.5")),
+        (RuleId.OrELb, ("X:(a+b)+(b+c) |> Y : u @ 0.5", "X:a+b |> Y : u @ 0.5", "|> X : a+b @ 0.5", "|> X : b+c @ 0.5")),
+        (RuleId.OrELc, ("X:a+b |> Y : u @ 0.5", "X:b |> Y : u @ 0.4", "X:(a+b)+b |> Y : u @ 0.6", "|> X : b @ 0.5")),
+        (RuleId.OrELd, ("X:a |> Y : u @ 0.5", "X:a+b |> Y : u @ 0.4", "X:a+(a+b) |> Y : u @ 0.6", "|> X : a @ 0.5")),
+    ],
+)
+def test_an_or_elimination_refuses_overlapping_disjuncts(rule, forms):
+    premises = [leaf(text) for text in forms]
+    gamma, beta = {RuleId.OrERa: ("a", "a+b"), RuleId.OrERb: ("a+b", "b"), RuleId.OrELc: ("a+b", "b"),
+                   RuleId.OrELd: ("a", "a+b")}.get(rule, ("a+b", "b+c"))
+    message = f"{rule.value}: X: {gamma} and {beta} are not mutually exclusive"
+    with pytest.raises(SideConditionUnproved, match=f"^{re.escape(message)}$"):
+        apply_rule(rule, premises, SCHEMA)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -500,12 +501,12 @@ def test_a_huge_bad_system_line_is_echoed_in_part(schema_file, tmp_path, capsys,
     assert "VERDICT" not in out
 
 
-def _run_cli(*argv, env=None):
+def _run_cli(*argv, env=None, timeout=60):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, **(env or {}), PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
         [sys.executable, "-c", "import sys; from tndpq.cli import main; sys.exit(main())", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -803,3 +804,107 @@ def test_a_system_attributing_its_own_target_exits_2(tmp_path, capsys, command):
     files["plan"].write_text("x = ATQUERY X:a |> X : a\np = NegIER x\n")
     assert main([arg.format(**files) for arg in command]) == 2
     assert capsys.readouterr() == ("", "error: 'X' is already attributed in sigma\n")
+
+
+def test_derive_check_takes_linear_time_in_steps_that_share_premises(tmp_path):
+    # each round uses the last round's three steps twice; the checker walked
+    # the derivation as a tree, once per path, and took 1.9 s at 33 lines
+    schema = tmp_path / "xu.txt"
+    schema.write_text("X = a | b\nU = p | q\n")
+    rng = random.Random(1)
+    data = tmp_path / "xu.csv"
+    data.write_text("X,U\n" + "".join(f"{rng.choice('ab')},{rng.choice('pq')}\n" for _ in range(200)))
+    lines = ["x0 = ATQUERY X : a", "y0 = ATQUERY X:a |> U : p", "z0 = ProdI1 y0 x0"]
+    for k in range(99):
+        lines += [f"x{k + 1} = ProdE1a z{k} y{k}", f"y{k + 1} = ProdE1b z{k} x{k}", f"z{k + 1} = ProdI1 y{k + 1} x{k + 1}"]
+    script = tmp_path / "shared.txt"
+    script.write_text("\n".join(lines) + "\n")
+    result = _run_cli("derive", str(schema), str(data), "--script", str(script), "--check", timeout=2)
+    out = result.stdout.splitlines()
+    assert (result.returncode, len(out), out[-1], result.stderr) == (0, 301, "CHECK\tok", "")
+
+
+@pytest.fixture
+def overlap_files(tmp_path):
+    """A schema and a 400-row seeded table over T = a | b | c | d and U = p | q."""
+    schema = tmp_path / "tu.txt"
+    schema.write_text("T = a | b | c | d\nU = p | q\n")
+    rng = random.Random(7)
+    data = tmp_path / "tu.csv"
+    data.write_text("T,U\n" + "".join(f"{rng.choice('abcd')},{rng.choice('pq')}\n" for _ in range(400)))
+    return str(schema), str(data)
+
+
+@pytest.mark.parametrize("rule, minor", [("OrELa", "T:b+c"), ("OrELb", "T:a+b")])
+def test_an_or_left_elimination_over_overlapping_disjuncts_exits_2(overlap_files, tmp_path, capsys, rule, minor):
+    # γ = a+b and β = b+c share b, so P(γ+β) is not P(γ) + P(β); OrELa
+    # concluded T:a+b |> U : p at 0.48 on such a table, where the count gives 0.49
+    schema, data = overlap_files
+    script = tmp_path / "overlap.txt"
+    script.write_text(
+        "f = ATQUERY T:(a+b)+(b+c) |> U : p\n"
+        f"g = ATQUERY {minor} |> U : p\n"
+        "ta = ATQUERY T : a\ntb = ATQUERY T : b\ntc = ATQUERY T : c\n"
+        "h = OrIR ta tb\ni = OrIR tb tc\n"
+        f"e = {rule} f g h i\n"
+    )
+    assert main(["derive", schema, data, "--script", str(script), "--check"]) == 2
+    assert capsys.readouterr() == ("", f"error: {rule}: T: a+b and b+c are not mutually exclusive\n")
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("a ATQUERY Chickenpox : Major\n", "script line 1: expected `id = RULE ...`"),
+        ("# a comment\na = ATQUERY Chickenpox : Major\nb =\n", "script line 3: missing rule name"),
+        ("# only a comment\n\n", "empty proof script"),
+    ],
+)
+def test_a_malformed_script_exits_2(schema_file, csv_file, tmp_path, capsys, script, message):
+    path = tmp_path / "proof.txt"
+    path.write_text(script)
+    assert main(["derive", schema_file, csv_file, "--script", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_estimator_specs(schema_file, csv_file, capsys):
+    # `laplace` alone adds one pseudo-count per atom: (4 + 1) / (20 + 5) for Absent
+    assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "--estimator", "laplace"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Absent\t0.2"
+    assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "--estimator", "mle"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown estimator spec 'mle', expected freq or laplace:<a>\n")
+
+
+def test_compare_warns_when_both_components_differ(schema_file, csv_file, tmp_path, capsys):
+    other_csv = tmp_path / "other.csv"
+    other_csv.write_text(Path(csv_file).read_text())
+    orig, copy = str(tmp_path / "orig.sys"), str(tmp_path / "copy.sys")
+    assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "-o", orig]) == 0
+    assert main(["learn", schema_file, str(other_csv), "--target", "Chickenpox", "--estimator", "laplace:1",
+                 "-o", copy]) == 0
+    capsys.readouterr()
+    assert main(["compare", schema_file, orig, copy, "--kind", "at:1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "WARNING\tboth the training set and the estimator differ; outside the one-component copy discipline",
+        "VERDICT at:1 true",
+    ]
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ("a = ATQUERY Chickenpox : Major\n", "a preservation plan needs ATQUERY inputs and rule steps"),
+        ("a = ATQUERY Hepatitis : Yes\nn = NegIER a\n", "no provided system covers 'Hepatitis' under the given context"),
+    ],
+)
+def test_preserve_refuses_a_plan_it_cannot_run(schema_file, csv_file, tmp_path, capsys, plan, message):
+    system = str(tmp_path / "pox.sys")
+    assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "-o", system]) == 0
+    path = tmp_path / "plan.txt"
+    path.write_text(plan)
+    capsys.readouterr()
+    argv = ["preserve", schema_file, "--orig", system, "--copy", system, "--plan", str(path),
+            "--kind", "jt", "--mode", "construct"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

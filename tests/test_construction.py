@@ -35,6 +35,7 @@ from tndpq.syntax import (
     Pair,
     Prod,
     ValueAttribution,
+    parse_term,
     parse_value,
     print_term,
     print_value,
@@ -626,3 +627,16 @@ def test_derive_value_empty_support_message():
     with pytest.raises(DerivationFailed) as caught:
         derive_value((ts, Estimator("f", "freq")), sigma, Atom("X"), parse_value("~(x1*y1)+x2"), XYZ)
     assert str(caught.value) == "cannot derive ~(x1*y1)+x2 for X: x1*y1 is not a deterministic value for 'X'"
+
+
+@pytest.mark.parametrize(
+    "term, value, message",
+    [
+        ("[<X,Y>]Z", "x1*y1->z1", "conditional value needs a conditional term with an atomic antecedent, got [<X,Y>]Z"),
+        ("<<X,Y>,Z>", "(x1*y1)*z1", "no introduction route for x1*y1*z1 over <<X,Y>,Z>"),
+    ],
+)
+def test_derive_value_names_a_value_it_has_no_route_for(term, value, message):
+    ts = TrainingSet.from_rows("t", XYZ, ({"X": "x1", "Y": "y1", "Z": "z1"},))
+    with pytest.raises(DerivationFailed, match=f"^{re.escape(message)}$"):
+        derive_value((ts, Estimator("f", "freq")), (), parse_term(term, XYZ), parse_value(value, XYZ), XYZ)

@@ -262,7 +262,6 @@ def test_schema_lookups(small_schema):
     assert small_schema.owner("r") == "Z"
     assert fit(Atom("Z"), AtomVal("q"), small_schema) == (0b010, 3)
     assert small_schema.has_variable("X") and not small_schema.has_variable("a")
-    assert small_schema.has_atom("a") and not small_schema.has_atom("X")
     for lookup, args in [("atoms", ("W",)), ("owner", ("w",))]:
         with pytest.raises(UnknownSymbol):
             getattr(small_schema, lookup)(*args)
@@ -754,3 +753,35 @@ def test_record_fields():
     assert Tally.__hash__ is None
     with pytest.raises(TypeError, match="_cache"):
         Tally("a", _cache={})
+
+
+# ---------------------------------------------------------------------------
+# Schema files and the parser's stack
+
+
+def test_a_schema_file_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "schema.txt"
+    path.write_text("# variables\n\nX = a | b\n  # indented comment\nY = u | v\n")
+    assert load_schema(path) == AttributeSchema.of([("X", ("a", "b")), ("Y", ("u", "v"))])
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("X = a | b\nY u | v\n", ParseError, "schema line 2: expected 'name = v1 | v2 | ...'"),
+        ("X = a | | b\n", ParseError, "schema line 1: empty atomic value"),
+        ("X = a | b | a\n", IllFormed, "duplicate atomic value within 'X'"),
+    ],
+)
+def test_a_malformed_schema_file_is_refused(tmp_path, text, error, message):
+    path = tmp_path / "schema.txt"
+    path.write_text(text)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        load_schema(path)
+
+
+@pytest.mark.parametrize("parse, text", [(parse_value, "(" * 5000 + "a" + ")" * 5000), (parse_term, "[" * 5000 + "X")])
+def test_a_text_nested_past_the_stack_is_refused_by_the_parser(parse, text):
+    # parentheses and conditional antecedents recurse before any node bounds the depth
+    with pytest.raises(ParseError, match="^input nested too deeply$"):
+        parse(text)

@@ -709,3 +709,37 @@ def test_load_memory_is_bounded_by_a_chunk(tmp_path):
     assert len(ts) == 20_000
     # the finished table keeps 8 code strings of 20 000 characters, 0.16 MiB
     assert peak < 1 << 20, peak
+
+
+# ---------------------------------------------------------------------------
+# Refusals, each with its class and text
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("estimator kind", InvariantViolation, "unknown estimator kind 'median'"),
+        ("stored atom", SchemaMismatch, "'z' is not in the stored distribution"),
+        ("empty csv", ParseError, "empty file, expected a header row"),
+        ("duplicate column", ParseError, "duplicate column in header"),
+        ("atom order", SchemaMismatch, "distribution atoms do not follow the schema order"),
+    ],
+)
+def test_refusals_name_their_fault(tmp_path, case, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        if case == "estimator kind":
+            Estimator("M", "median")
+        elif case == "stored atom":
+            AppliedSystem("T", "A", (), "a", (("x", 0.5), ("y", 0.5))).probability("z")
+        elif case == "empty csv":
+            load_training_set(_write(tmp_path, "empty.csv", ""), SCHEMA)
+        elif case == "duplicate column":
+            load_training_set(_write(tmp_path, "twice.csv", "a,a\nx,y\n"), SCHEMA)
+        else:
+            load_applied_system(_write(tmp_path, "a.sys", "system T A\nsigma\nvar a\ny 0.5\nx 0.5\n"), SCHEMA)

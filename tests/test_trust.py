@@ -2,13 +2,14 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from test_acceptance import criterion_5_samples
 from tndpq.errors import IncomparableSystems, NothingToCompare, PreconditionFailed
-from tndpq.syntax import Atom, AtomVal, AttributeSchema
+from tndpq.syntax import Atom, AtomVal, AttributeSchema, ValueAttribution
 from tndpq.systems import AppliedSystem, Estimator, TrainingSet
 from tndpq.trust import (
     ChainReport,
@@ -559,3 +560,69 @@ def test_each_report_gets_its_own_list():
         assert getattr(second, field) == [] and first != second
         with pytest.raises(TypeError, match="unhashable"):
             hash(first)
+
+
+# ---------------------------------------------------------------------------
+# Refusals, each with its class and text
+
+_GEN_F = AppliedSystem("T", "B", (ValueAttribution("Gen", AtomVal("f")),), "Pox", ORIGINAL.distribution)
+_NO_ZERO = system((0.2, 0.4, 0.3, 0.05, 0.05))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TrustKind("XT"), ValueError, "unknown trust kind 'XT'"),
+        (lambda: TrustKind("JT", 2), ValueError, "JT takes no prefix length; ET/WT/AT require one"),
+        (lambda: TrustKind("AT"), ValueError, "JT takes no prefix length; ET/WT/AT require one"),
+        (lambda: TrustProfile((0.5, 0.5), (1.0,)), IncomparableSystems, "2 original values against 1 copy values"),
+        (lambda: TrustProfile((), ()), NothingToCompare, "no values to compare"),
+        (lambda: check_local(ORIGINAL, _GEN_F, jt()), IncomparableSystems, "systems are applied to different contexts"),
+        (lambda: compose_square(ORIGINAL, _NO_ZERO, ORIGINAL, ORIGINAL, 1), PreconditionFailed,
+         "hypothesis a0 JT b0 does not hold"),
+        (lambda: build_chain(ORIGINAL, ORIGINAL, 1, 2, variant="XT"), PreconditionFailed, "unknown chain variant 'XT'"),
+        (lambda: build_chain(ORIGINAL, ORIGINAL, 1, 2, variant="ET"), PreconditionFailed,
+         "variant ET needs the target index l"),
+        (lambda: build_chain(ORIGINAL, ORIGINAL, 1, 2, variant="WT"), PreconditionFailed,
+         "variant WT needs the target index l"),
+        (lambda: build_chain(ORIGINAL, ORIGINAL, 2, 4, variant="ET", l=2), PreconditionFailed,
+         "ET variant needs l > m distinct from k"),
+        (lambda: build_chain(ORIGINAL, ORIGINAL, 2, 4, variant="ET", l=6), PreconditionFailed,
+         "ET variant needs l > m distinct from k"),
+        (lambda: build_chain(ORIGINAL, ORIGINAL, 2, 4, variant="ET", l=4), PreconditionFailed,
+         "ET variant needs l > m distinct from k"),
+        (lambda: build_chain(ORIGINAL, ORIGINAL, 2, 4, variant="WT", l=0), PreconditionFailed,
+         "WT variant needs a target index l distinct from k"),
+        (lambda: build_chain(_NO_ZERO, _NO_ZERO, 2, 4, variant="WT", l=6), PreconditionFailed,
+         "WT variant needs a target index l distinct from k"),
+        (lambda: build_chain(ORIGINAL, ORIGINAL, 2, 4, variant="WT", l=4), PreconditionFailed,
+         "WT variant needs a target index l distinct from k"),
+        (lambda: build_chain(ORIGINAL, ORIGINAL, 2, 4, variant="WT", l=5), PreconditionFailed,
+         "atom 5 must have nonzero probability"),
+    ],
+)
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "variant, m, k, l", [("ET", 2, 4, 3), ("ET", 2, 4, 5), ("WT", 2, 4, 1), ("WT", 2, 4, 5)]
+)
+def test_a_chain_takes_each_end_of_its_target_range(variant, m, k, l):
+    # the first and last index that each variant's l may take
+    _, _, report = build_chain(_NO_ZERO, _NO_ZERO, m, k, variant=variant, steps=2, l=l)
+    assert [(s["parent_relation"], s["jt_cross"]) for s in report.steps] == [(True, False)] * 2
+
+
+def test_general_check_reads_relevant_atoms_for_kinds_other_than_jt():
+    rows = tuple({"Pox": atom} for atom in ("Absent", "Minor", "Minor", "Major"))
+    source = (TrainingSet.from_rows("T", POX, rows), Estimator("A", "freq"))
+    laplace = (TrainingSet.from_rows("U", POX, rows), Estimator("B", "laplace"))
+    relevance = {"Pox": ("Moderate", "Extreme")}
+    report = check_general(source, laplace, [()], ["Pox"], relevance, et(2))
+    assert [entry[0][2] for entry in report.evidence] == ["Moderate", "Extreme"]
+    # the training set and the estimator both differ, as check_local warns
+    assert report.warning == "both the training set and the estimator differ; outside the one-component copy discipline"
+    # JT reads every atom, whatever the relevance map says
+    assert len(check_general(source, laplace, [()], ["Pox"], relevance, jt()).evidence) == 5
