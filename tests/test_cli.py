@@ -873,6 +873,8 @@ def test_estimator_specs(schema_file, csv_file, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "Absent\t0.2"
     assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "--estimator", "mle"]) == 2
     assert capsys.readouterr() == ("", "error: unknown estimator spec 'mle', expected freq or laplace:<a>\n")
+    assert main(["learn", schema_file, csv_file, "--target", "Chickenpox", "--estimator", "laplace:abc"]) == 2
+    assert capsys.readouterr() == ("", "error: bad smoothing in estimator spec 'laplace:abc'\n")
 
 
 def test_compare_warns_when_both_components_differ(schema_file, csv_file, tmp_path, capsys):
