@@ -463,7 +463,7 @@ def _compile(reading: _Reading) -> Callable:
     t_subject = t_subject or t_term
     shape, x = _read_form(reading.concludes)
     code.append("evidence = []")
-    if "γ+β" in (x, *(x for _, x in forms)):
+    if "γ+β" in (x, *(shown for _, shown in forms)):
         code.append(f"evidence.append(_exclusivity_evidence({t_subject}, gamma, beta, schema, rule))")
     if reading.independent:
         code.append(f"evidence.append(_independence_evidence(side, {t_term}, query[0], rule))")

@@ -80,8 +80,7 @@ def derive_value(
     residuation rule, and products either the conditional introduction (for
     an atomic left component) or the independence rule.  A pair source is
     read through a `Learner` for this call, or one the verdict's calls share.
-    The value is first fitted to the term, as `exclusive` fits its values, so
-    a misfit is refused before any distribution is learnt.
+    The value is fitted to its term first, as `exclusive` does.
     """
     sigma = tuple(sigma)
     if not isinstance(source, (AppliedSystem, Learner)):

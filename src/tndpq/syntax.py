@@ -371,11 +371,9 @@ def subvalues(value: Value):
 # its variables' atom ranges, held as one int: an atom sets bit `index - 1`,
 # a product places the right component's mask at offset i * width(right) for
 # each set bit i of the left component's mask, `+` is `|` and `~` is XOR
-# with the term's universe.  Two values are exclusive when their masks are
-# disjoint and equal when the masks are.  The term's width, its number of
-# cells, comes from the same walk: an atom's range, and a pair's product of
-# its components' widths.  An attribution `v : β` is in class O exactly when
-# β fits the term `v`.
+# with the term's universe; each node's width comes from the same walk.  Two
+# values are exclusive when their masks are disjoint and equal when the
+# masks are.  An attribution `v : β` is in class O exactly when β fits `v`.
 
 
 def fit(term: VariableTerm, value: Value, schema: AttributeSchema) -> tuple[int, int] | None:
@@ -386,13 +384,17 @@ def fit(term: VariableTerm, value: Value, schema: AttributeSchema) -> tuple[int,
     The first misfit the walk meets, left to right, raises `ShapeMismatch`,
     `MixedVariables` or `UnknownSymbol`.
     """
+    return _fit(term, value, schema)
+
+
+def _fit(term, value, schema) -> tuple[int, int] | None:
     kind = type(value)
     if kind is Or:
-        left = fit(term, value.left, schema)
-        right = fit(term, value.right, schema)
+        left = _fit(term, value.left, schema)
+        right = _fit(term, value.right, schema)
         return None if left is None else (left[0] | right[0], left[1])
     if kind is Neg:
-        inner = fit(term, value.inner, schema)
+        inner = _fit(term, value.inner, schema)
         return None if inner is None else (((1 << inner[1]) - 1) ^ inner[0], inner[1])
     kind = type(term)
     if kind is Atom:
@@ -406,8 +408,8 @@ def fit(term: VariableTerm, value: Value, schema: AttributeSchema) -> tuple[int,
     if kind is Pair:
         if type(value) is not Prod:
             raise ShapeMismatch(f"pair term {print_term(term)} needs a product, got {print_value(value)}")
-        left = fit(term.left, value.left, schema)
-        right = fit(term.right, value.right, schema)
+        left = _fit(term.left, value.left, schema)
+        right = _fit(term.right, value.right, schema)
         if left is None or right is None:
             return None
         (mask, left_width), (right_mask, width) = left, right
@@ -419,8 +421,8 @@ def fit(term: VariableTerm, value: Value, schema: AttributeSchema) -> tuple[int,
         return out, left_width * width
     if type(value) is not Arrow:
         raise ShapeMismatch(f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}")
-    fit(term.antecedent, value.left, schema)
-    fit(term.consequent, value.right, schema)
+    _fit(term.antecedent, value.left, schema)
+    _fit(term.consequent, value.right, schema)
     return None
 
 
@@ -449,7 +451,7 @@ class ValueAttribution:
         if known is schema:
             return mask
         try:
-            mask = fit(Atom(self.variable), self.value, schema)[0]
+            mask = _fit(Atom(self.variable), self.value, schema)[0]
         except TndpqError:
             fault = self._fault(schema)
         else:
@@ -502,7 +504,7 @@ class Judgment:
             raise IllFormed("subject variable occurs in the antecedent")
         if len(set(names)) < len(names):
             require_linear(self.subject)
-        fit(self.subject, self.value, schema)
+        _fit(self.subject, self.value, schema)
         return self
 
     def with_probability(self, p: float) -> "Judgment":
