@@ -846,17 +846,11 @@ def _source_t():
     return TrainingSet.from_rows("T", SCHEMA, rows), FREQ
 
 
-def _independent_pair(context):
-    """ProdIIndep over Y : u and X : a under `context`, from a table whose rows all have Z:m."""
-    source = _source_t()
-    sigma_ = parse_attribution_list(context, SCHEMA)
-    premises = [at_query(source, sigma_, "Y", "u"), at_query(source, sigma_, "X", "a")]
-    facts = [{"kind": "exclusive"}, {"kind": "independent", "t": "X", "u": "Y", "verdict": True}]
-    return apply_rule(RuleId.ProdIIndep, premises, SCHEMA, side=facts), source
-
-
 def test_independence_evidence_skips_facts_of_another_kind():
-    tree, _ = _independent_pair("Z:m")
+    source = _source_t()
+    premises = [at_query(source, (), "Y", "u"), at_query(source, (), "X", "a")]
+    facts = [{"kind": "exclusive"}, {"kind": "independent", "t": "X", "u": "Y", "verdict": True}]
+    tree = apply_rule(RuleId.ProdIIndep, premises, SCHEMA, side=facts)
     assert tree.side_conditions == ({"kind": "independent", "t": "X", "u": "Y", "verdict": True},)
 
 
