@@ -412,13 +412,13 @@ def _fit(term, value, schema) -> tuple[int, int] | None:
         right = _fit(term.right, value.right, schema)
         if left is None or right is None:
             return None
-        (mask, left_width), (right_mask, width) = left, right
+        (mask, left_cells), (right_mask, cells) = left, right
         out = 0
         while mask:
             low = mask & -mask
-            out |= right_mask << (low.bit_length() - 1) * width
+            out |= right_mask << (low.bit_length() - 1) * cells
             mask ^= low
-        return out, left_width * width
+        return out, left_cells * cells
     if type(value) is not Arrow:
         raise ShapeMismatch(f"conditional term {print_term(term)} needs a conditional, got {print_value(value)}")
     _fit(term.antecedent, value.left, schema)
